@@ -6,6 +6,7 @@ numerical tolerance could not be met.
 """
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -149,15 +150,17 @@ def cmd_eval(args):
         parts = [complex(p) for p in args.s.split(",")]
         gammas = [complex(Fraction(g)) for g in args.gamma.split(",")] \
             if args.gamma else [1.0] * len(parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         return _usage(str(exc))
+    if not all(cmath.isfinite(p) for p in parts):
+        return _usage("--s components must be finite")
     if len(parts) not in (1, 2):
         return _usage("--s takes one or two comma-separated components")
     if len(gammas) != len(parts):
         return _usage("--gamma must match the number of arguments")
     try:
         if len(parts) == 1:
-            result = desing1(parts[0])
+            result = desing1(parts[0], gammas[0])
         else:
             result = desing2(parts[0], parts[1], gammas[0], gammas[1], tol=args.tol)
     except ToleranceError as exc:

@@ -166,6 +166,8 @@ class SPoly:
                 out.pop(e, None)
         return SPoly(self.r, out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return SPoly(self.r, {e: -a for e, a in self.terms.items()})
 
@@ -197,12 +199,14 @@ class SPoly:
         return bool(self.terms)
 
     def evaluate(self, point):
+        """Value at the point; its coordinates may be numbers or SPolys, so
+        evaluating at (s_j + n_j) re-expands the polynomial about n."""
         out = 0
         for e, a in self.terms.items():
             term = a
             for x, p in zip(point, e):
-                if p:
-                    term = term * x**p
+                for _ in range(p):
+                    term = term * x
             out = out + term
         return out
 

@@ -13,11 +13,12 @@ limit exists and low-order polynomial extrapolation converges quickly.
 All arithmetic is double precision; tolerances below are set for it.
 """
 
+import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coeffs import SPoly, combination
 from .exact import bernoulli_number, bernoulli_polynomial, binomial
 
 __all__ = [
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
+
+_TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
+_SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
+_NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 
 
 @dataclass
@@ -87,29 +92,6 @@ def _bern_float(n):
     return _BERN_FLOAT[n]
 
 
-def _precision_override():
-    """Decimal digits requested via DESING_PRECISION, if usable.
-
-    Returns 0 when the variable is unset, malformed, not above double
-    precision, or mpmath is unavailable; callers then use the built-in
-    double-precision kernel.
-    """
-    raw = os.environ.get("DESING_PRECISION")
-    if not raw:
-        return 0
-    try:
-        dps = int(raw)
-    except ValueError:
-        return 0
-    if dps <= 16:
-        return 0
-    try:
-        import mpmath  # noqa: F401
-    except ImportError:
-        return 0
-    return dps
-
-
 def _pochhammer_c(s, k):
     out = 1.0 + 0j
     for i in range(k):
@@ -143,14 +125,6 @@ def hurwitz_zeta(s, a, tol=1e-14):
         value = -Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1)
         out = float(value)
         return EvalResult(complex(out), abs(out) * 2e-16 + 1e-300, "bernoulli_polynomial")
-
-    dps = _precision_override()
-    if dps:
-        import mpmath
-
-        with mpmath.workdps(dps):
-            value = complex(mpmath.zeta(mpmath.mpc(s), mpmath.mpc(a)))
-        return EvalResult(value, abs(value) * 10.0 ** (-dps) + 1e-300, "mpmath")
 
     smod = abs(s)
     if s.real < 0.5:
@@ -195,15 +169,14 @@ def riemann_zeta(s, tol=1e-14):
     return hurwitz_zeta(s, 1.0, tol)
 
 
-def singularity_distance(s1, s2, depth=40):
+def singularity_distance(s1, s2):
     """Distance of (s1, s2) to the singular locus of the double zeta:
-    s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...} (down to -depth)."""
+    s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...} (down to -40)."""
     s1 = complex(s1)
     s2 = complex(s2)
     best = SingularityReport("s2=1", abs(s2 - 1))
     w = s1 + s2
-    levels = [2, 1, 0] + list(range(-2, -depth - 1, -2))
-    for v in levels:
+    for v in [2, 1, 0] + list(range(-2, -_SINGULAR_DEPTH - 1, -2)):
         d = abs(w - v) / math.sqrt(2)
         if d < best.distance:
             best = SingularityReport("s1+s2=%d" % v, d)
@@ -218,7 +191,12 @@ def _is_nonpositive_int(z, eps=1e-12):
     return None
 
 
-def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10, j_max=16):
+def _within_reach(s1, s2):
+    """Whether the tail re-expansion of double_zeta reaches (s1, s2)."""
+    return (s1 + s2).real > 2 - _TAIL_ORDER
+
+
+def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     """Generalized Euler-Zagier double zeta, analytically continued.
 
     The evaluation point must stay off the singular hyperplanes.  When s2
@@ -241,11 +219,11 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10, j_max=16):
     n = _is_nonpositive_int(s2)
     if n is not None:
         return _double_zeta_polynomial(s1, n, g1, g2, beta, tol)
-    if (s1 + s2).real <= 2 - j_max:
+    if not _within_reach(s1, s2):
         raise ContinuationReachError(
             "Re(s1+s2)=%g beyond continuation reach" % (s1 + s2).real
         )
-    return _double_zeta_tail(s1, s2, g1, g2, beta, tol, j_max)
+    return _double_zeta_tail(s1, s2, g1, g2, beta, tol)
 
 
 def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
@@ -266,7 +244,7 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
     return EvalResult(scale * total, abs(scale) * err, "polynomial_reduction")
 
 
-def _double_zeta_tail(s1, s2, g1, g2, beta, tol, j_max):
+def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
     # Head length: the binomial re-expansion needs |beta (M+1)| comfortably
     # above 1 and the asymptotic expansion of the inner zeta must be valid at
     # x = 1 + beta(M+1).  Keep M as small as those constraints allow: the
@@ -311,7 +289,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, j_max):
     for w, c in branches:
         delta = round((w - (s2 - 1)).real)  # exact integer by construction
         bin_c = 1.0 + 0j
-        for j in range(j_max + 1):
+        for j in range(_TAIL_ORDER + 1):
             if j > 0:
                 bin_c *= (-w - (j - 1)) / j
             p = delta + j
@@ -320,7 +298,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, j_max):
                 break
             groups[p] = groups.get(p, 0j) + contrib
         # binomial truncation proxy for this branch
-        err += abs(c * bin_c) * ratio ** (j_max + 1) * abs(pref) * x0 ** (-(w.real))
+        err += abs(c * bin_c) * ratio ** (_TAIL_ORDER + 1) * abs(pref) * x0 ** (-(w.real))
 
     tail = 0j
     base = s1 + s2 - 1
@@ -372,40 +350,49 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0, m_max=2000, n_tail=400):
     return EvalResult(total, err, "direct_sum")
 
 
-def desing1(s):
-    """Desingularized single zeta: (1 - s) zeta(s), entire; -1 at s = 1."""
+def desing1(s, gamma=1.0):
+    """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
+    zeta(s), entire; -1/gamma at s = 1."""
     s = complex(s)
+    g = complex(gamma)
+    if g.real <= 0:
+        raise ValueError("weights must have positive real part")
     if abs(s - 1) < 1e-14:
-        return EvalResult(-1.0 + 0j, 0.0, "polynomial_reduction")
+        return EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
     z = riemann_zeta(s)
-    return EvalResult((1 - s) * z.value, abs(1 - s) * z.err_estimate, z.method)
+    c = (1 - s) * g ** (-s)
+    return EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
 
 
-_DESING2_TERMS = (
-    # (coefficient as a function of (s1, s2), argument shift (m1, m2))
-    (lambda s1, s2: (s1 - 1) * (s2 - 1), (0, 0)),
-    (lambda s1, s2: s2 * (s2 + 1 - s1), (-1, 1)),
-    (lambda s1, s2: -s2 * (s2 + 1), (-2, 2)),
-)
+@functools.cache
+def _desing2_groups():
+    """(shift, coefficient polynomial) pairs of the depth-2 combination."""
+    return tuple(combination(2).groups().items())
 
 
 def _desing2_combination(s1, s2, g1, g2, tol):
+    # Re-expand each coefficient exactly about the nearest integer point n and
+    # evaluate it at s - n (exact in floating point): expanded about 0, its
+    # monomials cancel near the integer points where the terms are singular.
+    n = (round(s1.real), round(s2.real))
+    about_n = [SPoly.variable(2, j) + nj for j, nj in enumerate(n)]
+    offset = (s1 - n[0], s2 - n[1])
     total = 0j
     err = 0.0
-    for coeff_fn, (m1, m2) in _DESING2_TERMS:
-        c = coeff_fn(s1, s2)
+    for (m1, m2), poly in _desing2_groups():
+        c = complex(poly.evaluate(about_n).evaluate(offset))
         z = double_zeta(s1 + m1, s2 + m2, g1, g2, tol)
         total += c * z.value
         err += abs(c) * z.err_estimate
     return total, err
 
 
-def _desing2_evaluable(s1, s2, j_max=16):
-    for _, (m1, m2) in _DESING2_TERMS:
+def _desing2_evaluable(s1, s2):
+    for (m1, m2), _ in _desing2_groups():
         a1, a2 = s1 + m1, s2 + m2
         if singularity_distance(a1, a2).distance < 1e-6:
             return False
-        if _is_nonpositive_int(a2) is None and (a1 + a2).real <= 2 - j_max:
+        if _is_nonpositive_int(a2) is None and not _within_reach(a1, a2):
             return False
     return True
 
@@ -427,7 +414,7 @@ def neville_extrapolate(xs, ys):
     return p[n - 1], correction
 
 
-def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64, levels=7):
+def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     """Desingularized double zeta via the entire three-term combination.
 
     Off the singular hyperplanes of the individual terms the combination is
@@ -449,7 +436,7 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64, levels=7):
     d1, d2 = 1.0, 1.0 / _GOLDEN
     xs, ys = [], []
     worst = None
-    for k in range(levels):
+    for k in range(_NEVILLE_STEPS):
         eps = eps0 * 2.0**-k
         p1, p2 = s1 + eps * d1, s2 + eps * d2
         if not _desing2_evaluable(p1, p2):

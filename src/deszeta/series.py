@@ -204,20 +204,6 @@ class TruncatedSeries:
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.coefficient(e) == other.coefficient(e) for e in keys)
 
-    def dump(self):
-        """Debug dump as a list of {"exponents": [...], "coeff": ...} entries."""
-        out = []
-        for e in sorted(self.coeffs):
-            v = self.coeffs[e]
-            if hasattr(v, "to_json"):
-                c = v.to_json()
-            elif isinstance(v, PolyInC):
-                c = [format_rational(x) for x in v.coeffs]
-            else:
-                c = format_rational(v)
-            out.append({"exponents": list(e), "coeff": c})
-        return out
-
     def __repr__(self):
         return "TruncatedSeries(nvars=%d, D=%d, %d terms)" % (
             self.nvars,
@@ -259,6 +245,18 @@ def compose_linear(f_coeffs, weights, max_degree):
     return TruncatedSeries(nvars, max_degree, out)
 
 
+def _triangular_product(factors, gammas, max_degree):
+    """prod_j f_j(gamma_j (t_j + ... + t_r)), where factors[j] lists the
+    coefficients of the univariate series f_j."""
+    r = len(gammas)
+    result = None
+    for j, f in enumerate(factors):
+        weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
+        factor = compose_linear(f, weights, max_degree)
+        result = factor if result is None else result * factor
+    return result
+
+
 def build_H_r(xis, gammas, max_degree, order=None):
     """Truncated expansion of the product of twisted factors 1/(1 - xi_j e^y_j)
     with y_j = gamma_j (t_j + ... + t_r), over CycloElements of a common order.
@@ -278,33 +276,25 @@ def build_H_r(xis, gammas, max_degree, order=None):
         order = 1
         for xi in xis:
             order = order * xi.c // math.gcd(order, xi.c)
-    result = None
-    for j, xi in enumerate(xis):
-        f = [
+    factors = [
+        [
             twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))
             for n in range(max_degree + 1)
         ]
-        weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
-        factor = compose_linear(f, weights, max_degree)
-        result = factor if result is None else result * factor
-    return result
+        for xi in xis
+    ]
+    return _triangular_product(factors, gammas, max_degree)
 
 
 def build_tilde_H(gammas, max_degree):
     """Expansion of the c-symbolic product with factors
     sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, keeping c as a polynomial variable."""
-    r = len(gammas)
-    result = None
-    for j in range(r):
-        f = [
-            PolyInC.one_minus_c_power(n + 1)
-            * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
-            for n in range(max_degree + 1)
-        ]
-        weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
-        factor = compose_linear(f, weights, max_degree)
-        result = factor if result is None else result * factor
-    return result
+    f = [
+        PolyInC.one_minus_c_power(n + 1)
+        * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
+        for n in range(max_degree + 1)
+    ]
+    return _triangular_product([f] * len(gammas), gammas, max_degree)
 
 
 def build_E_product(gammas, max_degree):
@@ -313,17 +303,11 @@ def build_E_product(gammas, max_degree):
     Its coefficients encode the desingularized values at non-positive
     integers: coefficient of prod t_j^{k_j} times (-1)^{sum k} prod k_j!.
     """
-    r = len(gammas)
-    result = None
-    for j in range(r):
-        f = [
-            bernoulli_number(n + 1) / Fraction(math.factorial(n))
-            for n in range(max_degree + 1)
-        ]
-        weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
-        factor = compose_linear(f, weights, max_degree)
-        result = factor if result is None else result * factor
-    return result
+    f = [
+        bernoulli_number(n + 1) / Fraction(math.factorial(n))
+        for n in range(max_degree + 1)
+    ]
+    return _triangular_product([f] * len(gammas), gammas, max_degree)
 
 
 def collapse_tilde(series, r):

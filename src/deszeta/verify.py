@@ -264,5 +264,4 @@ def run_suite(name):
         checks = SUITES[name]
     else:
         raise KeyError(name)
-    results = [(cid, *fn()) for cid, fn in sorted(checks)]
-    return [(cid, worst, ok) for cid, worst, ok in results]
+    return [(cid, *fn()) for cid, fn in sorted(checks)]

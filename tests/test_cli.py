@@ -127,9 +127,28 @@ def test_eval_single(capsys):
     assert json.loads(out)["value"]["re"] == -1.0
 
 
+def test_eval_single_weighted(capsys):
+    # (1 - s) gamma^{-s} zeta(s) at s = -1, gamma = 3 is 2 * 3 * (-1/12)
+    code, out, _ = run(capsys, "eval", "--s", "-1", "--gamma", "3")
+    assert code == 0
+    assert abs(json.loads(out)["value"]["re"] + 0.5) < 1e-14
+
+
 def test_eval_bad_input(capsys):
     assert run(capsys, "eval", "--s", "nonsense")[0] == 2
     assert run(capsys, "eval", "--s", "1,2,3")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--s", "1,2", "--gamma", "1/0,1"),
+    ("--s", "inf,3"),
+    ("--s", "nan,1"),
+])
+def test_eval_rejected_input(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_eval_tolerance_exit(capsys):

@@ -19,7 +19,7 @@ from deszeta.numeric import (
     riemann_zeta,
     singularity_distance,
 )
-from deszeta.values import desing_value_r2_closed
+from deszeta.values import desing_value_exact, desing_value_r2_closed
 
 
 class TestHurwitzKernel:
@@ -55,6 +55,14 @@ class TestHurwitzKernel:
     def test_left_half_plane_argument(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(2, -1.0)
+
+    def test_double_precision_only(self, monkeypatch):
+        # the kernel has no environment-selected high-precision mode
+        plain = hurwitz_zeta(2.5, 1.3)
+        monkeypatch.setenv("DESING_PRECISION", "30")
+        again = hurwitz_zeta(2.5, 1.3)
+        assert again.method == "euler_maclaurin"
+        assert again.value == plain.value
 
 
 class TestDoubleZeta:
@@ -123,6 +131,18 @@ class TestDesing:
         # (1 - s) zeta(s) at s = 2
         assert abs(desing1(2).value + math.pi**2 / 6) < 1e-13
 
+    def test_depth_one_weighted(self):
+        for gamma in (Fraction(1, 2), Fraction(3)):
+            assert desing1(1, gamma).value == -1 / float(gamma)
+            for k in range(6):
+                want = float(desing_value_exact((k,), (gamma,)))
+                got = desing1(-k, gamma).value
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_depth_one_bad_weight(self):
+        with pytest.raises(ValueError):
+            desing1(2, 0.0)
+
     def test_regular_point_methods(self):
         r = desing2(3, 4)
         assert r.method == "euler_maclaurin"
@@ -144,6 +164,12 @@ class TestDesing:
             for l in range(3):
                 want = float(desing_value_r2_closed(k, l, 1, 1))
                 assert abs(desing2(-k, -l).value - want) < 1e-6
+
+    def test_cancellation_at_one_one(self):
+        # (1, 1) lies on singular hyperplanes of all three shifted terms, where
+        # the coefficient polynomials must be evaluated without cancellation
+        for eps0 in (1.0 / 64, 1.0 / 128):
+            assert abs(desing2(1, 1, eps0=eps0).value - 0.5) < 1e-10
 
     def test_extrapolation_stability(self):
         # halving the initial shift moves the answer by less than the
