@@ -10,13 +10,12 @@ import cmath
 import json
 import sys
 from fractions import Fraction
-from itertools import product
 
 from .coeffs import combination, expand_G
 from .cyclotomic import RootOfUnity, twisted_bernoulli
 from .exact import bernoulli_number, format_rational
 from .numeric import ToleranceError, desing1, desing2
-from .values import desing_value_exact
+from .values import desing_value_table, twisted_multiple_bernoulli_table
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -72,8 +71,6 @@ def cmd_twisted_bernoulli(args):
 
 
 def cmd_multi_bernoulli(args):
-    from .values import twisted_multiple_bernoulli
-
     if args.r < 1:
         return _usage("--r must be positive")
     if args.c < 2:
@@ -90,9 +87,7 @@ def cmd_multi_bernoulli(args):
     if any(a % args.c == 0 for a in a_list):
         return _usage("all roots must be nontrivial")
     xis = [RootOfUnity(args.c, a) for a in a_list]
-    rows = []
-    for n in product(range(args.max + 1), repeat=args.r):
-        rows.append((n, twisted_multiple_bernoulli(n, xis, gammas)))
+    rows = twisted_multiple_bernoulli_table(args.max, xis, gammas).items()
     if args.format == "json":
         print(json.dumps({
             "r": args.r,
@@ -120,9 +115,7 @@ def cmd_desing_values(args):
         return _usage("--gamma must have r entries")
     if any(g == 0 for g in gammas):
         return _usage("weights must be nonzero")
-    rows = []
-    for k in product(range(args.kmax + 1), repeat=args.r):
-        rows.append((k, desing_value_exact(k, gammas)))
+    rows = desing_value_table(args.kmax, gammas).items()
     if args.format == "json":
         print(json.dumps({
             "r": args.r,
@@ -146,6 +139,8 @@ def cmd_coeffs(args):
 
 
 def cmd_eval(args):
+    if not args.tol > 0:
+        return _usage("--tol must be a positive number")
     try:
         parts = [complex(p) for p in args.s.split(",")]
         gammas = [complex(Fraction(g)) for g in args.gamma.split(",")] \
@@ -168,9 +163,10 @@ def cmd_eval(args):
         return EXIT_TOLERANCE
     except ValueError as exc:
         return _usage(str(exc))
-    if result.err_estimate > args.tol:
+    # a NaN estimate fails this test, so it cannot pass the gate
+    if not result.err_estimate <= args.tol:
         print(
-            "error: tolerance not met (err_estimate %g > %g)"
+            "error: tolerance not met (err_estimate %g, tol %g)"
             % (result.err_estimate, args.tol),
             file=sys.stderr,
         )

@@ -279,7 +279,7 @@ def expand_H(r):
     cross-check expand_G."""
     if r < 1:
         raise ValueError("r must be positive")
-    poly = UVLaurentPoly(r)
+    terms = {}
     for J in _subsets(range(r)):
         bJ = _linear_form_product(r, J)
         for K in _subsets([j for j in J if j != 0]):
@@ -292,8 +292,9 @@ def expand_H(r):
                         m[j] -= 1
                 for j in K:
                     m[j - 1] -= 1
-                poly = poly + UVLaurentPoly.monomial(r, l, tuple(m), sign * b)
-    return CoeffTable.from_poly(poly)
+                key = (l, tuple(m))
+                terms[key] = terms.get(key, 0) + sign * b
+    return CoeffTable.from_poly(UVLaurentPoly(r, terms))
 
 
 def weight_check(table):

@@ -294,13 +294,15 @@ def twisted_bernoulli(n, xi, order=None):
     order = order or xi.c
     key = (xi.c, xi.a, order)
     with _TB_LOCK:
-        z = xi.embed(order)
-        table = _TB_CACHE.setdefault(key, [(1 - z).inverse()])
-        ratio = z * (1 - z).inverse()
-        while len(table) <= n:
-            m = len(table)
-            acc = sum(table[k] * binomial(m, k) for k in range(m))
-            table.append(ratio * acc)
+        table = _TB_CACHE.get(key)
+        if table is None:
+            table = _TB_CACHE[key] = [(1 - xi.embed(order)).inverse()]
+        if len(table) <= n:
+            ratio = xi.embed(order) * table[0]  # z / (1 - z)
+            while len(table) <= n:
+                m = len(table)
+                acc = sum(table[k] * binomial(m, k) for k in range(m))
+                table.append(ratio * acc)
         return table[n]
 
 

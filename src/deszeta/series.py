@@ -1,14 +1,15 @@
 """Truncated multivariate power series over exact scalars, and the generating
 functions whose coefficients are twisted/desingularized Bernoulli data.
 
-The series are sparse maps from exponent tuples (total degree bounded) to
-scalars; scalars may be Fractions, CycloElements, or PolyInC (polynomials in
-the auxiliary parameter c, kept symbolic so the limit c -> 1 is exact).
+The series are sparse maps from exponent tuples (bounded in total degree
+and, optionally, per variable by a box) to scalars; scalars may be
+Fractions, CycloElements, or PolyInC (polynomials in the auxiliary
+parameter c, kept symbolic so the limit c -> 1 is exact).
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from operator import add, le
 
 from .cyclotomic import TrivialRootError
 from .exact import bernoulli_number, format_rational, multinomial
@@ -125,28 +126,44 @@ class PolyInC:
         return "PolyInC(%s)" % (list(map(format_rational, self.coeffs)),)
 
 
-def _exponents_up_to(nvars, degree):
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), total):
-            e = [0] * nvars
-            for idx in combo:
-                e[idx] += 1
-            yield tuple(e)
+def _exponents(caps, degree):
+    """Exponent tuples e with e[k] <= caps[k] and sum(e) <= degree."""
+    if not caps:
+        yield ()
+        return
+    for first in range(min(caps[0], degree) + 1):
+        for rest in _exponents(caps[1:], degree - first):
+            yield (first,) + rest
 
 
 class TruncatedSeries:
-    """Sparse multivariate power series truncated at a total degree bound."""
+    """Sparse multivariate power series truncated at a total degree bound and,
+    when ``box`` is given, at a per-variable exponent cap.
 
-    __slots__ = ("nvars", "max_degree", "coeffs")
+    Both bounds keep a down-closed set of exponents, so every coefficient a
+    product keeps is exact.  ``box`` None means no cap beyond the degree.
+    """
 
-    def __init__(self, nvars, max_degree, coeffs=None):
+    __slots__ = ("nvars", "max_degree", "box", "coeffs")
+
+    def __init__(self, nvars, max_degree, coeffs=None, box=None):
+        if box is not None:
+            box = tuple(box)
+            if len(box) != nvars:
+                raise ValueError("box needs one cap per variable")
         self.nvars = nvars
         self.max_degree = max_degree
+        self.box = box
         self.coeffs = {}
         if coeffs:
             for e, v in coeffs.items():
-                if sum(e) <= max_degree and v:
+                if v and self._inside(e):
                     self.coeffs[tuple(e)] = v
+
+    def _inside(self, e):
+        if sum(e) > self.max_degree:
+            return False
+        return self.box is None or all(map(le, e, self.box))
 
     @classmethod
     def constant(cls, nvars, max_degree, value):
@@ -156,9 +173,15 @@ class TruncatedSeries:
         """Scalar coefficient of the monomial with the given exponents (0 if absent)."""
         return self.coeffs.get(tuple(exponents), 0)
 
+    def _bounds(self):
+        return self.nvars, self.max_degree, self.box
+
     def _check(self, other):
-        if self.nvars != other.nvars or self.max_degree != other.max_degree:
-            raise ValueError("series arity/degree mismatch")
+        if self._bounds() != other._bounds():
+            raise ValueError("series arity/degree/box mismatch")
+
+    def _like(self, coeffs):
+        return TruncatedSeries(self.nvars, self.max_degree, coeffs, self.box)
 
     def __add__(self, other):
         self._check(other)
@@ -170,44 +193,47 @@ class TruncatedSeries:
                 out[e] = s
             elif cur is not None:
                 del out[e]
-        return TruncatedSeries(self.nvars, self.max_degree, out)
+        return self._like(out)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            out = {e: v * other for e, v in self.coeffs.items()}
-            return TruncatedSeries(self.nvars, self.max_degree, out)
+            return self._like({e: v * other for e, v in self.coeffs.items()})
         self._check(other)
+        box = self.box
+        terms = [(e2, sum(e2), v2) for e2, v2 in other.coeffs.items()]
         out = {}
         for e1, v1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, v2 in other.coeffs.items():
-                if d1 + sum(e2) > self.max_degree:
+            room = self.max_degree - sum(e1)
+            caps = None if box is None else [b - a for a, b in zip(e1, box)]
+            for e2, d2, v2 in terms:
+                if d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                if caps is not None and not all(map(le, e2, caps)):
+                    continue
+                e = tuple(map(add, e1, e2))
                 prod = v1 * v2
                 cur = out.get(e)
                 out[e] = prod if cur is None else cur + prod
-        return TruncatedSeries(self.nvars, self.max_degree, out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def map_coeffs(self, fn):
-        return TruncatedSeries(
-            self.nvars, self.max_degree, {e: fn(v) for e, v in self.coeffs.items()}
-        )
+        return self._like({e: fn(v) for e, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.nvars != other.nvars or self.max_degree != other.max_degree:
+        if self._bounds() != other._bounds():
             return False
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.coefficient(e) == other.coefficient(e) for e in keys)
 
     def __repr__(self):
-        return "TruncatedSeries(nvars=%d, D=%d, %d terms)" % (
+        return "TruncatedSeries(nvars=%d, D=%d, box=%s, %d terms)" % (
             self.nvars,
             self.max_degree,
+            self.box,
             len(self.coeffs),
         )
 
@@ -217,52 +243,55 @@ def series_mul(a, b):
     return a * b
 
 
-def compose_linear(f_coeffs, weights, max_degree):
+def compose_linear(f_coeffs, weights, max_degree, box=None):
     """Substitute y = sum_k weights[k] t_k into a univariate series.
 
     f_coeffs[n] is the coefficient of y^n; the result is truncated at the
-    given total degree.  Expansion is by multinomial coefficients, so the
-    weights must be exact rationals (or scalars commuting with the ring).
+    given total degree and, when given, at the per-variable caps ``box``.
+    Only the exponents inside both bounds are enumerated, and a variable
+    with weight zero stays at exponent zero.  Expansion is by multinomial
+    coefficients, so the weights must be exact rationals (or scalars
+    commuting with the ring).
     """
     nvars = len(weights)
+    if box is not None and len(box) != nvars:
+        raise ValueError("box needs one cap per variable")
+    caps = [
+        (max_degree if box is None else box[k]) if wk else 0
+        for k, wk in enumerate(weights)
+    ]
     out = {}
-    for e in _exponents_up_to(nvars, max_degree):
-        n = sum(e)
-        if n >= len(f_coeffs):
-            continue
-        fn = f_coeffs[n]
+    for e in _exponents(caps, min(max_degree, len(f_coeffs) - 1)):
+        fn = f_coeffs[sum(e)]
         if not fn:
             continue
         w = Fraction(multinomial(*e))
-        for k, wk in enumerate(weights):
-            if e[k]:
-                if not wk:
-                    w = Fraction(0)
-                    break
-                w *= Fraction(wk) ** e[k]
-        if w:
-            out[e] = fn * w
-    return TruncatedSeries(nvars, max_degree, out)
+        for wk, ek in zip(weights, e):
+            if ek:
+                w *= Fraction(wk) ** ek
+        out[e] = fn * w
+    return TruncatedSeries(nvars, max_degree, out, box)
 
 
-def _triangular_product(factors, gammas, max_degree):
+def _triangular_product(factors, gammas, max_degree, box=None):
     """prod_j f_j(gamma_j (t_j + ... + t_r)), where factors[j] lists the
     coefficients of the univariate series f_j."""
     r = len(gammas)
     result = None
     for j, f in enumerate(factors):
         weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
-        factor = compose_linear(f, weights, max_degree)
+        factor = compose_linear(f, weights, max_degree, box)
         result = factor if result is None else result * factor
     return result
 
 
-def build_H_r(xis, gammas, max_degree, order=None):
+def build_H_r(xis, gammas, max_degree, order=None, box=None):
     """Truncated expansion of the product of twisted factors 1/(1 - xi_j e^y_j)
     with y_j = gamma_j (t_j + ... + t_r), over CycloElements of a common order.
 
     The coefficient of prod t_j^{n_j} / n_j! is the twisted multiple
-    Bernoulli number for the index (n_j).
+    Bernoulli number for the index (n_j).  ``box`` caps each exponent on
+    top of the total degree.
     """
     from .cyclotomic import twisted_bernoulli
 
@@ -273,9 +302,7 @@ def build_H_r(xis, gammas, max_degree, order=None):
         if not xi.nontrivial:
             raise TrivialRootError("all roots must differ from 1")
     if order is None:
-        order = 1
-        for xi in xis:
-            order = order * xi.c // math.gcd(order, xi.c)
+        order = math.lcm(*(xi.c for xi in xis))
     factors = [
         [
             twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))
@@ -283,7 +310,7 @@ def build_H_r(xis, gammas, max_degree, order=None):
         ]
         for xi in xis
     ]
-    return _triangular_product(factors, gammas, max_degree)
+    return _triangular_product(factors, gammas, max_degree, box)
 
 
 def build_tilde_H(gammas, max_degree):
@@ -297,17 +324,18 @@ def build_tilde_H(gammas, max_degree):
     return _triangular_product([f] * len(gammas), gammas, max_degree)
 
 
-def build_E_product(gammas, max_degree):
+def build_E_product(gammas, max_degree, box=None):
     """The exact c -> 1 limit product: factors E(y) = sum_n B_{n+1} y^n / n!.
 
     Its coefficients encode the desingularized values at non-positive
     integers: coefficient of prod t_j^{k_j} times (-1)^{sum k} prod k_j!.
+    ``box`` caps each exponent on top of the total degree.
     """
     f = [
         bernoulli_number(n + 1) / Fraction(math.factorial(n))
         for n in range(max_degree + 1)
     ]
-    return _triangular_product([f] * len(gammas), gammas, max_degree)
+    return _triangular_product([f] * len(gammas), gammas, max_degree, box)
 
 
 def collapse_tilde(series, r):

@@ -5,36 +5,68 @@ values at non-positive integers.
 The desingularized values come in three independent routes that must agree:
 the nu-matrix enumeration, the r = 2 closed convolution form, and the
 generating-function oracle read off the exact c -> 1 limit product.
+
+The generating-function routes read whole tables: one product, truncated to
+the box [0, max]^r, holds every index of the box.
 """
 
 import math
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cyclotomic import TrivialRootError, twisted_bernoulli
+from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli
 from .exact import bernoulli_number, binomial
 from .series import build_E_product, build_H_r
 
 __all__ = [
     "twisted_multiple_bernoulli",
+    "twisted_multiple_bernoulli_table",
     "double_twisted_closed",
     "lerch_special_value",
     "desing_value_exact",
     "desing_value_r2_closed",
     "desing_value_oracle",
+    "desing_value_table",
 ]
+
+
+def _read(series, indices, zero, signed):
+    """Map each index n to the coefficient of prod t_j^{n_j} times prod n_j!,
+    negated when ``signed`` and sum(n) is odd; absent coefficients read as
+    ``zero``."""
+    out = {}
+    for n in indices:
+        scale = Fraction(math.prod(math.factorial(k) for k in n))
+        if signed and sum(n) % 2:
+            scale = -scale
+        out[n] = (series.coefficient(n) or zero) * scale
+    return out
+
+
+def _twisted_read(box, indices, xis, gammas, order):
+    """Twisted multiple Bernoulli numbers at ``indices``, all inside ``box``,
+    read from one product of twisted factors truncated to that box."""
+    if len(box) != len(xis) or len(box) != len(gammas):
+        raise ValueError("index, roots and weights must have equal length")
+    order = order or math.lcm(*(xi.c for xi in xis))
+    series = build_H_r(xis, gammas, sum(box), order=order, box=box)
+    return _read(series, indices, CycloElement.from_rational(order, 0), signed=False)
 
 
 def twisted_multiple_bernoulli(n, xis, gammas, order=None):
     """Twisted multiple Bernoulli number for the index tuple n, roots xis and
-    weights gammas, read from the truncated product generating function."""
+    weights gammas, read from the product generating function truncated to
+    the box [0, n]."""
     n = tuple(n)
-    if len(n) != len(xis) or len(n) != len(gammas):
-        raise ValueError("index, roots and weights must have equal length")
-    series = build_H_r(xis, gammas, sum(n), order=order)
-    coeff = series.coefficient(n)
-    scale = Fraction(math.prod(math.factorial(k) for k in n))
-    return coeff * scale
+    return _twisted_read(n, [n], xis, gammas, order)[n]
+
+
+def twisted_multiple_bernoulli_table(nmax, xis, gammas, order=None):
+    """Twisted multiple Bernoulli numbers for every index in [0, nmax]^r, in
+    lexicographic order, read from one product truncated to that box."""
+    r = len(xis)
+    indices = iter_product(range(nmax + 1), repeat=r)
+    return _twisted_read((nmax,) * r, indices, xis, gammas, order)
 
 
 def double_twisted_closed(k, l, xi1, xi2, gammas, order=None):
@@ -119,11 +151,24 @@ def desing_value_r2_closed(k, l, gamma1, gamma2):
     return Fraction((-1) ** (k + l)) * total
 
 
+def _desing_read(box, indices, gammas):
+    """Desingularized values at ``indices``, all inside ``box``, read from one
+    limit product truncated to that box."""
+    if len(box) != len(gammas):
+        raise ValueError("index and weights must have equal length")
+    series = build_E_product([Fraction(g) for g in gammas], sum(box), box=box)
+    return _read(series, indices, Fraction(0), signed=True)
+
+
 def desing_value_oracle(k, gammas):
     """Desingularized value at (-k_j) read from the exact limit product's
     coefficients; independent of the nu-matrix enumeration."""
     k = tuple(k)
-    series = build_E_product([Fraction(g) for g in gammas], sum(k))
-    coeff = series.coefficient(k)
-    scale = Fraction(math.prod(math.factorial(kj) for kj in k))
-    return Fraction(coeff) * scale * Fraction((-1) ** sum(k))
+    return _desing_read(k, [k], gammas)[k]
+
+
+def desing_value_table(kmax, gammas):
+    """Desingularized values at (-k_j) for every k in [0, kmax]^r, in
+    lexicographic order, read from one limit product truncated to that box."""
+    r = len(gammas)
+    return _desing_read((kmax,) * r, iter_product(range(kmax + 1), repeat=r), gammas)

@@ -8,16 +8,18 @@ CLI "verify" subcommand and the acceptance tests both run these.
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .coeffs import combination, expand_G, expand_H, weight_check
 from .cyclotomic import RootOfUnity, root_sum_twisted
 from .exact import bernoulli_number, bernoulli_polynomial
 from .numeric import desing2, double_zeta_direct, hurwitz_zeta, riemann_zeta
-from .series import PolyInC, build_E_product, build_H_r, build_tilde_H
+from .series import PolyInC, build_tilde_H
 from .values import (
     desing_value_exact,
+    desing_value_table,
     double_twisted_closed,
-    twisted_multiple_bernoulli,
+    twisted_multiple_bernoulli_table,
 )
 
 __all__ = ["run_suite", "SUITES"]
@@ -102,14 +104,10 @@ def check_double_convolution():
         xi1 = RootOfUnity(c, 1)
         xi2 = RootOfUnity(c, c - 1)
         for gammas in gammas_list:
-            series = build_H_r((xi1, xi2), gammas, 10)
-            for k in range(6):
-                for l in range(6):
-                    scale = Fraction(math.factorial(k) * math.factorial(l))
-                    series_val = series.coefficient((k, l)) * scale
-                    closed = double_twisted_closed(k, l, xi1, xi2, gammas)
-                    if series_val != closed:
-                        bad += 1
+            table = twisted_multiple_bernoulli_table(5, (xi1, xi2), gammas)
+            for (k, l), series_val in table.items():
+                if series_val != double_twisted_closed(k, l, xi1, xi2, gammas):
+                    bad += 1
     return float(bad), bad == 0
 
 
@@ -121,29 +119,26 @@ def check_root_pair_sum():
     bad = 0
     for c in (2, 3):
         roots = [RootOfUnity(c, a) for a in range(1, c)]
+        tables = [
+            twisted_multiple_bernoulli_table(4, pair, gammas)
+            for pair in product(roots, repeat=2)
+        ]
         tilde = build_tilde_H(gammas, 8)
         for k in range(5):
             for l in range(5):
-                total = None
-                for xi1 in roots:
-                    for xi2 in roots:
-                        term = twisted_multiple_bernoulli((k, l), (xi1, xi2), gammas)
-                        total = term if total is None else total + term
+                total = sum((t[k, l] for t in tables[1:]), tables[0][k, l])
                 scale = Fraction(math.factorial(k) * math.factorial(l))
                 coeff = tilde.coefficient((k, l))
                 want = (coeff(c) if isinstance(coeff, PolyInC) else Fraction(coeff)) * scale
-                got = total.as_rational() if hasattr(total, "as_rational") else total
-                if got != want:
+                if total.as_rational() != want:
                     bad += 1
     return float(bad), bad == 0
 
 
 def check_desing_routes():
     """Desingularized values at non-positive integers: the matrix-enumeration
-    route equals the limit-product oracle for r <= 3, all indices <= 4, at
-    three weight samples."""
-    from itertools import product
-
+    route equals the limit-product table (the one the CLI prints) for
+    r <= 3, all indices <= 4, at three weight samples."""
     samples = {
         1: [(Fraction(1),), (Fraction(1, 2),), (Fraction(3),)],
         2: [(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3)),
@@ -155,10 +150,7 @@ def check_desing_routes():
     bad = 0
     for r in (1, 2, 3):
         for gammas in samples[r]:
-            series = build_E_product(list(gammas), 4 * r)
-            for k in product(range(5), repeat=r):
-                scale = Fraction(math.prod(math.factorial(kj) for kj in k))
-                oracle = series.coefficient(k) * scale * Fraction((-1) ** sum(k))
+            for k, oracle in desing_value_table(4, gammas).items():
                 if desing_value_exact(k, gammas) != oracle:
                     bad += 1
     return float(bad), bad == 0

@@ -171,3 +171,78 @@ def test_verify_bad_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def test_desing_values_table_matches_enumeration(capsys):
+    from fractions import Fraction
+
+    from deszeta.values import desing_value_exact
+
+    gammas = (Fraction(1, 2), Fraction(3), Fraction(2, 3))
+    code, out, _ = run(
+        capsys, "desing-values", "--r", "3", "--kmax", "3", "--gamma", "1/2,3,2/3"
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 64
+    for row in rows:
+        *k, value = row.split(",")
+        k = tuple(int(x) for x in k)
+        assert Fraction(value) == desing_value_exact(k, gammas)
+
+
+def test_multi_bernoulli_matches_closed_form(capsys):
+    from fractions import Fraction
+
+    from deszeta.cyclotomic import CycloElement, RootOfUnity
+    from deszeta.values import double_twisted_closed
+
+    code, out, _ = run(
+        capsys, "multi-bernoulli", "--r", "2", "--c", "5", "--a-list", "1,3",
+        "--gamma", "2/3,3/2", "--max", "3", "--format", "json",
+    )
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert [tuple(row["n"]) for row in values] == [(k, l) for k in range(4) for l in range(4)]
+    xi1, xi2 = RootOfUnity(5, 1), RootOfUnity(5, 3)
+    gammas = (Fraction(2, 3), Fraction(3, 2))
+    for row in values:
+        k, l = row["n"]
+        want = double_twisted_closed(k, l, xi1, xi2, gammas)
+        assert CycloElement.from_json(row["element"]) == want
+
+
+def test_multi_bernoulli_zero_entries(capsys):
+    # 1/(1 + e^t) has a vanishing t^2 coefficient; the row still prints
+    code, out, _ = run(
+        capsys, "multi-bernoulli", "--r", "1", "--c", "2", "--a-list", "1", "--max", "3"
+    )
+    assert code == 0
+    assert out.splitlines() == ["0,1/2", "1,-1/4", "2,0", "3,1/8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--s", "3,4", "--tol", "0"),
+    ("--s", "3,4", "--tol", "nan"),
+    ("--s", "-6,-6", "--tol", "nan"),
+    ("--s", "3,4", "--tol", "-1"),
+])
+def test_eval_rejected_tolerance(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_eval_nan_estimate_fails_gate(capsys, monkeypatch):
+    from deszeta import cli
+    from deszeta.numeric import EvalResult
+
+    def nan_estimate(*args, **kwargs):
+        return EvalResult(0.5 + 0j, float("nan"), "euler_maclaurin")
+
+    monkeypatch.setattr(cli, "desing2", nan_estimate)
+    code, out, err = run(capsys, "eval", "--s", "3,4")
+    assert code == 3
+    assert out == ""
+    assert "tolerance" in err

@@ -97,3 +97,7 @@ def test_repr_readable():
     groups = combination(2).groups()
     assert repr(groups[(-2, 2)]) == "-s_2^2 - s_2"
     assert repr(groups[(0, 0)]) == "s_1 s_2 - s_1 - s_2 + 1"
+
+
+def test_two_constructions_agree_depth_six():
+    assert expand_H(6) == expand_G(6)

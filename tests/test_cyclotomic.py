@@ -142,3 +142,19 @@ def test_root_sum_identity():
         for n in range(8):
             want = (1 - Fraction(c) ** (n + 1)) * bernoulli_number(n + 1) / (n + 1)
             assert root_sum_twisted(n, c) == want
+
+
+def test_twisted_bernoulli_cache_hit_skips_inverse(monkeypatch):
+    xi = RootOfUnity(7, 3)
+    first = twisted_bernoulli(6, xi)
+    calls = []
+    original = CycloElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycloElement, "inverse", counting)
+    assert twisted_bernoulli(6, xi) == first
+    assert twisted_bernoulli(2, xi) == twisted_bernoulli(2, xi)
+    assert calls == []

@@ -1,6 +1,7 @@
 """Truncated series engine and the generating-function products."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,3 +123,59 @@ def test_root_sum_of_product_is_c_specialization():
         want = tilde.coefficient(e)
         want_val = want(c) if isinstance(want, PolyInC) else Fraction(want)
         assert coeff.as_rational() == want_val
+
+
+def test_box_truncation_drops_outside_terms():
+    s = TruncatedSeries(2, 4, {(1, 0): Fraction(1), (0, 1): Fraction(1)}, box=(1, 2))
+    sq = s * s
+    assert sq.coeffs == {(1, 1): 2, (0, 2): 1}
+    assert sq.box == (1, 2)
+
+
+def test_box_mismatch_rejected():
+    a = TruncatedSeries(2, 3, {(1, 0): Fraction(1)}, box=(2, 2))
+    b = TruncatedSeries(2, 3, {(1, 0): Fraction(1)})
+    assert a != b
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, 3, box=(1,))
+
+
+def _box_indices(box):
+    return product(*(range(b + 1) for b in box))
+
+
+@pytest.mark.parametrize("box, gammas", [
+    ((5,), [Fraction(3)]),
+    ((3, 2), [Fraction(1, 2), Fraction(3)]),
+    ((0, 4), [Fraction(2), Fraction(1, 3)]),
+    ((2, 1, 3), [Fraction(1), Fraction(2, 3), Fraction(3, 2)]),
+    ((2, 2, 2, 2), [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2)]),
+])
+def test_box_E_product_matches_total_degree(box, gammas):
+    degree = sum(box)
+    boxed = build_E_product(gammas, degree, box=box)
+    full = build_E_product(gammas, degree)
+    assert boxed.box == tuple(box)
+    for e in _box_indices(box):
+        assert boxed.coefficient(e) == full.coefficient(e)
+    assert set(boxed.coeffs) <= set(_box_indices(box))
+
+
+@pytest.mark.parametrize("box, roots, gammas", [
+    ((4,), [(5, 2)], [Fraction(2, 3)]),
+    ((3, 3), [(5, 1), (5, 3)], [Fraction(2, 3), Fraction(3, 2)]),
+    ((1, 3), [(2, 1), (4, 3)], [Fraction(1), Fraction(1, 2)]),
+    ((2, 1, 2), [(3, 1), (3, 2), (6, 1)], [Fraction(1, 2), Fraction(1), Fraction(3)]),
+])
+def test_box_H_r_matches_total_degree(box, roots, gammas):
+    xis = [RootOfUnity(c, a) for c, a in roots]
+    degree = sum(box)
+    boxed = build_H_r(xis, gammas, degree, box=box)
+    full = build_H_r(xis, gammas, degree)
+    for e in _box_indices(box):
+        assert boxed.coefficient(e) == full.coefficient(e)
+    assert set(boxed.coeffs) <= set(_box_indices(box))

@@ -88,3 +88,8 @@ def test_oracle_route_agrees():
 def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         desing_value_exact((1,), (Fraction(0),))
+
+
+def test_oracle_length_mismatch_rejected():
+    with pytest.raises(ValueError):
+        desing_value_oracle((1, 2), (Fraction(1),))
