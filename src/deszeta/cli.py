@@ -84,6 +84,8 @@ def cmd_multi_bernoulli(args):
         return _usage(str(exc))
     if len(a_list) != args.r or len(gammas) != args.r:
         return _usage("--a-list and --gamma must have r entries")
+    if any(g == 0 for g in gammas):
+        return _usage("weights must be nonzero")
     if any(a % args.c == 0 for a in a_list):
         return _usage("all roots must be nontrivial")
     xis = [RootOfUnity(args.c, a) for a in a_list]

@@ -4,14 +4,20 @@ The Laurent polynomial G((u_j), (v_j)) = prod_j (1 - (u_j v_j + ... + u_r v_r)
 (v_j^{-1} - v_{j-1}^{-1})) (with the v_0^{-1} term absent from the first
 factor) expands into integer coefficients a_{l,m}; the combination
 sum a_{l,m} prod_j (s_j)_{l_j} zeta_r((s_j + m_j); (1); (gamma_j)) is entire.
-The subset-sum construction of the same table is kept as an independent
-cross-check of the product form.
+G is multiplied out as an SPoly in the 2r variables u_1..u_r, v_1..v_r, its
+Laurent v-exponents being negative exponents.  The subset-sum construction
+of the same table is kept as an independent cross-check of the product form.
+
+ShiftedCombination.terms is the single evaluator of the combination: both
+ShiftedCombination.evaluate and the numeric desing2 sum over it.
 """
 
+import functools
 from itertools import chain, combinations
 
+from .exact import pochhammer
+
 __all__ = [
-    "UVLaurentPoly",
     "CoeffTable",
     "SPoly",
     "ShiftedCombination",
@@ -20,66 +26,6 @@ __all__ = [
     "combination",
     "weight_check",
 ]
-
-
-class UVLaurentPoly:
-    """Finitely supported map (u-exponents, v-exponents) -> integer.
-
-    u-exponents are non-negative; v-exponents may be any integers.
-    """
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r, terms=None):
-        self.r = r
-        self.terms = {}
-        if terms:
-            for key, a in terms.items():
-                if a:
-                    self.terms[key] = a
-
-    @classmethod
-    def constant(cls, r, a=1):
-        zero = (0,) * r
-        return cls(r, {(zero, zero): a})
-
-    @classmethod
-    def monomial(cls, r, l, m, a=1):
-        return cls(r, {(tuple(l), tuple(m)): a})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, a in other.terms.items():
-            s = out.get(key, 0) + a
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return UVLaurentPoly(self.r, out)
-
-    def __neg__(self):
-        return UVLaurentPoly(self.r, {k: -a for k, a in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (l1, m1), a1 in self.terms.items():
-            for (l2, m2), a2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(l1, l2)),
-                    tuple(x + y for x, y in zip(m1, m2)),
-                )
-                s = out.get(key, 0) + a1 * a2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return UVLaurentPoly(self.r, out)
-
-    def __eq__(self, other):
-        return isinstance(other, UVLaurentPoly) and self.terms == other.terms
 
 
 class CoeffTable:
@@ -94,10 +40,6 @@ class CoeffTable:
             key=lambda t: (t[2], t[1]),
         )
         self.r = r
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly.r, [(a, l, m) for (l, m), a in poly.terms.items()])
 
     def __eq__(self, other):
         return (
@@ -123,7 +65,11 @@ class CoeffTable:
 
 
 class SPoly:
-    """Small integer-coefficient polynomial in the variables s_1..s_r."""
+    """Small integer-coefficient polynomial in the variables s_1..s_r.
+
+    Exponents may be negative (Laurent monomials); evaluate needs them
+    non-negative.
+    """
 
     __slots__ = ("r", "terms")
 
@@ -150,8 +96,7 @@ class SPoly:
         """prod_j (s_j)_{l_j} as a polynomial."""
         out = cls.constant(r, 1)
         for j, lj in enumerate(l):
-            for i in range(lj):
-                out = out * (cls.variable(r, j) + cls.constant(r, i))
+            out = out * pochhammer(cls.variable(r, j), lj)
         return out
 
     def __add__(self, other):
@@ -159,11 +104,7 @@ class SPoly:
             other = SPoly.constant(self.r, other)
         out = dict(self.terms)
         for e, a in other.terms.items():
-            s = out.get(e, 0) + a
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + a
         return SPoly(self.r, out)
 
     __radd__ = __add__
@@ -172,8 +113,6 @@ class SPoly:
         return SPoly(self.r, {e: -a for e, a in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = SPoly.constant(self.r, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -183,11 +122,7 @@ class SPoly:
         for e1, a1 in self.terms.items():
             for e2, a2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + a1 * a2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + a1 * a2
         return SPoly(self.r, out)
 
     __rmul__ = __mul__
@@ -235,23 +170,35 @@ def expand_G(r):
     """Coefficient table of the product form of the generator polynomial."""
     if r < 1:
         raise ValueError("r must be positive")
-    poly = UVLaurentPoly.constant(r)
+    poly = SPoly.constant(2 * r, 1)
     for j in range(r):
-        factor = UVLaurentPoly.constant(r)
+        factor = SPoly.constant(2 * r, 1)
         for k in range(j, r):
-            ek = [0] * r
-            ek[k] = 1
             # -(u_k v_k) v_j^{-1}
-            m = list(ek)
-            m[j] -= 1
-            factor = factor - UVLaurentPoly.monomial(r, ek, m)
+            factor = factor - _uv_monomial(r, k, j)
             if j > 0:
                 # +(u_k v_k) v_{j-1}^{-1}
-                m2 = list(ek)
-                m2[j - 1] -= 1
-                factor = factor + UVLaurentPoly.monomial(r, ek, m2)
+                factor = factor + _uv_monomial(r, k, j - 1)
         poly = poly * factor
-    return CoeffTable.from_poly(poly)
+    # pop each product term while splitting its key into (l, m), so that the
+    # product's keys are freed as the table's are built
+    terms = poly.terms
+
+    def drain():
+        while terms:
+            e, a = terms.popitem()
+            yield a, e[:r], e[r:]
+
+    return CoeffTable(r, drain())
+
+
+def _uv_monomial(r, k, j):
+    """u_k v_k v_j^{-1} as an SPoly in u_1..u_r, v_1..v_r."""
+    e = [0] * (2 * r)
+    e[k] = 1
+    e[r + k] += 1
+    e[r + j] -= 1
+    return SPoly(2 * r, {tuple(e): 1})
 
 
 def _subsets(items):
@@ -294,7 +241,7 @@ def expand_H(r):
                     m[j - 1] -= 1
                 key = (l, tuple(m))
                 terms[key] = terms.get(key, 0) + sign * b
-    return CoeffTable.from_poly(UVLaurentPoly(r, terms))
+    return CoeffTable(r, [(a, l, m) for (l, m), a in terms.items()])
 
 
 def weight_check(table):
@@ -308,29 +255,47 @@ class ShiftedCombination:
     def __init__(self, table):
         self.table = table
         self.r = table.r
-
-    def groups(self):
-        """Map shift vector m -> polynomial coefficient in (s_j), obtained by
-        collecting the Pochhammer products of all terms sharing the shift."""
+        # the Pochhammer products of all terms sharing a shift, collected
+        # into one polynomial coefficient per shift, in shift order
         out = {}
-        for a, l, m in self.table.terms:
+        for a, l, m in table.terms:
             poly = SPoly.pochhammer_product(self.r, l) * a
             out[m] = out.get(m, SPoly(self.r)) + poly
-        return {m: p for m, p in out.items() if p}
+        self._groups = {m: out[m] for m in sorted(out) if out[m]}
+
+    def groups(self):
+        """Map shift vector m -> polynomial coefficient in (s_j), in shift
+        order; a copy, so callers cannot change the combination."""
+        return dict(self._groups)
+
+    def terms(self, s):
+        """Yield (coefficient at s, shifted argument) for each shift, in
+        shift order.
+
+        Each coefficient is re-expanded exactly about the nearest integer
+        point n and evaluated at s - n (exact in floating point): expanded
+        about 0, its monomials cancel near the integer points where the
+        shifted terms are singular.
+        """
+        n = [round(complex(sj).real) for sj in s]
+        about_n = [SPoly.variable(self.r, j) + nj for j, nj in enumerate(n)]
+        offset = [sj - nj for sj, nj in zip(s, n)]
+        for m, poly in self._groups.items():
+            c = complex(poly.evaluate(about_n).evaluate(offset))
+            yield c, tuple(sj + mj for sj, mj in zip(s, m))
 
     def evaluate(self, s, zeta_fn):
         """Evaluate the combination at the complex point s; zeta_fn maps a
         shifted argument tuple to a zeta value."""
         total = 0
-        for m, poly in sorted(self.groups().items()):
-            shifted = tuple(sj + mj for sj, mj in zip(s, m))
-            total = total + complex(poly.evaluate(s)) * zeta_fn(shifted)
+        for c, shifted in self.terms(s):
+            total = total + c * zeta_fn(shifted)
         return total
 
     def to_tex(self):
         """Human-readable grouped form, one shifted zeta per line."""
         lines = []
-        for m, poly in sorted(self.groups().items()):
+        for m, poly in self._groups.items():
             args = ", ".join(
                 "s_%d%s" % (j + 1, "" if mj == 0 else "%+d" % mj)
                 for j, mj in enumerate(m)
@@ -341,6 +306,7 @@ class ShiftedCombination:
         return "\n + ".join(lines)
 
 
+@functools.cache
 def combination(r):
-    """The desingularizing combination for depth r."""
+    """The desingularizing combination for depth r, built once per r."""
     return ShiftedCombination(expand_G(r))

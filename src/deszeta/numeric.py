@@ -13,12 +13,11 @@ limit exists and low-order polynomial extrapolation converges quickly.
 All arithmetic is double precision; tolerances below are set for it.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import SPoly, combination
+from .coeffs import combination
 from .exact import bernoulli_number, bernoulli_polynomial, binomial
 
 __all__ = [
@@ -364,31 +363,18 @@ def desing1(s, gamma=1.0):
     return EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
 
 
-@functools.cache
-def _desing2_groups():
-    """(shift, coefficient polynomial) pairs of the depth-2 combination."""
-    return tuple(combination(2).groups().items())
-
-
 def _desing2_combination(s1, s2, g1, g2, tol):
-    # Re-expand each coefficient exactly about the nearest integer point n and
-    # evaluate it at s - n (exact in floating point): expanded about 0, its
-    # monomials cancel near the integer points where the terms are singular.
-    n = (round(s1.real), round(s2.real))
-    about_n = [SPoly.variable(2, j) + nj for j, nj in enumerate(n)]
-    offset = (s1 - n[0], s2 - n[1])
     total = 0j
     err = 0.0
-    for (m1, m2), poly in _desing2_groups():
-        c = complex(poly.evaluate(about_n).evaluate(offset))
-        z = double_zeta(s1 + m1, s2 + m2, g1, g2, tol)
+    for c, (a1, a2) in combination(2).terms((s1, s2)):
+        z = double_zeta(a1, a2, g1, g2, tol)
         total += c * z.value
         err += abs(c) * z.err_estimate
     return total, err
 
 
 def _desing2_evaluable(s1, s2):
-    for (m1, m2), _ in _desing2_groups():
+    for m1, m2 in combination(2).groups():
         a1, a2 = s1 + m1, s2 + m2
         if singularity_distance(a1, a2).distance < 1e-6:
             return False
@@ -401,9 +387,11 @@ def neville_extrapolate(xs, ys):
     """Neville polynomial extrapolation of (xs, ys) to x = 0.
 
     Returns (limit, last_correction) where the correction is the change in
-    the final diagonal step.
+    the final diagonal step.  Needs at least two points.
     """
     n = len(xs)
+    if n < 2 or len(ys) != n:
+        raise ValueError("need at least two points, one value per abscissa")
     p = list(ys)
     prev_diag = p[0]
     for j in range(1, n):

@@ -48,6 +48,8 @@ def _twisted_read(box, indices, xis, gammas, order):
     read from one product of twisted factors truncated to that box."""
     if len(box) != len(xis) or len(box) != len(gammas):
         raise ValueError("index, roots and weights must have equal length")
+    if any(g == 0 for g in gammas):
+        raise ValueError("weights must be nonzero")
     order = order or math.lcm(*(xi.c for xi in xis))
     series = build_H_r(xis, gammas, sum(box), order=order, box=box)
     return _read(series, indices, CycloElement.from_rational(order, 0), signed=False)
@@ -156,6 +158,8 @@ def _desing_read(box, indices, gammas):
     limit product truncated to that box."""
     if len(box) != len(gammas):
         raise ValueError("index and weights must have equal length")
+    if any(g == 0 for g in gammas):
+        raise ValueError("weights must be nonzero")
     series = build_E_product([Fraction(g) for g in gammas], sum(box), box=box)
     return _read(series, indices, Fraction(0), signed=True)
 

@@ -82,6 +82,16 @@ def test_multi_bernoulli_length_mismatch(capsys):
     assert code == 2
 
 
+def test_multi_bernoulli_zero_weight(capsys):
+    code, out, err = run(
+        capsys, "multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,2",
+        "--gamma", "0,1", "--max", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: weights must be nonzero" in err
+
+
 def test_desing_values_contains_known_value(capsys):
     code, out, _ = run(
         capsys, "desing-values", "--r", "2", "--kmax", "2", "--gamma", "1,1"

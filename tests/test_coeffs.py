@@ -99,5 +99,26 @@ def test_repr_readable():
     assert repr(groups[(0, 0)]) == "s_1 s_2 - s_1 - s_2 + 1"
 
 
+def test_terms_at_integer_point():
+    point = (2, -1, 3)
+    for r in (1, 2, 3):
+        n = point[:r]
+        comb = combination(r)
+        got = list(comb.terms(n))
+        groups = comb.groups()
+        assert len(got) == len(groups)
+        for (c, shifted), (m, poly) in zip(got, groups.items()):
+            assert c == poly.evaluate(n)
+            assert shifted == tuple(nj + mj for nj, mj in zip(n, m))
+
+
+def test_groups_returns_copy():
+    before = combination(2).groups()
+    changed = combination(2).groups()
+    changed[(0, 0)] = SPoly.constant(2, 7)
+    del changed[(-1, 1)]
+    assert combination(2).groups() == before
+
+
 def test_two_constructions_agree_depth_six():
     assert expand_H(6) == expand_G(6)

@@ -122,6 +122,13 @@ class TestNeville:
         assert abs(limit - 2) < 1e-12
         assert corr < 1e-12
 
+    @pytest.mark.parametrize(
+        "xs, ys", [([1.0], [2.0]), ([], []), ([1.0, 0.5], [2.0])]
+    )
+    def test_malformed_input_rejected(self, xs, ys):
+        with pytest.raises(ValueError):
+            neville_extrapolate(xs, ys)
+
 
 class TestDesing:
     def test_depth_one(self):
@@ -189,6 +196,16 @@ class TestDesing:
         )
         got = desing2(3, 4, 1.0, 2.0)
         assert abs(brute - got.value) < 1e-8
+
+    def test_combination_evaluate_near_one_one(self):
+        # every shifted term is within 1e-6 of a singular hyperplane; the
+        # combination's own evaluator must not lose digits to cancellation
+        from deszeta.coeffs import combination
+
+        golden = (1 + math.sqrt(5)) / 2
+        s = (1 + 1e-6, 1 + 1e-6 / golden)
+        got = combination(2).evaluate(s, lambda a: double_zeta(*a).value)
+        assert abs(got - desing2(*s).value) < 1e-8
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):

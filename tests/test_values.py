@@ -10,9 +10,11 @@ from deszeta.values import (
     desing_value_exact,
     desing_value_oracle,
     desing_value_r2_closed,
+    desing_value_table,
     double_twisted_closed,
     lerch_special_value,
     twisted_multiple_bernoulli,
+    twisted_multiple_bernoulli_table,
 )
 
 
@@ -88,6 +90,21 @@ def test_oracle_route_agrees():
 def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         desing_value_exact((1,), (Fraction(0),))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g: desing_value_oracle((1, 1), g),
+        lambda g: desing_value_table(1, g),
+        lambda g: twisted_multiple_bernoulli((1, 1), [RootOfUnity(3, 1)] * 2, g),
+        lambda g: twisted_multiple_bernoulli_table(1, [RootOfUnity(3, 1)] * 2, g),
+    ],
+    ids=["oracle", "table", "twisted", "twisted-table"],
+)
+def test_zero_weight_rejected_by_table_routes(route):
+    with pytest.raises(ValueError, match="nonzero"):
+        route((Fraction(0), Fraction(1)))
 
 
 def test_oracle_length_mismatch_rejected():
