@@ -13,7 +13,10 @@ limit exists and low-order polynomial extrapolation converges quickly.
 All arithmetic is double precision; tolerances below are set for it.
 """
 
+import cmath
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ __all__ = [
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
 _TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
+_HEAD_MAX = 1000  # longest double-zeta head; a longer one is refused
 _SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 
@@ -82,20 +86,39 @@ class ToleranceError(ArithmeticError):
     """The requested tolerance could not be met."""
 
 
-_BERN_FLOAT = []
+_EM_TABLE = []  # B_{2k}/(2k)! as floats at index k - 1, filled on first use
+_EM_LOCK = threading.Lock()
 
 
-def _bern_float(n):
-    while len(_BERN_FLOAT) <= n:
-        _BERN_FLOAT.append(float(bernoulli_number(len(_BERN_FLOAT))))
-    return _BERN_FLOAT[n]
+def _em_coefficients(s):
+    """Yield the Euler-Maclaurin coefficients B_{2k}/(2k)! (s)_{2k-1} for
+    k = 1, 2, ...; each one costs two multiplications of the rising
+    factorial, whose factors (s)(s+1)(s+2)... are multiplied in from the
+    left, one at a time, which fixes the rounding of every coefficient."""
+    table = _EM_TABLE
+    poch = 1.0 + 0j
+    k = 1
+    while True:
+        if k > 1:
+            poch *= s + (2 * k - 3)
+        poch *= s + (2 * k - 2)
+        if k > len(table):
+            with _EM_LOCK:
+                while len(table) < k:
+                    n = 2 * len(table) + 2
+                    table.append(float(bernoulli_number(n)) / math.factorial(n))
+        yield table[k - 1] * poch
+        k += 1
 
 
-def _pochhammer_c(s, k):
-    out = 1.0 + 0j
-    for i in range(k):
-        out *= s + i
-    return out
+def _check_inputs(tol, *values):
+    """Raise ValueError for a non-finite argument or weight, or for a tol
+    that is not a positive number (tol None: nothing to check)."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise ValueError("arguments and weights must be finite")
+    if tol is not None and not tol > 0:
+        raise ValueError("tol must be a positive number")
 
 
 def hurwitz_zeta(s, a, tol=1e-14):
@@ -103,10 +126,11 @@ def hurwitz_zeta(s, a, tol=1e-14):
 
     Partial sum to N, boundary terms, and Bernoulli corrections; N and the
     correction order are raised until the first omitted correction is below
-    tol.  Requires s != 1 and Re a > 0.
+    tol.  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
     """
     s = complex(s)
     a = complex(a)
+    _check_inputs(tol, s, a)
     if s == 1:
         raise SingularPointError(SingularityReport("s=1", 0.0))
     if a.real <= 0:
@@ -142,13 +166,8 @@ def hurwitz_zeta(s, a, tol=1e-14):
         total += 0.5 * x ** (-s)
         prev = math.inf
         err = math.inf
-        for k in range(1, 40):
-            term = (
-                _bern_float(2 * k)
-                / math.factorial(2 * k)
-                * _pochhammer_c(s, 2 * k - 1)
-                * x ** (-s - 2 * k + 1)
-            )
+        for k, coef_poch in zip(range(1, 40), _em_coefficients(s)):
+            term = coef_poch * x ** (-s - 2 * k + 1)
             mag = abs(term)
             if mag > prev:
                 err = mag  # asymptotic series started diverging
@@ -161,6 +180,24 @@ def hurwitz_zeta(s, a, tol=1e-14):
         if err < tol * max(1.0, abs(total)):
             return EvalResult(total, err, "euler_maclaurin")
     return EvalResult(total, err, "euler_maclaurin")
+
+
+# memo of _hurwitz: {(s, a, tol): EvalResult} while a desing2 combination
+# is summed, None otherwise; a context variable, so every thread has its own
+_HURWITZ_MEMO = contextvars.ContextVar("deszeta_hurwitz_memo", default=None)
+
+
+def _hurwitz(s, a, tol):
+    """hurwitz_zeta, read from and stored in the enclosing combination's memo
+    when there is one (the value is a pure function of s, a and tol)."""
+    memo = _HURWITZ_MEMO.get()
+    if memo is None:
+        return hurwitz_zeta(s, a, tol)
+    key = (s, a, tol)
+    z = memo.get(key)
+    if z is None:
+        z = memo[key] = hurwitz_zeta(s, a, tol)
+    return z
 
 
 def riemann_zeta(s, tol=1e-14):
@@ -202,12 +239,15 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     is a non-positive integer the inner Hurwitz zeta collapses to a
     Bernoulli polynomial and the value reduces exactly to a finite
     combination of single zetas; otherwise the outer sum is split into a
-    Hurwitz head and a binomially re-expanded Euler-Maclaurin tail.
+    Hurwitz head and a binomially re-expanded Euler-Maclaurin tail.  A
+    weight ratio |gamma1/gamma2| so small that the head would need more
+    than _HEAD_MAX terms raises ContinuationReachError.
     """
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
+    _check_inputs(tol, s1, s2, g1, g2)
     if g1.real <= 0 or g2.real <= 0:
         raise ValueError("weights must have positive real part")
     report = singularity_distance(s1, s2)
@@ -236,7 +276,7 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
         if coeff == 0:
             continue
         arg = s1 - i
-        z = hurwitz_zeta(arg, 1.0, tol)
+        z = _hurwitz(arg, 1.0, tol)
         total += coeff * z.value
         err += abs(coeff) * z.err_estimate
     scale = -(g2**n) / (n + 1) * g1 ** (-s1)
@@ -250,31 +290,33 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
     # rounding-noise floor of the head/tail cancellation grows like a power
     # of M, and it dominates the error at deeply negative weights.
     K = 10
-    M = max(
-        8,
-        int(math.ceil(2.0 / abs(beta))),
-        int(math.ceil((abs(s2) + 2 * K + 2) / (2 * math.pi) / abs(beta))),
-    )
+    span = max(2.0, (abs(s2) + 2 * K + 2) / (2 * math.pi))  # M >= span / |beta|
+    if abs(beta) * _HEAD_MAX < span:
+        raise ContinuationReachError(
+            "double-zeta head longer than %d terms: weight ratio "
+            "|gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
+        )
+    M = max(8, int(math.ceil(span / abs(beta))))
     pref = g1 ** (-s1) * g2 ** (-s2)
 
     head = 0j
     err = 0.0
     for m in range(1, M + 1):
-        z = hurwitz_zeta(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
+        z = _hurwitz(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
         head += (m * g1) ** (-s1) * g2 ** (-s2) * z.value
         err += abs((m * g1) ** (-s1) * g2 ** (-s2)) * z.err_estimate
 
     # asymptotic expansion of the inner zeta at x = 1 + beta m:
     # sum over branches w with x^{-w}; branch list (w, c_w)
     branches = [(s2 - 1, 1.0 / (s2 - 1)), (s2, 0.5 + 0j)]
+    coefs = _em_coefficients(s2)
     for k in range(1, K + 1):
-        c = _bern_float(2 * k) / math.factorial(2 * k) * _pochhammer_c(s2, 2 * k - 1)
-        branches.append((s2 + 2 * k - 1, c))
+        branches.append((s2 + 2 * k - 1, next(coefs)))
     x0 = abs(1 + beta * (M + 1))
     # magnitude of the first omitted asymptotic order, as the tail error proxy
     k = K + 1
     err += (
-        abs(_bern_float(2 * k) / math.factorial(2 * k) * _pochhammer_c(s2, 2 * k - 1))
+        abs(next(coefs))
         * x0 ** (-(s2.real) - 2 * k + 1)
         * abs(pref)
         * (M + 1) ** (-s1.real)
@@ -309,7 +351,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
             if abs(coeff) < 1e-9 * max(1.0, abs(scale)):
                 continue  # grouped coefficient cancels at the pole
             raise SingularPointError(SingularityReport("tail term at s=1", 0.0))
-        z = hurwitz_zeta(arg, M + 1, min(tol * 1e-2, 1e-15))
+        z = _hurwitz(arg, M + 1, min(tol * 1e-2, 1e-15))
         tail += coeff * z.value
         err += abs(coeff) * z.err_estimate
     return EvalResult(head + pref * tail, err, "euler_maclaurin")
@@ -354,6 +396,7 @@ def desing1(s, gamma=1.0):
     zeta(s), entire; -1/gamma at s = 1."""
     s = complex(s)
     g = complex(gamma)
+    _check_inputs(None, s, g)
     if g.real <= 0:
         raise ValueError("weights must have positive real part")
     if abs(s - 1) < 1e-14:
@@ -364,13 +407,20 @@ def desing1(s, gamma=1.0):
 
 
 def _desing2_combination(s1, s2, g1, g2, tol):
-    total = 0j
-    err = 0.0
-    for c, (a1, a2) in combination(2).terms((s1, s2)):
-        z = double_zeta(a1, a2, g1, g2, tol)
-        total += c * z.value
-        err += abs(c) * z.err_estimate
-    return total, err
+    # the shifts leave s1 + s2 unchanged, so the three double zetas share
+    # most of their Hurwitz arguments: each is computed once, in a memo that
+    # lives for this call only
+    token = _HURWITZ_MEMO.set({})
+    try:
+        total = 0j
+        err = 0.0
+        for c, (a1, a2) in combination(2).terms((s1, s2)):
+            z = double_zeta(a1, a2, g1, g2, tol)
+            total += c * z.value
+            err += abs(c) * z.err_estimate
+        return total, err
+    finally:
+        _HURWITZ_MEMO.reset(token)
 
 
 def _desing2_evaluable(s1, s2):
@@ -415,6 +465,7 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
+    _check_inputs(tol, s1, s2, g1, g2)
     if g1.real <= 0 or g2.real <= 0:
         raise ValueError("weights must have positive real part")
     if _desing2_evaluable(s1, s2):

@@ -77,9 +77,11 @@ def double_twisted_closed(k, l, xi1, xi2, gammas, order=None):
     for xi in (xi1, xi2):
         if not xi.nontrivial:
             raise TrivialRootError("roots must differ from 1")
+    g1, g2 = Fraction(gammas[0]), Fraction(gammas[1])
+    if g1 == 0 or g2 == 0:
+        raise ValueError("weights must be nonzero")
     if order is None:
         order = xi1.c * xi2.c // math.gcd(xi1.c, xi2.c)
-    g1, g2 = Fraction(gammas[0]), Fraction(gammas[1])
     total = None
     for j in range(l + 1):
         term = (
@@ -141,6 +143,8 @@ def desing_value_r2_closed(k, l, gamma1, gamma2):
     """Closed r = 2 form: (-1)^{k+l} sum_nu C(l,nu) B_{k+nu+1} B_{l-nu+1}
     gamma1^{k+nu} gamma2^{l-nu}."""
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
+    if g1 == 0 or g2 == 0:
+        raise ValueError("weights must be nonzero")
     total = Fraction(0)
     for nu in range(l + 1):
         total += (

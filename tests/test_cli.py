@@ -161,6 +161,13 @@ def test_eval_rejected_input(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_eval_tiny_weight_ratio_refused(capsys):
+    code, out, err = run(capsys, "eval", "--s", "3,4", "--gamma", "1e-300,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "head longer" in err
+
+
 def test_eval_tolerance_exit(capsys):
     code, _, err = run(capsys, "eval", "--s", "-1,1", "--tol", "1e-30")
     assert code == 3

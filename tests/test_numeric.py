@@ -2,10 +2,13 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from deszeta import numeric
 from deszeta.exact import bernoulli_polynomial
 from deszeta.numeric import (
     ContinuationReachError,
@@ -65,6 +68,59 @@ class TestHurwitzKernel:
         assert again.value == plain.value
 
 
+# hurwitz_zeta pinned bit for bit, so that a change to the Euler-Maclaurin
+# coefficient loop cannot move digits unnoticed: (s, a), value, err_estimate.
+# The points cover the N = 0 ladder (Re s < 0.5), Re s >= 0.5, complex a, and
+# a |s| so large that the correction series stops on divergence.
+KERNEL_PINS = [
+    ((-2.5, 0.7), complex(0.004002311060612144, 0.0), 9.714309833418105e-15),
+    ((-10.2, 0.1), complex(-0.004137542836921566, 0.0), 8.349507363277895e-15),
+    ((0.3 + 2j, 1.0), complex(0.38531035090764304, -0.282528211686485), 1.5368716528191212e-15),
+    ((2.5, 1.3), complex(0.7832185539082374, 0.0), 1.0814901201459962e-15),
+    ((3 + 40j, 1.0), complex(0.9326091439284988, -0.06375750607117799), 6.571128058053325e-15),
+    ((1.5 - 0.5j, 1 + 0.8j), complex(0.8937703627307788, 0.24262005404701914),
+     3.4301654471447108e-15),
+    ((-45 + 20j, 0.3 + 0.4j), complex(-1.158861221601719e+40, 4.348600330792238e+39),
+     1.0359782238481631e+25),
+    ((3 + 5000j, 1.0), complex(0.8998677973725441, 0.026966556462518516), 9.525192475022292e-09),
+]
+
+
+@pytest.mark.parametrize("args, value, err", KERNEL_PINS)
+def test_kernel_pinned(args, value, err):
+    z = hurwitz_zeta(*args)
+    assert z.value == value
+    assert z.err_estimate == err
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz_zeta(NAN, 1),
+    lambda: hurwitz_zeta(complex(2, INF), 1),
+    lambda: hurwitz_zeta(2.5, NAN),
+    lambda: hurwitz_zeta(2.5, 1, tol=0),
+    lambda: double_zeta(NAN, 3),
+    lambda: double_zeta(2, 3, INF, 1),
+    lambda: double_zeta(2, 3, tol=-1),
+    lambda: desing1(NAN),
+    lambda: desing1(2, complex(1, INF)),
+    lambda: desing2(NAN, 3),
+    lambda: desing2(3, 4, 1, NAN),
+    lambda: desing2(3, 4, tol=0),
+    lambda: desing2(3, 4, tol=-1),
+    lambda: desing2(3, 4, tol=NAN),
+], ids=["hurwitz-s-nan", "hurwitz-s-inf", "hurwitz-a-nan", "hurwitz-tol-zero",
+        "double-s-nan", "double-weight-inf", "double-tol-negative", "desing1-s-nan",
+        "desing1-weight-inf", "desing2-s-nan", "desing2-weight-nan", "desing2-tol-zero",
+        "desing2-tol-negative", "desing2-tol-nan"])
+def test_non_finite_input_or_bad_tol_rejected(call):
+    with pytest.raises(ValueError, match="must be finite|positive number"):
+        call()
+
+
 class TestDoubleZeta:
     def test_direct_requires_convergence(self):
         with pytest.raises(ValueError):
@@ -100,6 +156,12 @@ class TestDoubleZeta:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             double_zeta(2.0, 3.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("weights", [(1e-300, 1.0), (1e-5, 1.0), (1e-320, 1e10)])
+    def test_tiny_weight_ratio_refused(self, weights):
+        # the head length grows like 1/|gamma1/gamma2|; the last ratio is 0.0
+        with pytest.raises(ContinuationReachError, match="head longer"):
+            desing2(3, 4, *weights)
 
 
 class TestSingularityDistance:
@@ -210,3 +272,59 @@ class TestDesing:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             desing2(2, 3, 0.0, 1.0)
+
+
+def _count_hurwitz(monkeypatch):
+    calls = []
+    original = numeric.hurwitz_zeta
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numeric, "hurwitz_zeta", counting)
+    return calls
+
+
+class TestHurwitzMemo:
+    @pytest.mark.parametrize("point, most", [((-3, -3), 427), ((3, 4), 60)])
+    def test_call_count(self, monkeypatch, point, most):
+        calls = _count_hurwitz(monkeypatch)
+        desing2(*point)
+        assert len(calls) <= most
+
+    def test_polynomial_reduction_shares_calls(self, monkeypatch):
+        # s2 = -2, -1, 0 on the three shifts: every term takes the polynomial
+        # route, whose arguments s1 - 1, s1 - 2, s1 - 3 repeat across terms
+        calls = _count_hurwitz(monkeypatch)
+        desing2(2.5, -2)
+        assert len(calls) == len(set(calls)) == 3
+
+    def test_memo_cleared(self):
+        desing2(3, 4)
+        assert numeric._HURWITZ_MEMO.get() is None
+        with pytest.raises(ContinuationReachError):
+            desing2(3, 4, 1e-300, 1)
+        assert numeric._HURWITZ_MEMO.get() is None
+
+    def test_threads_match_sequential(self):
+        points = [[(3, 4), (-1.5 + 0.5j, 2.2)], [(-3, -3), (2.5, -2)]]
+        want = [[desing2(*p) for p in group] for group in points]
+        got = [None, None]
+
+        def work(i):
+            got[i] = [desing2(*p) for p in points[i] for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            assert got[i] == [r for r in want[i] for _ in range(3)]

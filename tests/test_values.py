@@ -107,6 +107,19 @@ def test_zero_weight_rejected_by_table_routes(route):
         route((Fraction(0), Fraction(1)))
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g: desing_value_r2_closed(1, 1, *g),
+        lambda g: double_twisted_closed(1, 1, RootOfUnity(3, 1), RootOfUnity(3, 1), g),
+    ],
+    ids=["desing-closed", "twisted-closed"],
+)
+def test_zero_weight_rejected_by_closed_forms(route):
+    with pytest.raises(ValueError, match="nonzero"):
+        route((Fraction(0), Fraction(1)))
+
+
 def test_oracle_length_mismatch_rejected():
     with pytest.raises(ValueError):
         desing_value_oracle((1, 2), (Fraction(1),))
