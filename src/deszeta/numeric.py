@@ -42,7 +42,7 @@ __all__ = [
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
 _TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
-_HEAD_MAX = 1000  # longest double-zeta head; a longer one is refused
+_HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
 _SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 
@@ -121,13 +121,32 @@ def _check_inputs(tol, *values):
         raise ValueError("tol must be a positive number")
 
 
+# {(s, a, tol): EvalResult} of hurwitz_zeta while a desing2 combination is
+# summed, None otherwise; a context variable, so every thread has its own
+_HURWITZ_MEMO = contextvars.ContextVar("deszeta_hurwitz_memo", default=None)
+
+
 def hurwitz_zeta(s, a, tol=1e-14):
     """Hurwitz zeta continued in s by Euler-Maclaurin summation.
 
     Partial sum to N, boundary terms, and Bernoulli corrections; N and the
     correction order are raised until the first omitted correction is below
     tol.  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
+    While a desing2 combination is summed, each distinct (s, a, tol) is
+    evaluated once and later calls read the stored result (the value is a
+    pure function of the three).
     """
+    memo = _HURWITZ_MEMO.get()
+    if memo is None:
+        return _hurwitz_kernel(s, a, tol)
+    key = (s, a, tol)
+    z = memo.get(key)
+    if z is None:
+        z = memo[key] = _hurwitz_kernel(s, a, tol)
+    return z
+
+
+def _hurwitz_kernel(s, a, tol):
     s = complex(s)
     a = complex(a)
     _check_inputs(tol, s, a)
@@ -182,24 +201,6 @@ def hurwitz_zeta(s, a, tol=1e-14):
     return EvalResult(total, err, "euler_maclaurin")
 
 
-# memo of _hurwitz: {(s, a, tol): EvalResult} while a desing2 combination
-# is summed, None otherwise; a context variable, so every thread has its own
-_HURWITZ_MEMO = contextvars.ContextVar("deszeta_hurwitz_memo", default=None)
-
-
-def _hurwitz(s, a, tol):
-    """hurwitz_zeta, read from and stored in the enclosing combination's memo
-    when there is one (the value is a pure function of s, a and tol)."""
-    memo = _HURWITZ_MEMO.get()
-    if memo is None:
-        return hurwitz_zeta(s, a, tol)
-    key = (s, a, tol)
-    z = memo.get(key)
-    if z is None:
-        z = memo[key] = hurwitz_zeta(s, a, tol)
-    return z
-
-
 def riemann_zeta(s, tol=1e-14):
     """Riemann zeta via the Hurwitz kernel at a = 1."""
     return hurwitz_zeta(s, 1.0, tol)
@@ -239,9 +240,11 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     is a non-positive integer the inner Hurwitz zeta collapses to a
     Bernoulli polynomial and the value reduces exactly to a finite
     combination of single zetas; otherwise the outer sum is split into a
-    Hurwitz head and a binomially re-expanded Euler-Maclaurin tail.  A
-    weight ratio |gamma1/gamma2| so small that the head would need more
-    than _HEAD_MAX terms raises ContinuationReachError.
+    Hurwitz head and a binomially re-expanded Euler-Maclaurin tail.  The
+    head has about (|s2| + 22) / (2 pi |gamma1/gamma2|) terms; a weight
+    ratio so small that it would need more than _HEAD_MAX terms even at
+    s2 = 0 raises ContinuationReachError (a head lengthened by a large |s2|
+    alone is summed).
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -276,7 +279,7 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
         if coeff == 0:
             continue
         arg = s1 - i
-        z = _hurwitz(arg, 1.0, tol)
+        z = hurwitz_zeta(arg, 1.0, tol)
         total += coeff * z.value
         err += abs(coeff) * z.err_estimate
     scale = -(g2**n) / (n + 1) * g1 ** (-s1)
@@ -290,11 +293,11 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
     # rounding-noise floor of the head/tail cancellation grows like a power
     # of M, and it dominates the error at deeply negative weights.
     K = 10
-    span = max(2.0, (abs(s2) + 2 * K + 2) / (2 * math.pi))  # M >= span / |beta|
-    if abs(beta) * _HEAD_MAX < span:
+    span = (abs(s2) + 2 * K + 2) / (2 * math.pi)  # M >= span / |beta|
+    if abs(beta) * _HEAD_MAX < (2 * K + 2) / (2 * math.pi):
         raise ContinuationReachError(
-            "double-zeta head longer than %d terms: weight ratio "
-            "|gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
+            "double-zeta head longer than %d terms even at s2 = 0: weight "
+            "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
         )
     M = max(8, int(math.ceil(span / abs(beta))))
     pref = g1 ** (-s1) * g2 ** (-s2)
@@ -302,7 +305,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
     head = 0j
     err = 0.0
     for m in range(1, M + 1):
-        z = _hurwitz(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
+        z = hurwitz_zeta(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
         head += (m * g1) ** (-s1) * g2 ** (-s2) * z.value
         err += abs((m * g1) ** (-s1) * g2 ** (-s2)) * z.err_estimate
 
@@ -351,7 +354,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
             if abs(coeff) < 1e-9 * max(1.0, abs(scale)):
                 continue  # grouped coefficient cancels at the pole
             raise SingularPointError(SingularityReport("tail term at s=1", 0.0))
-        z = _hurwitz(arg, M + 1, min(tol * 1e-2, 1e-15))
+        z = hurwitz_zeta(arg, M + 1, min(tol * 1e-2, 1e-15))
         tail += coeff * z.value
         err += abs(coeff) * z.err_estimate
     return EvalResult(head + pref * tail, err, "euler_maclaurin")

@@ -163,6 +163,13 @@ class TestDoubleZeta:
         with pytest.raises(ContinuationReachError, match="head longer"):
             desing2(3, 4, *weights)
 
+    def test_long_head_from_large_s2_summed(self):
+        # ordinary weights, but |s2| asks for a head of 1033 terms: only the
+        # weight ratio is capped, so the point is summed as before the cap
+        z = double_zeta(3, 2 + 1600j, 1, 4)
+        assert z.value == complex(0.004686362264179991, 0.02337216182450712)
+        assert z.err_estimate == 2.8269862903621506e-09
+
 
 class TestSingularityDistance:
     def test_on_hyperplanes(self):
@@ -275,14 +282,15 @@ class TestDesing:
 
 
 def _count_hurwitz(monkeypatch):
+    """Record the arguments of every Hurwitz evaluation (memo hits excluded)."""
     calls = []
-    original = numeric.hurwitz_zeta
+    original = numeric._hurwitz_kernel
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(numeric, "hurwitz_zeta", counting)
+    monkeypatch.setattr(numeric, "_hurwitz_kernel", counting)
     return calls
 
 
@@ -308,9 +316,10 @@ class TestHurwitzMemo:
         assert numeric._HURWITZ_MEMO.get() is None
 
     def test_threads_match_sequential(self):
-        points = [[(3, 4), (-1.5 + 0.5j, 2.2)], [(-3, -3), (2.5, -2)]]
+        # more threads than the two cores of the reference machine
+        points = [[(3, 4), (-1.5 + 0.5j, 2.2)], [(-3, -3), (2.5, -2)], [(0.5 + 1j, 1.5)]]
         want = [[desing2(*p) for p in group] for group in points]
-        got = [None, None]
+        got = [None] * len(points)
 
         def work(i):
             got[i] = [desing2(*p) for p in points[i] for _ in range(3)]
@@ -318,7 +327,7 @@ class TestHurwitzMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(points))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -326,5 +335,5 @@ class TestHurwitzMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for i in range(2):
+        for i in range(len(points)):
             assert got[i] == [r for r in want[i] for _ in range(3)]
