@@ -1,12 +1,14 @@
 """Command-line front end: exact tables, coefficient export, single
 evaluations, and the verification suite runner.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 the
-numerical tolerance could not be met.
+Exit codes: 0 success, 1 verification failure, 2 usage error or input the
+library refuses (ValueError), 3 the numerical tolerance could not be met
+(ToleranceError).  The commands check only what the library cannot know
+(the CLI's own caps and list lengths) and raise; ``main`` alone turns
+exceptions into an ``error:`` line and an exit code.
 """
 
 import argparse
-import cmath
 import json
 import sys
 from fractions import Fraction
@@ -28,18 +30,22 @@ EXIT_TOLERANCE = 3
 _VALUE_FLAGS = ("--s", "--gamma", "--a-list")
 
 
-def _usage(msg):
-    print("error: %s" % msg, file=sys.stderr)
-    return EXIT_USAGE
+def _error(exc, code):
+    print("error: %s" % exc, file=sys.stderr)
+    return code
 
 
 def _parse_fractions(text):
     return [Fraction(part) for part in text.split(",")]
 
 
-def cmd_bernoulli(args):
+def _check_max(args):
     if args.max < 0:
-        return _usage("--max must be non-negative")
+        raise ValueError("--max must be non-negative")
+
+
+def cmd_bernoulli(args):
+    _check_max(args)
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
     if args.format == "json":
         print(json.dumps({"max": args.max, "values": values}))
@@ -50,12 +56,7 @@ def cmd_bernoulli(args):
 
 
 def cmd_twisted_bernoulli(args):
-    if args.c < 2:
-        return _usage("--c must be at least 2")
-    if args.a % args.c == 0:
-        return _usage("--a must give a nontrivial root (a not divisible by c)")
-    if args.max < 0:
-        return _usage("--max must be non-negative")
+    _check_max(args)
     xi = RootOfUnity(args.c, args.a)
     rows = [(n, twisted_bernoulli(n, xi)) for n in range(args.max + 1)]
     if args.format == "json":
@@ -71,23 +72,11 @@ def cmd_twisted_bernoulli(args):
 
 
 def cmd_multi_bernoulli(args):
-    if args.r < 1:
-        return _usage("--r must be positive")
-    if args.c < 2:
-        return _usage("--c must be at least 2")
-    if args.max < 0:
-        return _usage("--max must be non-negative")
-    try:
-        a_list = [int(a) for a in args.a_list.split(",")]
-        gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
-    except (ValueError, ZeroDivisionError) as exc:
-        return _usage(str(exc))
+    _check_max(args)
+    a_list = [int(a) for a in args.a_list.split(",")]
+    gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
     if len(a_list) != args.r or len(gammas) != args.r:
-        return _usage("--a-list and --gamma must have r entries")
-    if any(g == 0 for g in gammas):
-        return _usage("weights must be nonzero")
-    if any(a % args.c == 0 for a in a_list):
-        return _usage("all roots must be nontrivial")
+        raise ValueError("--a-list and --gamma must have r entries")
     xis = [RootOfUnity(args.c, a) for a in a_list]
     rows = twisted_multiple_bernoulli_table(args.max, xis, gammas).items()
     if args.format == "json":
@@ -106,17 +95,12 @@ def cmd_multi_bernoulli(args):
 
 def cmd_desing_values(args):
     if not 1 <= args.r <= 4:
-        return _usage("--r must be between 1 and 4")
+        raise ValueError("--r must be between 1 and 4")
     if not 0 <= args.kmax <= 8:
-        return _usage("--kmax must be between 0 and 8")
-    try:
-        gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
-    except (ValueError, ZeroDivisionError) as exc:
-        return _usage(str(exc))
+        raise ValueError("--kmax must be between 0 and 8")
+    gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
     if len(gammas) != args.r:
-        return _usage("--gamma must have r entries")
-    if any(g == 0 for g in gammas):
-        return _usage("weights must be nonzero")
+        raise ValueError("--gamma must have r entries")
     rows = desing_value_table(args.kmax, gammas).items()
     if args.format == "json":
         print(json.dumps({
@@ -132,7 +116,7 @@ def cmd_desing_values(args):
 
 def cmd_coeffs(args):
     if not 1 <= args.r <= 6:
-        return _usage("--r must be between 1 and 6")
+        raise ValueError("--r must be between 1 and 6")
     if args.format == "tex":
         print(combination(args.r).to_tex())
     else:
@@ -142,37 +126,23 @@ def cmd_coeffs(args):
 
 def cmd_eval(args):
     if not args.tol > 0:
-        return _usage("--tol must be a positive number")
-    try:
-        parts = [complex(p) for p in args.s.split(",")]
-        gammas = [complex(Fraction(g)) for g in args.gamma.split(",")] \
-            if args.gamma else [1.0] * len(parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _usage(str(exc))
-    if not all(cmath.isfinite(p) for p in parts):
-        return _usage("--s components must be finite")
+        raise ValueError("--tol must be a positive number")
+    parts = [complex(p) for p in args.s.split(",")]
+    gammas = [complex(Fraction(g)) for g in args.gamma.split(",")] \
+        if args.gamma else [1.0] * len(parts)
     if len(parts) not in (1, 2):
-        return _usage("--s takes one or two comma-separated components")
+        raise ValueError("--s takes one or two comma-separated components")
     if len(gammas) != len(parts):
-        return _usage("--gamma must match the number of arguments")
-    try:
-        if len(parts) == 1:
-            result = desing1(parts[0], gammas[0])
-        else:
-            result = desing2(parts[0], parts[1], gammas[0], gammas[1], tol=args.tol)
-    except ToleranceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_TOLERANCE
-    except ValueError as exc:
-        return _usage(str(exc))
+        raise ValueError("--gamma must match the number of arguments")
+    if len(parts) == 1:
+        result = desing1(parts[0], gammas[0])
+    else:
+        result = desing2(parts[0], parts[1], gammas[0], gammas[1], tol=args.tol)
     # a NaN estimate fails this test, so it cannot pass the gate
     if not result.err_estimate <= args.tol:
-        print(
-            "error: tolerance not met (err_estimate %g, tol %g)"
-            % (result.err_estimate, args.tol),
-            file=sys.stderr,
+        raise ToleranceError(
+            "tolerance not met (err_estimate %g, tol %g)" % (result.err_estimate, args.tol)
         )
-        return EXIT_TOLERANCE
     print(json.dumps(result.to_json()))
     return EXIT_OK
 
@@ -258,9 +228,13 @@ def _fold_value_flags(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_fold_value_flags(argv))
-    return args.fn(args)
+    args = build_parser().parse_args(_fold_value_flags(argv))
+    try:
+        return args.fn(args)
+    except ToleranceError as exc:
+        return _error(exc, EXIT_TOLERANCE)
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+        return _error(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

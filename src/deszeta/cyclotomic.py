@@ -359,7 +359,7 @@ def root_sum_twisted(n, c):
         raise ValueError("order must be at least 2")
     total = CycloElement.from_rational(c, 0)
     for a in range(1, c):
-        total = total + twisted_bernoulli(n, RootOfUnity(c, a), order=c)
+        total = total + twisted_bernoulli(n, RootOfUnity(c, a))
     if not total.is_rational:
         raise ArithmeticError("root sum failed to collapse to a rational")
     return total.as_rational()

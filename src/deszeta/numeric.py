@@ -43,6 +43,8 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 
 _TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
+_REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion " \
+    "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
 _SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 
@@ -111,14 +113,18 @@ def _em_coefficients(s):
         k += 1
 
 
-def _check_inputs(tol, *values):
-    """Raise ValueError for a non-finite argument or weight, or for a tol
-    that is not a positive number (tol None: nothing to check)."""
-    for v in values:
+def _check_inputs(tol, args, weights=()):
+    """Raise ValueError for a non-finite argument or weight, for a tol that
+    is not a positive number (tol None: nothing to check), or for a weight
+    whose real part is not positive."""
+    for v in args + weights:
         if not cmath.isfinite(v):
             raise ValueError("arguments and weights must be finite")
     if tol is not None and not tol > 0:
         raise ValueError("tol must be a positive number")
+    for g in weights:
+        if g.real <= 0:
+            raise ValueError("weights must have positive real part")
 
 
 # {(s, a, tol): EvalResult} of hurwitz_zeta while a desing2 combination is
@@ -149,7 +155,7 @@ def hurwitz_zeta(s, a, tol=1e-14):
 def _hurwitz_kernel(s, a, tol):
     s = complex(s)
     a = complex(a)
-    _check_inputs(tol, s, a)
+    _check_inputs(tol, (s, a))
     if s == 1:
         raise SingularPointError(SingularityReport("s=1", 0.0))
     if a.real <= 0:
@@ -201,9 +207,9 @@ def _hurwitz_kernel(s, a, tol):
     return EvalResult(total, err, "euler_maclaurin")
 
 
-def riemann_zeta(s, tol=1e-14):
-    """Riemann zeta via the Hurwitz kernel at a = 1."""
-    return hurwitz_zeta(s, 1.0, tol)
+def riemann_zeta(s):
+    """Riemann zeta via the Hurwitz kernel at a = 1 (tol 1e-14)."""
+    return hurwitz_zeta(s, 1.0, 1e-14)
 
 
 def singularity_distance(s1, s2):
@@ -233,6 +239,7 @@ def _within_reach(s1, s2):
     return (s1 + s2).real > 2 - _TAIL_ORDER
 
 
+
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     """Generalized Euler-Zagier double zeta, analytically continued.
 
@@ -244,15 +251,13 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     head has about (|s2| + 22) / (2 pi |gamma1/gamma2|) terms; a weight
     ratio so small that it would need more than _HEAD_MAX terms even at
     s2 = 0 raises ContinuationReachError (a head lengthened by a large |s2|
-    alone is summed).
+    alone is summed), and so does a tail that overflows double precision.
     """
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
-    _check_inputs(tol, s1, s2, g1, g2)
-    if g1.real <= 0 or g2.real <= 0:
-        raise ValueError("weights must have positive real part")
+    _check_inputs(tol, (s1, s2), (g1, g2))
     report = singularity_distance(s1, s2)
     if report.distance < 1e-9:
         raise SingularPointError(report)
@@ -262,10 +267,14 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     if n is not None:
         return _double_zeta_polynomial(s1, n, g1, g2, beta, tol)
     if not _within_reach(s1, s2):
+        raise ContinuationReachError(_REACH_REFUSAL % (s1 + s2).real)
+    try:
+        return _double_zeta_tail(s1, s2, g1, g2, beta, tol)
+    except OverflowError:
         raise ContinuationReachError(
-            "Re(s1+s2)=%g beyond continuation reach" % (s1 + s2).real
-        )
-    return _double_zeta_tail(s1, s2, g1, g2, beta, tol)
+            "double-zeta tail overflows double precision at Re s2=%g with "
+            "weight ratio |gamma1/gamma2|=%g" % (s2.real, abs(beta))
+        ) from None
 
 
 def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
@@ -360,12 +369,13 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
     return EvalResult(head + pref * tail, err, "euler_maclaurin")
 
 
-def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0, m_max=2000, n_tail=400):
+def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
     """Brute-force double sum in the absolutely convergent region.
 
     Independent oracle: inner sums are truncated with an integral-bracket
     midpoint tail, never touching the Euler-Maclaurin machinery.
     """
+    m_max, n_tail = 2000, 400  # outer terms summed, inner terms before the bracket
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
@@ -399,9 +409,7 @@ def desing1(s, gamma=1.0):
     zeta(s), entire; -1/gamma at s = 1."""
     s = complex(s)
     g = complex(gamma)
-    _check_inputs(None, s, g)
-    if g.real <= 0:
-        raise ValueError("weights must have positive real part")
+    _check_inputs(None, (s,), (g,))
     if abs(s - 1) < 1e-14:
         return EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
     z = riemann_zeta(s)
@@ -462,15 +470,14 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     summed directly.  On or near them the point is approached along the
     generic direction (1, 1/golden_ratio) with geometrically shrinking
     shifts and the limit taken by Neville extrapolation; entireness of the
-    combination guarantees the limit exists.
+    combination guarantees the limit exists.  Too few usable shifted points
+    raise ToleranceError, naming the reach when they lie beyond it.
     """
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
-    _check_inputs(tol, s1, s2, g1, g2)
-    if g1.real <= 0 or g2.real <= 0:
-        raise ValueError("weights must have positive real part")
+    _check_inputs(tol, (s1, s2), (g1, g2))
     if _desing2_evaluable(s1, s2):
         total, err = _desing2_combination(s1, s2, g1, g2, tol)
         return EvalResult(total, err, "euler_maclaurin")
@@ -488,6 +495,8 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
         xs.append(eps)
         ys.append(total)
     if len(xs) < 4:
+        if not _within_reach(*worst):
+            raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
         raise ToleranceError(
             "extrapolation grid unusable; worst shifted point %r" % (worst,)
         )

@@ -165,10 +165,6 @@ class TruncatedSeries:
             return False
         return self.box is None or all(map(le, e, self.box))
 
-    @classmethod
-    def constant(cls, nvars, max_degree, value):
-        return cls(nvars, max_degree, {(0,) * nvars: value})
-
     def coefficient(self, exponents):
         """Scalar coefficient of the monomial with the given exponents (0 if absent)."""
         return self.coeffs.get(tuple(exponents), 0)
@@ -285,9 +281,10 @@ def _triangular_product(factors, gammas, max_degree, box=None):
     return result
 
 
-def build_H_r(xis, gammas, max_degree, order=None, box=None):
+def build_H_r(xis, gammas, max_degree, box=None):
     """Truncated expansion of the product of twisted factors 1/(1 - xi_j e^y_j)
-    with y_j = gamma_j (t_j + ... + t_r), over CycloElements of a common order.
+    with y_j = gamma_j (t_j + ... + t_r), over Q(zeta_order) with order the
+    lcm of the roots' orders.
 
     The coefficient of prod t_j^{n_j} / n_j! is the twisted multiple
     Bernoulli number for the index (n_j).  ``box`` caps each exponent on
@@ -301,8 +298,7 @@ def build_H_r(xis, gammas, max_degree, order=None, box=None):
     for xi in xis:
         if not xi.nontrivial:
             raise TrivialRootError("all roots must differ from 1")
-    if order is None:
-        order = math.lcm(*(xi.c for xi in xis))
+    order = math.lcm(*(xi.c for xi in xis))
     factors = [
         [
             twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))

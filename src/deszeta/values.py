@@ -43,45 +43,51 @@ def _read(series, indices, zero, signed):
     return out
 
 
-def _twisted_read(box, indices, xis, gammas, order):
-    """Twisted multiple Bernoulli numbers at ``indices``, all inside ``box``,
-    read from one product of twisted factors truncated to that box."""
-    if len(box) != len(xis) or len(box) != len(gammas):
-        raise ValueError("index, roots and weights must have equal length")
+def _weights(gammas, r):
+    """The r weights as Fractions; ValueError unless there are r of them and
+    none is zero."""
+    if len(gammas) != r:
+        raise ValueError("index and weights must have equal length")
+    gammas = [Fraction(g) for g in gammas]
     if any(g == 0 for g in gammas):
         raise ValueError("weights must be nonzero")
-    order = order or math.lcm(*(xi.c for xi in xis))
-    series = build_H_r(xis, gammas, sum(box), order=order, box=box)
-    return _read(series, indices, CycloElement.from_rational(order, 0), signed=False)
+    return gammas
 
 
-def twisted_multiple_bernoulli(n, xis, gammas, order=None):
+def _twisted_read(box, indices, xis, gammas):
+    """Twisted multiple Bernoulli numbers at ``indices``, all inside ``box``,
+    read from one product of twisted factors truncated to that box."""
+    if len(box) != len(xis):
+        raise ValueError("index, roots and weights must have equal length")
+    series = build_H_r(xis, _weights(gammas, len(box)), sum(box), box=box)
+    zero = CycloElement.from_rational(math.lcm(*(xi.c for xi in xis)), 0)
+    return _read(series, indices, zero, signed=False)
+
+
+def twisted_multiple_bernoulli(n, xis, gammas):
     """Twisted multiple Bernoulli number for the index tuple n, roots xis and
     weights gammas, read from the product generating function truncated to
     the box [0, n]."""
     n = tuple(n)
-    return _twisted_read(n, [n], xis, gammas, order)[n]
+    return _twisted_read(n, [n], xis, gammas)[n]
 
 
-def twisted_multiple_bernoulli_table(nmax, xis, gammas, order=None):
+def twisted_multiple_bernoulli_table(nmax, xis, gammas):
     """Twisted multiple Bernoulli numbers for every index in [0, nmax]^r, in
     lexicographic order, read from one product truncated to that box."""
     r = len(xis)
     indices = iter_product(range(nmax + 1), repeat=r)
-    return _twisted_read((nmax,) * r, indices, xis, gammas, order)
+    return _twisted_read((nmax,) * r, indices, xis, gammas)
 
 
-def double_twisted_closed(k, l, xi1, xi2, gammas, order=None):
+def double_twisted_closed(k, l, xi1, xi2, gammas):
     """Closed convolution form of the r = 2 twisted multiple Bernoulli number:
     sum_j C(l,j) B_{k+j}(xi1) B_{l-j}(xi2) gamma1^{k+j} gamma2^{l-j}."""
     for xi in (xi1, xi2):
         if not xi.nontrivial:
             raise TrivialRootError("roots must differ from 1")
-    g1, g2 = Fraction(gammas[0]), Fraction(gammas[1])
-    if g1 == 0 or g2 == 0:
-        raise ValueError("weights must be nonzero")
-    if order is None:
-        order = xi1.c * xi2.c // math.gcd(xi1.c, xi2.c)
+    g1, g2 = _weights(gammas, 2)
+    order = math.lcm(xi1.c, xi2.c)
     total = None
     for j in range(l + 1):
         term = (
@@ -93,7 +99,7 @@ def double_twisted_closed(k, l, xi1, xi2, gammas, order=None):
     return total
 
 
-def lerch_special_value(n, xis, gammas, order=None):
+def lerch_special_value(n, xis, gammas):
     """Value of the twisted multiple zeta-function at the non-positive
     integer point (-n_j): a sign times the twisted multiple Bernoulli number
     at the inverted roots."""
@@ -101,7 +107,7 @@ def lerch_special_value(n, xis, gammas, order=None):
     r = len(n)
     inv = [xi.inverse() for xi in xis]
     sign = (-1) ** (r + sum(n))
-    return twisted_multiple_bernoulli(n, inv, gammas, order=order) * sign
+    return twisted_multiple_bernoulli(n, inv, gammas) * sign
 
 
 def _compositions(total, parts):
@@ -119,11 +125,7 @@ def desing_value_exact(k, gammas):
     upper-triangular nu-matrices with column sums k_j."""
     k = tuple(k)
     r = len(k)
-    if len(gammas) != r:
-        raise ValueError("index and weights must have equal length")
-    gammas = [Fraction(g) for g in gammas]
-    if any(g == 0 for g in gammas):
-        raise ValueError("weights must be nonzero")
+    gammas = _weights(gammas, r)
 
     total = Fraction(0)
     # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j]
@@ -142,9 +144,7 @@ def desing_value_exact(k, gammas):
 def desing_value_r2_closed(k, l, gamma1, gamma2):
     """Closed r = 2 form: (-1)^{k+l} sum_nu C(l,nu) B_{k+nu+1} B_{l-nu+1}
     gamma1^{k+nu} gamma2^{l-nu}."""
-    g1, g2 = Fraction(gamma1), Fraction(gamma2)
-    if g1 == 0 or g2 == 0:
-        raise ValueError("weights must be nonzero")
+    g1, g2 = _weights((gamma1, gamma2), 2)
     total = Fraction(0)
     for nu in range(l + 1):
         total += (
@@ -160,11 +160,7 @@ def desing_value_r2_closed(k, l, gamma1, gamma2):
 def _desing_read(box, indices, gammas):
     """Desingularized values at ``indices``, all inside ``box``, read from one
     limit product truncated to that box."""
-    if len(box) != len(gammas):
-        raise ValueError("index and weights must have equal length")
-    if any(g == 0 for g in gammas):
-        raise ValueError("weights must be nonzero")
-    series = build_E_product([Fraction(g) for g in gammas], sum(box), box=box)
+    series = build_E_product(_weights(gammas, len(box)), sum(box), box=box)
     return _read(series, indices, Fraction(0), signed=True)
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: output formats and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,49 @@ def test_eval_nan_estimate_fails_gate(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "tolerance" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("twisted-bernoulli", "--c", "1", "--a", "1", "--max", "2"),
+    ("twisted-bernoulli", "--c", "3", "--a", "3", "--max", "2"),
+    ("multi-bernoulli", "--r", "1", "--c", "1", "--a-list", "1", "--max", "1"),
+    ("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "3,1", "--max", "1"),
+    ("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,2", "--gamma", "1,x",
+     "--max", "1"),
+    ("desing-values", "--r", "2", "--kmax", "2", "--gamma", "1,x"),
+    ("desing-values", "--r", "2", "--kmax", "2", "--gamma", "0,1"),
+    ("desing-values", "--r", "2", "--kmax", "2", "--gamma", "1/0,1"),
+    ("eval", "--s", "1,2", "--gamma", "0,1"),
+    ("eval", "--s", "3,1600", "--gamma", "1,4"),
+])
+def test_library_refusal_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    from deszeta import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(cli, "desing2", broken)
+    with pytest.raises(RuntimeError, match="not a refusal"):
+        main(["eval", "--s", "3,4"])
+
+
+def test_entry_point_refusal():
+    # the real entry point, sys.exit(main()), in a fresh interpreter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "deszeta.cli", "eval", "--s", "3,1600", "--gamma", "1,4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

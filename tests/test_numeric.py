@@ -13,6 +13,7 @@ from deszeta.exact import bernoulli_polynomial
 from deszeta.numeric import (
     ContinuationReachError,
     SingularPointError,
+    ToleranceError,
     desing1,
     desing2,
     double_zeta,
@@ -170,6 +171,11 @@ class TestDoubleZeta:
         assert z.value == complex(0.004686362264179991, 0.02337216182450712)
         assert z.err_estimate == 2.8269862903621506e-09
 
+    def test_tail_overflow_refused(self):
+        # beta^(1 - s2) = 4^1599 overflows double precision
+        with pytest.raises(ContinuationReachError, match=r"Re s2=1600 .*\|gamma1/gamma2\|=0\.25"):
+            double_zeta(3, 1600, 1, 4)
+
 
 class TestSingularityDistance:
     def test_on_hyperplanes(self):
@@ -279,6 +285,11 @@ class TestDesing:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             desing2(2, 3, 0.0, 1.0)
+
+    def test_beyond_reach_named(self):
+        # every shifted point of the extrapolation lies beyond the tail's reach
+        with pytest.raises(ToleranceError, match=r"Re\(s1\+s2\)=-20\.2 .*Re\(s1\+s2\) > -14"):
+            desing2(-20.5, 0.3)
 
 
 def _count_hurwitz(monkeypatch):
