@@ -4,7 +4,8 @@ The Laurent polynomial G((u_j), (v_j)) = prod_j (1 - (u_j v_j + ... + u_r v_r)
 (v_j^{-1} - v_{j-1}^{-1})) (with the v_0^{-1} term absent from the first
 factor) expands into integer coefficients a_{l,m}; the combination
 sum a_{l,m} prod_j (s_j)_{l_j} zeta_r((s_j + m_j); (1); (gamma_j)) is entire.
-G is multiplied out as an SPoly in the 2r variables u_1..u_r, v_1..v_r, its
+G is multiplied out as an SPoly (the package's one exact polynomial type,
+defined in deszeta.exact) in the 2r variables u_1..u_r, v_1..v_r, its
 Laurent v-exponents being negative exponents.  The subset-sum construction
 of the same table is kept as an independent cross-check of the product form.
 
@@ -15,11 +16,10 @@ ShiftedCombination.evaluate and the numeric desing2 sum over it.
 import functools
 from itertools import chain, combinations
 
-from .exact import pochhammer
+from .exact import SPoly
 
 __all__ = [
     "CoeffTable",
-    "SPoly",
     "ShiftedCombination",
     "expand_G",
     "expand_H",
@@ -62,108 +62,6 @@ class CoeffTable:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["r"], [(t["a"], t["l"], t["m"]) for t in obj["terms"]])
-
-
-class SPoly:
-    """Small integer-coefficient polynomial in the variables s_1..s_r.
-
-    Exponents may be negative (Laurent monomials); evaluate needs them
-    non-negative.
-    """
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r, terms=None):
-        self.r = r
-        self.terms = {}
-        if terms:
-            for e, a in terms.items():
-                if a:
-                    self.terms[tuple(e)] = a
-
-    @classmethod
-    def constant(cls, r, a):
-        return cls(r, {(0,) * r: a})
-
-    @classmethod
-    def variable(cls, r, j):
-        e = [0] * r
-        e[j] = 1
-        return cls(r, {tuple(e): 1})
-
-    @classmethod
-    def pochhammer_product(cls, r, l):
-        """prod_j (s_j)_{l_j} as a polynomial."""
-        out = cls.constant(r, 1)
-        for j, lj in enumerate(l):
-            out = out * pochhammer(cls.variable(r, j), lj)
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = SPoly.constant(self.r, other)
-        out = dict(self.terms)
-        for e, a in other.terms.items():
-            out[e] = out.get(e, 0) + a
-        return SPoly(self.r, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly(self.r, {e: -a for e, a in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SPoly(self.r, {e: a * other for e, a in self.terms.items()})
-        out = {}
-        for e1, a1 in self.terms.items():
-            for e2, a2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0) + a1 * a2
-        return SPoly(self.r, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, SPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def evaluate(self, point):
-        """Value at the point; its coordinates may be numbers or SPolys, so
-        evaluating at (s_j + n_j) re-expands the polynomial about n."""
-        out = 0
-        for e, a in self.terms.items():
-            term = a
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    term = term * x
-            out = out + term
-        return out
-
-    def __repr__(self):
-        items = sorted(self.terms.items(), reverse=True)
-        if not items:
-            return "0"
-        parts = []
-        for e, a in items:
-            factors = [
-                "s_%d" % (j + 1) + ("^%d" % p if p > 1 else "")
-                for j, p in enumerate(e)
-                if p
-            ]
-            if abs(a) != 1 or not factors:
-                factors.insert(0, str(abs(a)))
-            body = " ".join(factors)
-            if not parts:
-                parts.append(body if a > 0 else "-" + body)
-            else:
-                parts.append(("+ " if a > 0 else "- ") + body)
-        return " ".join(parts)
 
 
 def expand_G(r):

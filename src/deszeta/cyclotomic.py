@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binomial, format_rational, parse_rational
+from .exact import SPoly, binomial, check_index, format_rational, parse_rational
 
 __all__ = [
     "RootOfUnity",
@@ -289,8 +289,7 @@ def twisted_bernoulli(n, xi, order=None):
     recurrence obtained from (1 - xi e^t) * H(t; xi) = 1.
     """
     _require_nontrivial(xi)
-    if n < 0:
-        raise ValueError("index must be non-negative")
+    check_index(n)
     order = order or xi.c
     key = (xi.c, xi.a, order)
     with _TB_LOCK:
@@ -313,6 +312,7 @@ def frobenius_euler(n, lam):
         lam = lam.embed()
     if lam == 1:
         raise ValueError("Frobenius-Euler numbers require lambda != 1")
+    check_index(n)
     inv = (lam - 1).inverse() if isinstance(lam, CycloElement) else Fraction(1) / (lam - 1)
     table = [lam * 0 + 1]  # H_0 = 1 in the right ring
     for m in range(1, n + 1):
@@ -327,26 +327,15 @@ def negative_polylog(k, xi):
     Serves as an oracle independent of the twisted Bernoulli recurrence.
     """
     _require_nontrivial(xi)
+    check_index(k)
     # maintain N(z) with Li = N(z) / (1-z)^(k+1)
-    num = [Fraction(0), Fraction(1)]  # z
+    z = num = SPoly.variable(1, 0)
     for step in range(1, k + 1):
         # z d/dz [N/(1-z)^step] = (z N' (1-z) + step z N) / (1-z)^(step+1)
-        deriv = [i * a for i, a in enumerate(num)][1:] or [Fraction(0)]
-        t1 = [Fraction(0)] + deriv  # z N'
-        t1_full = t1 + [Fraction(0)]
-        for i, a in enumerate(t1):
-            t1_full[i + 1] -= a  # multiply by (1 - z)
-        t2 = [Fraction(0)] + [step * a for a in num]  # step z N
-        n = max(len(t1_full), len(t2))
-        num = [
-            (t1_full[i] if i < len(t1_full) else 0) + (t2[i] if i < len(t2) else 0)
-            for i in range(n)
-        ]
-    z = xi.embed()
-    val = CycloElement.from_rational(xi.c, 0)
-    for a in reversed(num):
-        val = val * z + a
-    return val * ((1 - z).inverse() ** (k + 1))
+        z_deriv = SPoly(1, {e: e[0] * a for e, a in num.terms.items()})  # z N'
+        num = z_deriv - z_deriv * z + z * num * step
+    root = xi.embed()
+    return num.evaluate((root,)) * ((1 - root).inverse() ** (k + 1))
 
 
 def root_sum_twisted(n, c):

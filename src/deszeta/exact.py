@@ -1,4 +1,5 @@
-"""Exact rational building blocks: Bernoulli numbers, binomials, Pochhammer symbols.
+"""Exact rational building blocks: Bernoulli numbers, binomials, Pochhammer
+symbols, and the one exact polynomial type SPoly.
 
 The Bernoulli convention throughout this package is the generating function
 t/(e^t - 1), so B_1 = -1/2.  Switching to the other convention (B_1 = +1/2)
@@ -15,6 +16,8 @@ __all__ = [
     "binomial",
     "multinomial",
     "pochhammer",
+    "SPoly",
+    "check_index",
     "format_rational",
     "parse_rational",
 ]
@@ -98,6 +101,113 @@ def pochhammer(s, k):
     for i in range(k):
         out = out * (s + i)
     return out
+
+
+class SPoly:
+    """Small sparse polynomial with exact integer or rational coefficients.
+
+    Its r variables print as s_1..s_r; the package also uses it with one
+    variable for the deformation parameter c and for the polylog's z.
+    Exponents may be negative (Laurent monomials); evaluate needs them
+    non-negative.
+    """
+
+    __slots__ = ("r", "terms")
+
+    def __init__(self, r, terms=None):
+        self.r = r
+        self.terms = {tuple(e): a for e, a in (terms or {}).items() if a}
+
+    @classmethod
+    def constant(cls, r, a):
+        return cls(r, {(0,) * r: a})
+
+    @classmethod
+    def variable(cls, r, j):
+        e = [0] * r
+        e[j] = 1
+        return cls(r, {tuple(e): 1})
+
+    @classmethod
+    def pochhammer_product(cls, r, l):
+        """prod_j (s_j)_{l_j} as a polynomial."""
+        out = cls.constant(r, 1)
+        for j, lj in enumerate(l):
+            out = out * pochhammer(cls.variable(r, j), lj)
+        return out
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = SPoly.constant(self.r, other)
+        out = dict(self.terms)
+        for e, a in other.terms.items():
+            out[e] = out.get(e, 0) + a
+        return SPoly(self.r, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return SPoly(self.r, {e: -a for e, a in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return SPoly(self.r, {e: a * other for e, a in self.terms.items()})
+        out = {}
+        for e1, a1 in self.terms.items():
+            for e2, a2 in other.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + a1 * a2
+        return SPoly(self.r, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, SPoly) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def evaluate(self, point):
+        """Value at the point; its coordinates may be numbers, field elements
+        or SPolys, so evaluating at (s_j + n_j) re-expands the polynomial
+        about n."""
+        out = 0
+        for e, a in self.terms.items():
+            term = a
+            for x, p in zip(point, e):
+                for _ in range(p):
+                    term = term * x
+            out = out + term
+        return out
+
+    def __repr__(self):
+        items = sorted(self.terms.items(), reverse=True)
+        if not items:
+            return "0"
+        parts = []
+        for e, a in items:
+            factors = [
+                "s_%d" % (j + 1) + ("^%d" % p if p > 1 else "")
+                for j, p in enumerate(e)
+                if p
+            ]
+            if abs(a) != 1 or not factors:
+                factors.insert(0, str(abs(a)))
+            body = " ".join(factors)
+            if not parts:
+                parts.append(body if a > 0 else "-" + body)
+            else:
+                parts.append(("+ " if a > 0 else "- ") + body)
+        return " ".join(parts)
+
+
+def check_index(*indices):
+    """Raise ValueError unless every index is non-negative."""
+    if any(n < 0 for n in indices):
+        raise ValueError("index must be non-negative")
 
 
 def format_rational(q):

@@ -47,6 +47,7 @@ _REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion
     "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
 _SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
+_HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 
 
 @dataclass
@@ -138,6 +139,8 @@ def hurwitz_zeta(s, a, tol=1e-14):
     Partial sum to N, boundary terms, and Bernoulli corrections; N and the
     correction order are raised until the first omitted correction is below
     tol.  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
+    Raises ContinuationReachError on overflow and where the corrections
+    still fail to converge at the longest partial sum (|Im s| > ~2000).
     While a desing2 combination is summed, each distinct (s, a, tol) is
     evaluated once and later calls read the stored result (the value is a
     pure function of the three).
@@ -160,7 +163,13 @@ def _hurwitz_kernel(s, a, tol):
         raise SingularPointError(SingularityReport("s=1", 0.0))
     if a.real <= 0:
         raise ValueError("Hurwitz zeta requires Re a > 0")
+    try:
+        return _hurwitz_sum(s, a, tol)
+    except OverflowError:
+        raise ContinuationReachError("Hurwitz zeta overflows double precision at s=%s" % s) from None
 
+
+def _hurwitz_sum(s, a, tol):
     if (
         s.imag == 0
         and a.imag == 0
@@ -179,11 +188,11 @@ def _hurwitz_kernel(s, a, tol):
         # For Re s < 0 the partial sum grows like (a+N)^{1-Re s}, so a large
         # N destroys the final cancellation in double precision; start from
         # N = 0 and only grow N if the correction series fails to converge.
-        ladder = (0, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+        ladder = (0, 2, 4, 8, 16, 32, 64, 128, 256, _HURWITZ_N_MAX)
     else:
-        ladder = (16, 32, 64, 128, 256, 512)
+        ladder = (16, 32, 64, 128, 256, _HURWITZ_N_MAX)
     for N in ladder:
-        if s.real >= 0.5 and N <= smod / 2 and N < 512:
+        if s.real >= 0.5 and N <= smod / 2 and N < _HURWITZ_N_MAX:
             continue
         x = a + N
         total = sum((a + n) ** (-s) for n in range(N))
@@ -204,6 +213,9 @@ def _hurwitz_kernel(s, a, tol):
                 break
         if err < tol * max(1.0, abs(total)):
             return EvalResult(total, err, "euler_maclaurin")
+    if math.isinf(err):  # no correction was small, and none grew
+        raise ContinuationReachError(
+            "Hurwitz zeta does not converge at s=%s with N <= %d" % (s, _HURWITZ_N_MAX))
     return EvalResult(total, err, "euler_maclaurin")
 
 

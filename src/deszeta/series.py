@@ -3,8 +3,8 @@ functions whose coefficients are twisted/desingularized Bernoulli data.
 
 The series are sparse maps from exponent tuples (bounded in total degree
 and, optionally, per variable by a box) to scalars; scalars may be
-Fractions, CycloElements, or PolyInC (polynomials in the auxiliary
-parameter c, kept symbolic so the limit c -> 1 is exact).
+Fractions, CycloElements, or SPolys in the one auxiliary parameter c, kept
+symbolic so the limit c -> 1 is exact.
 """
 
 import math
@@ -12,10 +12,9 @@ from fractions import Fraction
 from operator import add, le
 
 from .cyclotomic import TrivialRootError
-from .exact import bernoulli_number, format_rational, multinomial
+from .exact import SPoly, bernoulli_number, multinomial
 
 __all__ = [
-    "PolyInC",
     "TruncatedSeries",
     "series_mul",
     "compose_linear",
@@ -24,106 +23,6 @@ __all__ = [
     "build_E_product",
     "collapse_tilde",
 ]
-
-
-class PolyInC:
-    """Univariate polynomial in the symbol c with rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(x) for x in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one_minus_c_power(cls, m):
-        """The polynomial 1 - c^m."""
-        return cls([1] + [0] * (m - 1) + [-1])
-
-    def _coerce(self, other):
-        if isinstance(other, PolyInC):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolyInC([other])
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, b in enumerate(other.coeffs):
-            a[i] += b
-        return PolyInC(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyInC([-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyInC([x * other for x in self.coeffs])
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return PolyInC()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyInC(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __call__(self, value):
-        out = Fraction(0)
-        for a in reversed(self.coeffs):
-            out = out * Fraction(value) + a
-        return out
-
-    def exact_div_c_minus_1(self):
-        """Divide by (c - 1); requires the polynomial to vanish at c = 1."""
-        if self(1) != 0:
-            raise ArithmeticError("polynomial does not vanish at c = 1")
-        if not self.coeffs:
-            return PolyInC()
-        # p(c) = (c-1) q(c): synthetic division from the top
-        q = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = carry + self.coeffs[i]
-            q[i - 1] = carry
-        return PolyInC(q)
-
-    def __repr__(self):
-        return "PolyInC(%s)" % (list(map(format_rational, self.coeffs)),)
 
 
 def _exponents(caps, degree):
@@ -311,9 +210,9 @@ def build_H_r(xis, gammas, max_degree, box=None):
 
 def build_tilde_H(gammas, max_degree):
     """Expansion of the c-symbolic product with factors
-    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, keeping c as a polynomial variable."""
+    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, keeping c as an SPoly variable."""
     f = [
-        PolyInC.one_minus_c_power(n + 1)
+        SPoly(1, {(0,): 1, (n + 1,): -1})
         * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
         for n in range(max_degree + 1)
     ]
@@ -337,14 +236,17 @@ def build_E_product(gammas, max_degree, box=None):
 def collapse_tilde(series, r):
     """Exact limit (-1)^r / (c-1)^r of a c-symbolic series at c = 1.
 
-    Each coefficient is divided exactly by (c-1)^r and evaluated at c = 1,
-    turning the PolyInC scalars into plain Fractions.
+    Each coefficient is re-expanded in x = c - 1 and must vanish to order
+    r there (ArithmeticError otherwise); (-1)^r times its x^r coefficient
+    is the plain Fraction left in the limit.
     """
     sign = Fraction((-1) ** r)
+    about_1 = [SPoly.variable(1, 0) + 1]
 
     def limit(poly):
-        for _ in range(r):
-            poly = poly.exact_div_c_minus_1()
-        return sign * poly(1)
+        in_x = SPoly(1) + poly.evaluate(about_1)  # SPoly even where it is constant
+        if any(e < r for (e,) in in_x.terms):
+            raise ArithmeticError("coefficient does not vanish to order %d at c = 1" % r)
+        return sign * in_x.terms.get((r,), 0)
 
     return series.map_coeffs(limit)

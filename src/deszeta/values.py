@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli
-from .exact import bernoulli_number, binomial
+from .exact import bernoulli_number, binomial, check_index
 from .series import build_E_product, build_H_r
 
 __all__ = [
@@ -59,6 +59,7 @@ def _twisted_read(box, indices, xis, gammas):
     read from one product of twisted factors truncated to that box."""
     if len(box) != len(xis):
         raise ValueError("index, roots and weights must have equal length")
+    check_index(*box)
     series = build_H_r(xis, _weights(gammas, len(box)), sum(box), box=box)
     zero = CycloElement.from_rational(math.lcm(*(xi.c for xi in xis)), 0)
     return _read(series, indices, zero, signed=False)
@@ -86,6 +87,7 @@ def double_twisted_closed(k, l, xi1, xi2, gammas):
     for xi in (xi1, xi2):
         if not xi.nontrivial:
             raise TrivialRootError("roots must differ from 1")
+    check_index(k, l)
     g1, g2 = _weights(gammas, 2)
     order = math.lcm(xi1.c, xi2.c)
     total = None
@@ -124,6 +126,7 @@ def desing_value_exact(k, gammas):
     """Desingularized value at (-k_j) by direct enumeration of the
     upper-triangular nu-matrices with column sums k_j."""
     k = tuple(k)
+    check_index(*k)
     r = len(k)
     gammas = _weights(gammas, r)
 
@@ -144,6 +147,7 @@ def desing_value_exact(k, gammas):
 def desing_value_r2_closed(k, l, gamma1, gamma2):
     """Closed r = 2 form: (-1)^{k+l} sum_nu C(l,nu) B_{k+nu+1} B_{l-nu+1}
     gamma1^{k+nu} gamma2^{l-nu}."""
+    check_index(k, l)
     g1, g2 = _weights((gamma1, gamma2), 2)
     total = Fraction(0)
     for nu in range(l + 1):
@@ -160,6 +164,7 @@ def desing_value_r2_closed(k, l, gamma1, gamma2):
 def _desing_read(box, indices, gammas):
     """Desingularized values at ``indices``, all inside ``box``, read from one
     limit product truncated to that box."""
+    check_index(*box)
     series = build_E_product(_weights(gammas, len(box)), sum(box), box=box)
     return _read(series, indices, Fraction(0), signed=True)
 

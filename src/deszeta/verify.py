@@ -12,9 +12,9 @@ from itertools import product
 
 from .coeffs import combination, expand_G, expand_H, weight_check
 from .cyclotomic import RootOfUnity, root_sum_twisted
-from .exact import bernoulli_number, bernoulli_polynomial
+from .exact import SPoly, bernoulli_number, bernoulli_polynomial
 from .numeric import desing2, double_zeta_direct, hurwitz_zeta, riemann_zeta
-from .series import PolyInC, build_tilde_H
+from .series import build_tilde_H
 from .values import (
     desing_value_exact,
     desing_value_table,
@@ -128,8 +128,7 @@ def check_root_pair_sum():
             for l in range(5):
                 total = sum((t[k, l] for t in tables[1:]), tables[0][k, l])
                 scale = Fraction(math.factorial(k) * math.factorial(l))
-                coeff = tilde.coefficient((k, l))
-                want = (coeff(c) if isinstance(coeff, PolyInC) else Fraction(coeff)) * scale
+                want = (tilde.coefficient((k, l)) or SPoly(1)).evaluate((c,)) * scale
                 if total.as_rational() != want:
                     bad += 1
     return float(bad), bad == 0

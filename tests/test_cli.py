@@ -281,6 +281,7 @@ def test_eval_nan_estimate_fails_gate(capsys, monkeypatch):
     ("desing-values", "--r", "2", "--kmax", "2", "--gamma", "1/0,1"),
     ("eval", "--s", "1,2", "--gamma", "0,1"),
     ("eval", "--s", "3,1600", "--gamma", "1,4"),
+    ("eval", "--s", "-171.5"),
 ])
 def test_library_refusal_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -177,6 +177,23 @@ class TestDoubleZeta:
             double_zeta(3, 1600, 1, 4)
 
 
+class TestKernelRefusals:
+    def test_overflow_refused(self):
+        # the ladder reaches N = 64, where (1 + N)^(1 - s) = 65^172.5 overflows
+        with pytest.raises(ContinuationReachError, match=r"overflows double precision at s=\(-171\.5\+0j\)"):
+            hurwitz_zeta(-171.5, 1)
+
+    @pytest.mark.parametrize("s", [0.5 + 3000j, 1 + 2500j])
+    def test_no_convergence_refused(self, s):
+        # |Im s| beyond about 2000 needs a partial sum longer than 512 terms
+        with pytest.raises(ContinuationReachError, match="does not converge"):
+            hurwitz_zeta(s, 1)
+
+    def test_desing2_passes_the_refusal_on(self):
+        with pytest.raises(ContinuationReachError, match="does not converge"):
+            desing2(0.5 + 3000j, 2)
+
+
 class TestSingularityDistance:
     def test_on_hyperplanes(self):
         assert singularity_distance(0, 1).distance == 0

@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deszeta.exact import SPoly
 from deszeta.series import (
-    PolyInC,
     TruncatedSeries,
     build_E_product,
     build_H_r,
@@ -16,28 +16,6 @@ from deszeta.series import (
     compose_linear,
 )
 from deszeta.cyclotomic import RootOfUnity, TrivialRootError
-
-
-class TestPolyInC:
-    def test_basic_arithmetic(self):
-        p = PolyInC([1, 2])  # 1 + 2c
-        q = PolyInC([0, 0, 1])  # c^2
-        assert (p + q).coeffs == (1, 2, 1)
-        assert (p * q).coeffs == (0, 0, 1, 2)
-        assert (p - p).coeffs == ()
-        assert p(3) == 7
-
-    def test_one_minus_c_power(self):
-        p = PolyInC.one_minus_c_power(3)
-        assert p(1) == 0
-        assert p(2) == 1 - 8
-
-    def test_exact_division(self):
-        p = PolyInC.one_minus_c_power(4)
-        q = p.exact_div_c_minus_1()
-        assert q * PolyInC([-1, 1]) == p
-        with pytest.raises(ArithmeticError):
-            PolyInC([1, 1]).exact_div_c_minus_1()
 
 
 def small_series(data, nvars=2, max_degree=3):
@@ -108,6 +86,25 @@ def test_collapse_matches_E_product():
         assert limit == direct
 
 
+def test_spoly_takes_rational_scalars_on_either_side():
+    c = SPoly.variable(1, 0)
+    half = Fraction(1, 2)
+    assert c + half == half + c == SPoly(1, {(0,): half, (1,): 1})
+    assert c * half == half * c == SPoly(1, {(1,): half})
+    assert (c * half + half).evaluate((3,)) == 2
+    assert (c + half) - half == c
+
+
+def test_collapse_refuses_a_coefficient_that_does_not_vanish_to_order_r():
+    # (c - 1)^2 divides every coefficient of a depth-2 product, but not
+    # (c - 1)^3; and 1 + c does not vanish at c = 1 at all
+    with pytest.raises(ArithmeticError):
+        collapse_tilde(build_tilde_H([Fraction(1), Fraction(1)], 3), 3)
+    one_plus_c = SPoly(1, {(0,): 1, (1,): 1})
+    with pytest.raises(ArithmeticError):
+        collapse_tilde(TruncatedSeries(1, 1, {(0,): one_plus_c}), 1)
+
+
 def test_root_sum_of_product_is_c_specialization():
     # summing the twisted product over all nontrivial root pairs and
     # specializing the symbolic parameter at c must agree
@@ -121,8 +118,7 @@ def test_root_sum_of_product_is_c_specialization():
             total = h if total is None else total + h
     for e, coeff in total.coeffs.items():
         want = tilde.coefficient(e)
-        want_val = want(c) if isinstance(want, PolyInC) else Fraction(want)
-        assert coeff.as_rational() == want_val
+        assert coeff.as_rational() == (want or SPoly(1)).evaluate((c,))
 
 
 def test_box_truncation_drops_outside_terms():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deszeta.cyclotomic import RootOfUnity, negative_polylog
+from deszeta.cyclotomic import RootOfUnity, frobenius_euler, negative_polylog, twisted_bernoulli
 from deszeta.exact import bernoulli_number
 from deszeta.values import (
     desing_value_exact,
@@ -18,10 +18,31 @@ from deszeta.values import (
 )
 
 
+XI = RootOfUnity(3, 1)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: negative_polylog(-1, XI),
+    lambda: frobenius_euler(-1, XI),
+    lambda: frobenius_euler(-2, Fraction(-1)),
+    lambda: twisted_bernoulli(-1, XI),
+    lambda: desing_value_r2_closed(-1, 2, 1, 1),
+    lambda: desing_value_r2_closed(2, -1, 1, 1),
+    lambda: double_twisted_closed(2, -1, XI, XI, (1, 1)),
+    lambda: desing_value_exact((2, -1), (1, 1)),
+    lambda: desing_value_oracle((-1, 2), (1, 1)),
+    lambda: twisted_multiple_bernoulli((2, -1), (XI, XI), (1, 1)),
+    lambda: lerch_special_value((-1,), (XI,), (1,)),
+    lambda: desing_value_table(-1, (1, 1)),
+    lambda: twisted_multiple_bernoulli_table(-1, (XI, XI), (1, 1)),
+])
+def test_negative_index_refused(route):
+    with pytest.raises(ValueError, match="^index must be non-negative$"):
+        route()
+
+
 def test_single_twisted_matches_recurrence():
     xi = RootOfUnity(3, 1)
-    from deszeta.cyclotomic import twisted_bernoulli
-
     for n in range(6):
         got = twisted_multiple_bernoulli((n,), (xi,), (Fraction(1),))
         assert got == twisted_bernoulli(n, xi)
