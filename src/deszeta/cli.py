@@ -44,6 +44,14 @@ def _check_max(args):
         raise ValueError("--max must be non-negative")
 
 
+def _check_table(r, nmax, flag):
+    """The caps of the two box tables: r in 1..4, the box edge in 0..8."""
+    if not 1 <= r <= 4:
+        raise ValueError("--r must be between 1 and 4")
+    if not 0 <= nmax <= 8:
+        raise ValueError("%s must be between 0 and 8" % flag)
+
+
 def cmd_bernoulli(args):
     _check_max(args)
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
@@ -72,7 +80,7 @@ def cmd_twisted_bernoulli(args):
 
 
 def cmd_multi_bernoulli(args):
-    _check_max(args)
+    _check_table(args.r, args.max, "--max")
     a_list = [int(a) for a in args.a_list.split(",")]
     gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
     if len(a_list) != args.r or len(gammas) != args.r:
@@ -94,10 +102,7 @@ def cmd_multi_bernoulli(args):
 
 
 def cmd_desing_values(args):
-    if not 1 <= args.r <= 4:
-        raise ValueError("--r must be between 1 and 4")
-    if not 0 <= args.kmax <= 8:
-        raise ValueError("--kmax must be between 0 and 8")
+    _check_table(args.r, args.kmax, "--kmax")
     gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
     if len(gammas) != args.r:
         raise ValueError("--gamma must have r entries")

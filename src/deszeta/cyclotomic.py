@@ -1,12 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_c) and twisted Bernoulli numbers.
 
 Elements are represented in the power basis 1, zeta, ..., zeta^(phi(c)-1)
-modulo the c-th cyclotomic polynomial, so equality is structural.  All c-th
+as integer numerators over one denominator, reduced (without division) by
+the monic c-th cyclotomic polynomial, so equality is structural.  All c-th
 roots of unity (primitive or not) live inside the single field Q(zeta_c),
 which is what the root-of-unity summation identities need.
 """
 
 import cmath
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +84,28 @@ def _cyclotomic_locked(c):
     return num
 
 
+_MODULUS = {}  # c -> (phi(c), nonzero (j, a_j) of Phi_c = x^phi(c) + sum a_j x^j)
+
+
+def _modulus(c):
+    if c not in _MODULUS:
+        phi = cyclotomic_polynomial(c)
+        _MODULUS[c] = (len(phi) - 1, tuple((j, int(a)) for j, a in enumerate(phi[:-1]) if a))
+    return _MODULUS[c]
+
+
+def _reduce(c, num):
+    """Integer list ``num`` (overwritten) mod the monic Phi_c, as phi(c) ints;
+    x^phi(c) = -sum a_j x^j folds each top term down without division."""
+    deg, low = _modulus(c)
+    for i in range(len(num) - 1, deg - 1, -1):
+        top = num[i]
+        if top:
+            for j, a in low:
+                num[i - deg + j] -= top * a
+    return num[:deg] + [0] * (deg - len(num))
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """The root of unity zeta_c^a = exp(2 pi i a / c), with 0 <= a < c."""
@@ -113,29 +137,46 @@ class RootOfUnity:
 
 
 class CycloElement:
-    """Element of Q(zeta_c), stored reduced modulo the cyclotomic polynomial."""
+    """Element of Q(zeta_c): integer numerators ``num`` of the power basis
+    over one denominator ``den``, in canonical form (den > 0, gcd 1)."""
 
-    __slots__ = ("c", "coeffs")
+    __slots__ = ("c", "num", "den")
 
     def __init__(self, c, coeffs):
-        phi = cyclotomic_polynomial(c)
-        deg = len(phi) - 1
-        poly = [Fraction(x) for x in coeffs]
-        if len(poly) >= len(phi):
-            _, poly = _poly_divmod(poly, phi)
-        poly = poly + [Fraction(0)] * (deg - len(poly))
-        self.c = c
-        self.coeffs = tuple(poly[:deg])
+        coeffs = [Fraction(x) for x in coeffs]
+        den = math.lcm(*(a.denominator for a in coeffs))
+        self._set(c, _reduce(c, [a.numerator * (den // a.denominator) for a in coeffs]), den)
+
+    def _set(self, c, num, den):
+        """Store num/den (den > 0, num reduced mod Phi_c) divided by the gcd."""
+        g = math.gcd(den, *num)
+        self.c, self.den = c, den // g
+        self.num = tuple(num) if g == 1 else tuple([a // g for a in num])
+        return self
+
+    @classmethod
+    def _make(cls, c, num, den):
+        return object.__new__(cls)._set(c, num, den)
+
+    def _scale(self, q):
+        """This element times the int or Fraction q."""
+        return CycloElement._make(self.c, [a * q.numerator for a in self.num],
+                                  self.den * q.denominator)
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @classmethod
     def root_power(cls, c, a):
         """zeta_c^a as a field element."""
         a %= c
-        return cls(c, [Fraction(0)] * a + [Fraction(1)])
+        return cls(c, [0] * a + [1])
 
     @classmethod
     def from_rational(cls, c, q):
-        return cls(c, [Fraction(q)])
+        return cls(c, [q])
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -148,40 +189,40 @@ class CycloElement:
             return CycloElement.from_rational(self.c, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloElement(self.c, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        f1, f2 = (1, sign) if self.den == other.den else (other.den, sign * self.den)
+        num = [a * f1 + b * f2 for a, b in zip(self.num, other.num)]
+        return CycloElement._make(self.c, num, self.den * f1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.c, [-a for a in self.coeffs])
+        return CycloElement._make(self.c, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloElement(self.c, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElement(self.c, [a * q for a in self.coeffs])
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloElement(self.c, prod)
+                for j, b in enumerate(other.num, i):
+                    prod[j] += a * b
+        return CycloElement._make(self.c, _reduce(self.c, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -208,8 +249,7 @@ class CycloElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElement(self.c, [a / q for a in self.coeffs])
+            return self._scale(1 / Fraction(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -235,22 +275,22 @@ class CycloElement:
             other = CycloElement.from_rational(self.c, other)
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.c == other.c and self.coeffs == other.coeffs
+        return self.c == other.c and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.c, self.coeffs))
+        return hash((self.c, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     @property
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational:
             raise ValueError("element is not rational: %r" % self)
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __complex__(self):
         z = cmath.exp(2j * cmath.pi / self.c)

@@ -14,6 +14,7 @@ All arithmetic is double precision; tolerances below are set for it.
 """
 
 import cmath
+import contextlib
 import contextvars
 import math
 import threading
@@ -416,6 +417,18 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
     return EvalResult(total, err, "direct_sum")
 
 
+@contextlib.contextmanager
+def _naming_point(*s):
+    """Re-raise a ContinuationReachError from beneath with the point the
+    caller asked for; the kernel's refusal stays in the message and as the
+    cause."""
+    try:
+        yield
+    except ContinuationReachError as exc:
+        point = ", ".join(str(z).strip("()") for z in s)
+        raise ContinuationReachError("cannot reach s=(%s): %s" % (point, exc)) from exc
+
+
 def desing1(s, gamma=1.0):
     """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
     zeta(s), entire; -1/gamma at s = 1."""
@@ -424,7 +437,8 @@ def desing1(s, gamma=1.0):
     _check_inputs(None, (s,), (g,))
     if abs(s - 1) < 1e-14:
         return EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
-    z = riemann_zeta(s)
+    with _naming_point(s):
+        z = riemann_zeta(s)
     c = (1 - s) * g ** (-s)
     return EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
 
@@ -490,6 +504,11 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
+    with _naming_point(s1, s2):
+        return _desing2_at(s1, s2, g1, g2, tol, eps0)
+
+
+def _desing2_at(s1, s2, g1, g2, tol, eps0):
     if _desing2_evaluable(s1, s2):
         total, err = _desing2_combination(s1, s2, g1, g2, tol)
         return EvalResult(total, err, "euler_maclaurin")

@@ -130,16 +130,21 @@ def desing_value_exact(k, gammas):
     r = len(k)
     gammas = _weights(gammas, r)
 
+    # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j]; each
+    # is built once, with its 1/prod nu! as one Fraction
+    columns = [[(nu, Fraction(1, math.prod(map(math.factorial, nu))))
+                for nu in _compositions(k[j], j + 1)] for j in range(r)]
+    row_factor = {}  # (j, n) -> B_{1+n} gamma_j^n
     total = Fraction(0)
-    # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j]
-    for columns in iter_product(*(_compositions(k[j], j + 1) for j in range(r))):
-        term = Fraction(1)
+    for choice in iter_product(*columns):
+        term = 1
         for j in range(r):
-            row_sum = sum(columns[l][j] for l in range(j, r))
-            term *= bernoulli_number(1 + row_sum) * gammas[j] ** row_sum
-            for nu in columns[j]:
-                term /= math.factorial(nu)
-        total += term
+            n = sum(choice[l][0][j] for l in range(j, r))
+            if (j, n) not in row_factor:
+                row_factor[j, n] = bernoulli_number(1 + n) * gammas[j] ** n
+            term *= row_factor[j, n]
+        if term:  # B_{1+n} vanishes for every even n >= 2
+            total += term * math.prod(scale for _, scale in choice)
     prefactor = Fraction(math.prod(math.factorial(kj) for kj in k))
     return prefactor * Fraction((-1) ** sum(k)) * total
 

@@ -1,5 +1,6 @@
 """Command-line interface: output formats and the exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -288,6 +289,55 @@ def test_library_refusal_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("multi-bernoulli", "--r", "0", "--c", "3", "--a-list", "", "--max", "1"),
+    ("multi-bernoulli", "--r", "5", "--c", "3", "--a-list", "1,1,1,1,1", "--max", "1"),
+    ("multi-bernoulli", "--r", "6", "--c", "3", "--a-list", "1,1,1,1,1,1", "--max", "1"),
+    ("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,2", "--max", "9"),
+    ("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,2", "--max", "-1"),
+    ("desing-values", "--r", "0", "--kmax", "2"),
+    ("desing-values", "--r", "2", "--kmax", "-1"),
+])
+def test_table_caps_exit_2(capsys, argv):
+    # both box tables share one cap: r in 1..4, box edge in 0..8
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "between" in err
+
+
+def test_table_caps_admit_the_edges(capsys):
+    code, out, _ = run(capsys, "multi-bernoulli", "--r", "1", "--c", "3", "--a-list", "1",
+                       "--max", "8")
+    assert code == 0
+    assert len(out.splitlines()) == 9
+
+
+def test_kernel_refusal_names_the_requested_point(capsys):
+    code, out, err = run(capsys, "eval", "--s", "0.5+3000j,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "0.5+3000j" in err
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+CYCLOTOMIC_TABLES = sorted(
+    name for name in json.loads(DIGESTS.read_text())["commands"]
+    if name.startswith(("twisted-bernoulli-", "multi-bernoulli-"))
+)
+
+
+@pytest.mark.parametrize("name", CYCLOTOMIC_TABLES)
+def test_cyclotomic_tables_match_recorded_digests(capsys, name):
+    # every recorded variant of the Q(zeta_c) tables, byte for byte
+    variants = json.loads(DIGESTS.read_text())["commands"][name]
+    for record in variants.values():
+        code, out, _ = run(capsys, *record["argv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == record["sha256"], record["argv"]
 
 
 def test_other_exceptions_propagate(monkeypatch):

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic and twisted Bernoulli numbers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from deszeta.cyclotomic import (
     CycloElement,
+    _poly_divmod,
     OrderMismatchError,
     RootOfUnity,
     TrivialRootError,
@@ -75,6 +77,87 @@ def test_element_inverse(c, data):
         return
     prod = el * el.inverse()
     assert prod.is_rational and prod.as_rational() == 1
+
+
+def fraction_route(c, poly):
+    """Rational coefficients reduced by Fraction division with remainder by
+    Phi_c, padded to phi(c): the reference for the integer representation."""
+    modulus = cyclotomic_polynomial(c)
+    poly = [Fraction(x) for x in poly]
+    if len(poly) >= len(modulus):
+        _, poly = _poly_divmod(poly, modulus)
+    return tuple(poly + [Fraction(0)] * (len(modulus) - 1 - len(poly)))
+
+
+def fraction_product(x, y):
+    prod = [Fraction(0)] * (len(x) + len(y))
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return prod
+
+
+def assert_canonical(el):
+    assert el.den > 0
+    assert math.gcd(el.den, *el.num) == 1
+    assert len(el.num) == phi(el.c)
+    assert el.coeffs == tuple(Fraction(a, el.den) for a in el.num)
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@st.composite
+def field_vectors(draw):
+    """An order c in 2..30 and two rational vectors, possibly longer than
+    phi(c) so that construction reduces them."""
+    c = draw(st.integers(2, 30))
+    vector = st.lists(rationals, max_size=phi(c) + 3)
+    return c, draw(vector), draw(vector)
+
+
+@given(field_vectors(), rationals.filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_element_canonical_form(vectors, q):
+    c, u, v = vectors
+    x, y = CycloElement(c, u), CycloElement(c, v)
+    assert x.coeffs == fraction_route(c, u)
+    equal = [CycloElement(c, x.coeffs), (x + y) - y, x * q / q, -(-x), x + 0]
+    for z in [x, y] + equal:
+        assert_canonical(z)
+    for z in equal:
+        assert (z.num, z.den) == (x.num, x.den)
+        assert z == x and hash(z) == hash(x)
+    assert (x == y) == (x.coeffs == y.coeffs)
+
+
+@given(field_vectors(), rationals.filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_element_arithmetic_matches_fraction_route(vectors, q):
+    c, u, v = vectors
+    x, y = CycloElement(c, u), CycloElement(c, v)
+    results = [
+        (x * y, fraction_route(c, fraction_product(x.coeffs, y.coeffs))),
+        (x + y, tuple(a + b for a, b in zip(x.coeffs, y.coeffs))),
+        (x - y, tuple(a - b for a, b in zip(x.coeffs, y.coeffs))),
+        (x / q, tuple(a / q for a in x.coeffs)),
+        (x * q, tuple(a * q for a in x.coeffs)),
+    ]
+    for got, want in results:
+        assert_canonical(got)
+        assert got.coeffs == want
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        one = fraction_route(c, [1])
+        assert fraction_route(c, fraction_product(inv.coeffs, x.coeffs)) == one
+
+
+def test_element_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        CycloElement(5, [1, 2]) / 0
+    with pytest.raises(ZeroDivisionError):
+        CycloElement(5, [0]).inverse()
 
 
 def test_element_json_round_trip():

@@ -193,6 +193,18 @@ class TestKernelRefusals:
         with pytest.raises(ContinuationReachError, match="does not converge"):
             desing2(0.5 + 3000j, 2)
 
+    def test_refusal_names_the_requested_point(self):
+        # the kernel refuses an inner tail argument; the caller's point is
+        # named in front, and the kernel's own refusal is kept as the cause
+        with pytest.raises(ContinuationReachError, match=r"^cannot reach s=\(0\.5\+3000j, 2\+0j\): ") as info:
+            desing2(0.5 + 3000j, 2)
+        cause = info.value.__cause__
+        assert isinstance(cause, ContinuationReachError)
+        assert "does not converge at s=(1.5+3000j)" in str(cause)
+        with pytest.raises(ContinuationReachError, match=r"^cannot reach s=\(-171\.5\+0j\): ") as info:
+            desing1(-171.5)
+        assert isinstance(info.value.__cause__, ContinuationReachError)
+
 
 class TestSingularityDistance:
     def test_on_hyperplanes(self):
