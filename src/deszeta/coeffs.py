@@ -173,10 +173,10 @@ class ShiftedCombination:
         Each coefficient is re-expanded exactly about the nearest integer
         point n and evaluated at s - n (exact in floating point): expanded
         about 0, its monomials cancel near the integer points where the
-        shifted terms are singular.
+        shifted terms are singular.  ValueError unless s has r coordinates.
         """
         n = [round(complex(sj).real) for sj in s]
-        about_n = [SPoly.variable(self.r, j) + nj for j, nj in enumerate(n)]
+        about_n = [SPoly.variable(len(n), j) + nj for j, nj in enumerate(n)]
         offset = [sj - nj for sj, nj in zip(s, n)]
         for m, poly in self._groups.items():
             c = complex(poly.evaluate(about_n).evaluate(offset))

@@ -173,7 +173,10 @@ class SPoly:
     def evaluate(self, point):
         """Value at the point; its coordinates may be numbers, field elements
         or SPolys, so evaluating at (s_j + n_j) re-expands the polynomial
-        about n."""
+        about n.  ValueError unless the point has one coordinate per
+        variable."""
+        if len(point) != self.r:
+            raise ValueError("point needs %d coordinates, got %d" % (self.r, len(point)))
         out = 0
         for e, a in self.terms.items():
             term = a

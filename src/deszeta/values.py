@@ -44,8 +44,10 @@ def _read(series, indices, zero, signed):
 
 
 def _weights(gammas, r):
-    """The r weights as Fractions; ValueError unless there are r of them and
-    none is zero."""
+    """The r weights as Fractions; ValueError unless r >= 1, there are r of
+    them and none is zero."""
+    if r < 1:
+        raise ValueError("r must be positive")
     if len(gammas) != r:
         raise ValueError("index and weights must have equal length")
     gammas = [Fraction(g) for g in gammas]
@@ -60,7 +62,7 @@ def _twisted_read(box, indices, xis, gammas):
     if len(box) != len(xis):
         raise ValueError("index, roots and weights must have equal length")
     check_index(*box)
-    series = build_H_r(xis, _weights(gammas, len(box)), sum(box), box=box)
+    series = build_H_r(xis, _weights(gammas, len(box)), box)
     zero = CycloElement.from_rational(math.lcm(*(xi.c for xi in xis)), 0)
     return _read(series, indices, zero, signed=False)
 
@@ -170,7 +172,7 @@ def _desing_read(box, indices, gammas):
     """Desingularized values at ``indices``, all inside ``box``, read from one
     limit product truncated to that box."""
     check_index(*box)
-    series = build_E_product(_weights(gammas, len(box)), sum(box), box=box)
+    series = build_E_product(_weights(gammas, len(box)), box)
     return _read(series, indices, Fraction(0), signed=True)
 
 

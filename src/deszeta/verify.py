@@ -123,7 +123,7 @@ def check_root_pair_sum():
             twisted_multiple_bernoulli_table(4, pair, gammas)
             for pair in product(roots, repeat=2)
         ]
-        tilde = build_tilde_H(gammas, 8)
+        tilde = build_tilde_H(gammas, (4, 4))
         for k in range(5):
             for l in range(5):
                 total = sum((t[k, l] for t in tables[1:]), tables[0][k, l])

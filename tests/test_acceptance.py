@@ -71,7 +71,7 @@ def test_criterion_04_double_convolution():
         xi1 = RootOfUnity(c, 1)
         xi2 = RootOfUnity(c, c - 1)
         for gammas in gammas_list:
-            series = build_H_r((xi1, xi2), gammas, 10)
+            series = build_H_r((xi1, xi2), gammas, (5, 5))
             for k in range(6):
                 for l in range(6):
                     scale = Fraction(math.factorial(k) * math.factorial(l))
@@ -82,7 +82,7 @@ def test_criterion_04_double_convolution():
 
 def test_criterion_05_root_pair_sums():
     gammas = (Fraction(1), Fraction(1))
-    tilde = build_tilde_H(gammas, 8)
+    tilde = build_tilde_H(gammas, (4, 4))
     ok = True
     for c in (2, 3):
         roots = [RootOfUnity(c, a) for a in range(1, c)]

@@ -75,6 +75,18 @@ def test_spoly_evaluate():
     assert p.evaluate((Fraction(1, 2), 2)) == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize("point", [(5,), (5, 7, 9)])
+def test_spoly_evaluate_refuses_wrong_arity(point):
+    with pytest.raises(ValueError, match="point needs 2 coordinates"):
+        SPoly.variable(2, 1).evaluate(point)
+
+
+@pytest.mark.parametrize("r, s", [(2, (3.0,)), (1, (3.0, 4.0))])
+def test_combination_refuses_wrong_arity(r, s):
+    with pytest.raises(ValueError, match="point needs %d coordinates" % r):
+        combination(r).evaluate(s, lambda args: 1.0)
+
+
 def test_pochhammer_product():
     p = SPoly.pochhammer_product(2, (2, 0))
     # (s1)_2 = s1 (s1 + 1)

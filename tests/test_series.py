@@ -18,14 +18,13 @@ from deszeta.series import (
 from deszeta.cyclotomic import RootOfUnity, TrivialRootError
 
 
-def small_series(data, nvars=2, max_degree=3):
+def small_series(data, box=(3, 2)):
     coeffs = {}
-    exps = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
-    for e in exps:
+    for e in product(*(range(b + 1) for b in box)):
         q = data.draw(st.fractions(max_denominator=4))
         if q:
             coeffs[e] = q
-    return TruncatedSeries(nvars, max_degree, coeffs)
+    return TruncatedSeries(box, coeffs)
 
 
 @given(st.data())
@@ -46,7 +45,7 @@ def test_mul_associative(data):
 
 
 def test_truncation_drops_high_degree():
-    s = TruncatedSeries(2, 2, {(1, 1): Fraction(1)})
+    s = TruncatedSeries((1, 1), {(1, 1): Fraction(1)})
     sq = s * s
     assert sq.coefficient((2, 2)) == 0
     assert len(sq.coeffs) == 0
@@ -55,7 +54,7 @@ def test_truncation_drops_high_degree():
 def test_compose_linear_univariate():
     # substitute y = 2 t1 into 1 + y + y^2
     f = [Fraction(1), Fraction(1), Fraction(1)]
-    out = compose_linear(f, [Fraction(2)], 2)
+    out = compose_linear(f, [Fraction(2)], (2,))
     assert out.coefficient((0,)) == 1
     assert out.coefficient((1,)) == 2
     assert out.coefficient((2,)) == 4
@@ -64,25 +63,26 @@ def test_compose_linear_univariate():
 def test_compose_linear_two_vars():
     # y = t1 + t2 into y^2 gives the multinomial middle coefficient 2
     f = [Fraction(0), Fraction(0), Fraction(1)]
-    out = compose_linear(f, [Fraction(1), Fraction(1)], 2)
+    out = compose_linear(f, [Fraction(1), Fraction(1)], (2, 2))
     assert out.coefficient((1, 1)) == 2
     assert out.coefficient((2, 0)) == 1
 
 
 def test_build_H_r_rejects_trivial_roots():
     with pytest.raises(TrivialRootError):
-        build_H_r([RootOfUnity(3, 0)], [Fraction(1)], 2)
+        build_H_r([RootOfUnity(3, 0)], [Fraction(1)], (2,))
 
 
 def test_collapse_matches_E_product():
     # the exact c -> 1 limit of the c-parameterized product equals the
     # product built directly from the limit factors
-    for gammas in ([Fraction(1)], [Fraction(1), Fraction(1, 2)],
-                   [Fraction(2), Fraction(1), Fraction(1, 3)]):
+    for box, gammas in (((5,), [Fraction(1)]),
+                        ((3, 4), [Fraction(1), Fraction(1, 2)]),
+                        ((2, 3, 2), [Fraction(2), Fraction(1), Fraction(1, 3)])):
         r = len(gammas)
-        tilde = build_tilde_H(gammas, 5)
+        tilde = build_tilde_H(gammas, box)
         limit = collapse_tilde(tilde, r)
-        direct = build_E_product(gammas, 5)
+        direct = build_E_product(gammas, box)
         assert limit == direct
 
 
@@ -99,10 +99,10 @@ def test_collapse_refuses_a_coefficient_that_does_not_vanish_to_order_r():
     # (c - 1)^2 divides every coefficient of a depth-2 product, but not
     # (c - 1)^3; and 1 + c does not vanish at c = 1 at all
     with pytest.raises(ArithmeticError):
-        collapse_tilde(build_tilde_H([Fraction(1), Fraction(1)], 3), 3)
+        collapse_tilde(build_tilde_H([Fraction(1), Fraction(1)], (3, 3)), 3)
     one_plus_c = SPoly(1, {(0,): 1, (1,): 1})
     with pytest.raises(ArithmeticError):
-        collapse_tilde(TruncatedSeries(1, 1, {(0,): one_plus_c}), 1)
+        collapse_tilde(TruncatedSeries((1,), {(0,): one_plus_c}), 1)
 
 
 def test_root_sum_of_product_is_c_specialization():
@@ -110,11 +110,11 @@ def test_root_sum_of_product_is_c_specialization():
     # specializing the symbolic parameter at c must agree
     c = 3
     gammas = [Fraction(1), Fraction(2)]
-    tilde = build_tilde_H(gammas, 4)
+    tilde = build_tilde_H(gammas, (3, 4))
     total = None
     for a1 in range(1, c):
         for a2 in range(1, c):
-            h = build_H_r([RootOfUnity(c, a1), RootOfUnity(c, a2)], gammas, 4)
+            h = build_H_r([RootOfUnity(c, a1), RootOfUnity(c, a2)], gammas, (3, 4))
             total = h if total is None else total + h
     for e, coeff in total.coeffs.items():
         want = tilde.coefficient(e)
@@ -122,27 +122,39 @@ def test_root_sum_of_product_is_c_specialization():
 
 
 def test_box_truncation_drops_outside_terms():
-    s = TruncatedSeries(2, 4, {(1, 0): Fraction(1), (0, 1): Fraction(1)}, box=(1, 2))
+    s = TruncatedSeries((1, 2), {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     sq = s * s
     assert sq.coeffs == {(1, 1): 2, (0, 2): 1}
     assert sq.box == (1, 2)
 
 
 def test_box_mismatch_rejected():
-    a = TruncatedSeries(2, 3, {(1, 0): Fraction(1)}, box=(2, 2))
-    b = TruncatedSeries(2, 3, {(1, 0): Fraction(1)})
+    a = TruncatedSeries((2, 2), {(1, 0): Fraction(1)})
+    b = TruncatedSeries((2, 3), {(1, 0): Fraction(1)})
     assert a != b
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
-        TruncatedSeries(2, 3, box=(1,))
+        compose_linear([Fraction(1)], [Fraction(1), Fraction(1)], (2,))
+    with pytest.raises(TypeError):
+        a * Fraction(2)
 
 
 def _box_indices(box):
     return product(*(range(b + 1) for b in box))
 
+
+def _assert_restricts(boxed, larger):
+    # the boxed product is the larger-box product restricted to its box
+    assert set(boxed.coeffs) <= set(_box_indices(boxed.box))
+    for e in _box_indices(boxed.box):
+        assert boxed.coefficient(e) == larger.coefficient(e)
+
+
+# The reference box caps every variable at the total degree sum(box), so it
+# holds every exponent of total degree up to sum(box).
 
 @pytest.mark.parametrize("box, gammas", [
     ((5,), [Fraction(3)]),
@@ -152,13 +164,9 @@ def _box_indices(box):
     ((2, 2, 2, 2), [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2)]),
 ])
 def test_box_E_product_matches_total_degree(box, gammas):
-    degree = sum(box)
-    boxed = build_E_product(gammas, degree, box=box)
-    full = build_E_product(gammas, degree)
+    boxed = build_E_product(gammas, box)
     assert boxed.box == tuple(box)
-    for e in _box_indices(box):
-        assert boxed.coefficient(e) == full.coefficient(e)
-    assert set(boxed.coeffs) <= set(_box_indices(box))
+    _assert_restricts(boxed, build_E_product(gammas, (sum(box),) * len(box)))
 
 
 @pytest.mark.parametrize("box, roots, gammas", [
@@ -169,9 +177,5 @@ def test_box_E_product_matches_total_degree(box, gammas):
 ])
 def test_box_H_r_matches_total_degree(box, roots, gammas):
     xis = [RootOfUnity(c, a) for c, a in roots]
-    degree = sum(box)
-    boxed = build_H_r(xis, gammas, degree, box=box)
-    full = build_H_r(xis, gammas, degree)
-    for e in _box_indices(box):
-        assert boxed.coefficient(e) == full.coefficient(e)
-    assert set(boxed.coeffs) <= set(_box_indices(box))
+    boxed = build_H_r(xis, gammas, box)
+    _assert_restricts(boxed, build_H_r(xis, gammas, (sum(box),) * len(box)))

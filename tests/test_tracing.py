@@ -2,9 +2,12 @@
 
 The tracer wraps package functions and methods by name and raises
 LookupError for a name the package no longer has, so a refactor that
-renames or deletes one breaks every `perfbench/run.py --trace 1` run.
+renames or deletes one breaks every `perfbench/run.py --trace 1` run.  The
+series counters hang on methods the tracer wraps, so a traced table must
+still count products, built terms and read terms.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,12 +16,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_on_the_package():
+def _traced(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
-         "import deszeta, tracing; tracing.install(tracing.Tracer(), deszeta)"],
+         "import deszeta, tracing; tracer = tracing.Tracer(); "
+         "tracing.install(tracer, deszeta)\n" + code],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_tracer_installs_on_the_package():
+    proc = _traced("")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_series_products():
+    # the per-layer series counters hang on TruncatedSeries.__mul__ and
+    # .coefficient; a refactor of either must not silently zero them
+    proc = _traced(
+        "import json, contextlib, io\n"
+        "from deszeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['desing-values', '--r', '2', '--kmax', '2']) == 0\n"
+        "print(json.dumps(tracer.counts))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    for key in ("series.products", "series.terms_built", "series.terms_read"):
+        assert counts.get(key, 0) > 0, key

@@ -131,6 +131,24 @@ def test_zero_weight_rejected_by_table_routes(route):
 @pytest.mark.parametrize(
     "route",
     [
+        lambda: desing_value_exact((), []),
+        lambda: desing_value_oracle((), []),
+        lambda: desing_value_table(2, []),
+        lambda: twisted_multiple_bernoulli((), [], []),
+        lambda: twisted_multiple_bernoulli_table(2, [], []),
+        lambda: lerch_special_value((), [], []),
+    ],
+    ids=["exact", "oracle", "table", "twisted", "twisted-table", "lerch"],
+)
+def test_depth_zero_refused(route):
+    # an empty index has no product to read; every route refuses it alike
+    with pytest.raises(ValueError, match="^r must be positive$"):
+        route()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
         lambda g: desing_value_r2_closed(1, 1, *g),
         lambda g: double_twisted_closed(1, 1, RootOfUnity(3, 1), RootOfUnity(3, 1), g),
     ],
