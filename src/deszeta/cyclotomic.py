@@ -1,10 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_c) and twisted Bernoulli numbers.
 
-Elements are represented in the power basis 1, zeta, ..., zeta^(phi(c)-1)
-as integer numerators over one denominator, reduced (without division) by
-the monic c-th cyclotomic polynomial, so equality is structural.  All c-th
-roots of unity (primitive or not) live inside the single field Q(zeta_c),
-which is what the root-of-unity summation identities need.
+Elements are integer numerators over one denominator in the power basis
+1, zeta, ..., zeta^(phi(c)-1), reduced without division by the monic integer
+Phi_c, so equality is structural; inverses come from the Galois norm, and
+1/(1 - xi) for a root of unity xi from a closed form.  All c-th roots of
+unity (primitive or not) live inside the single field Q(zeta_c), which is
+what the root-of-unity summation identities need.
 """
 
 import cmath
@@ -36,74 +37,59 @@ class TrivialRootError(ValueError):
     """Raised when an operation requires a root of unity different from 1."""
 
 
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(num, den):
-    """Exact division with remainder of rational polynomials (dense lists)."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = Fraction(1) / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        factor = num[i + len(den) - 1] * inv_lead
-        q[i] = factor
-        if factor:
-            for j, d in enumerate(den):
-                num[i + j] -= factor * d
-    return q, _poly_trim(num)
-
-
 _PHI_LOCK = threading.Lock()
-_PHI_CACHE = {}
+_PHI_CACHE = {}  # c -> (Phi_c as a dense int list, its nonzero lower terms (j, a_j))
 
 
 def cyclotomic_polynomial(c):
-    """Monic c-th cyclotomic polynomial as a dense list of Fractions.
+    """Monic c-th cyclotomic polynomial as a dense list of ints.
 
-    Computed by exact division of x^c - 1 by the cyclotomic polynomials of
-    the proper divisors of c; results are cached.
+    Computed by exact integer division of x^c - 1 by the monic cyclotomic
+    polynomials of the proper divisors of c; results are cached.
     """
     if c < 1:
         raise ValueError("order must be positive")
     with _PHI_LOCK:
-        return _cyclotomic_locked(c)
+        return list(_cyclotomic_locked(c)[0])
 
 
 def _cyclotomic_locked(c):
-    if c in _PHI_CACHE:
-        return _PHI_CACHE[c]
-    num = [Fraction(-1)] + [Fraction(0)] * (c - 1) + [Fraction(1)]  # x^c - 1
-    for d in range(1, c):
-        if c % d == 0:
-            num, rem = _poly_divmod(num, _cyclotomic_locked(d))
-            assert not rem, "cyclotomic division must be exact"
-    _PHI_CACHE[c] = num
-    return num
-
-
-_MODULUS = {}  # c -> (phi(c), nonzero (j, a_j) of Phi_c = x^phi(c) + sum a_j x^j)
-
-
-def _modulus(c):
-    if c not in _MODULUS:
-        phi = cyclotomic_polynomial(c)
-        _MODULUS[c] = (len(phi) - 1, tuple((j, int(a)) for j, a in enumerate(phi[:-1]) if a))
-    return _MODULUS[c]
+    if c not in _PHI_CACHE:
+        num = [-1] + [0] * (c - 1) + [1]  # x^c - 1
+        for d in range(1, c):
+            if c % d == 0:
+                deg = len(_cyclotomic_locked(d)[0]) - 1
+                rem = _reduce(d, num)  # leaves the quotient by Phi_d in num[deg:]
+                assert not any(rem), "cyclotomic division must be exact"
+                num = num[deg:]
+        _PHI_CACHE[c] = (num, tuple((j, a) for j, a in enumerate(num[:-1]) if a))
+    return _PHI_CACHE[c]
 
 
 def _reduce(c, num):
-    """Integer list ``num`` (overwritten) mod the monic Phi_c, as phi(c) ints;
-    x^phi(c) = -sum a_j x^j folds each top term down without division."""
-    deg, low = _modulus(c)
+    """Integer list ``num`` mod the monic Phi_c, as phi(c) ints; x^phi(c) =
+    -sum a_j x^j folds each top term down without division.  ``num`` is
+    overwritten: from index phi(c) on it holds the quotient by Phi_c."""
+    if c not in _PHI_CACHE:
+        cyclotomic_polynomial(c)  # fills the cache
+    phi, low = _PHI_CACHE[c]
+    deg = len(phi) - 1
     for i in range(len(num) - 1, deg - 1, -1):
         top = num[i]
         if top:
             for j, a in low:
                 num[i - deg + j] -= top * a
     return num[:deg] + [0] * (deg - len(num))
+
+
+def _product(c, x, y):
+    """Integer numerators x * y reduced mod Phi_c."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                prod[j] += a * b
+    return _reduce(c, prod)
 
 
 @dataclass(frozen=True)
@@ -171,8 +157,7 @@ class CycloElement:
     @classmethod
     def root_power(cls, c, a):
         """zeta_c^a as a field element."""
-        a %= c
-        return cls(c, [0] * a + [1])
+        return cls._make(c, _reduce(c, [0] * (a % c) + [1]), 1)
 
     @classmethod
     def from_rational(cls, c, q):
@@ -217,35 +202,26 @@ class CycloElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num, i):
-                    prod[j] += a * b
-        return CycloElement._make(self.c, _reduce(self.c, prod), self.den * other.den)
+        return CycloElement._make(self.c, _product(self.c, self.num, other.num),
+                                  self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        (zeta -> zeta^k, k a unit mod c) over the rational norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.c)
-        phi = list(cyclotomic_polynomial(self.c))
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s_new = list(s0)
-            s_new += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s_new))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(s_new)
-        # r1 is a nonzero constant: gcd with the irreducible modulus
-        inv_const = Fraction(1) / r1[0]
-        return CycloElement(self.c, [x * inv_const for x in s1])
+        c, rest = self.c, [1]
+        for k in range(2, c):
+            if math.gcd(k, c) == 1:
+                conj = [0] * c
+                for j, a in enumerate(self.num):
+                    conj[j * k % c] += a
+                rest = _product(c, rest, _reduce(c, conj))
+        norm = _product(c, self.num, rest)[0]  # rational, so only the constant term
+        sign = 1 if norm > 0 else -1
+        return CycloElement._make(c, [sign * self.den * a for a in rest], sign * norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,6 +294,17 @@ def _require_nontrivial(xi):
         raise TrivialRootError("root of unity must differ from 1")
 
 
+def _inverse_one_minus(xi, order=None):
+    """1/(1 - xi) in Q(zeta_order) (default: xi's own order) for a nontrivial
+    root xi: -(1/m) sum_{k<m} k xi^k, valid whenever xi^m = 1 (here m = xi.c)."""
+    order = order or xi.c
+    step = xi.a * (order // xi.c)
+    num = [0] * order
+    for k in range(1, xi.c):
+        num[k * step % order] -= k
+    return CycloElement._make(order, _reduce(order, num), xi.c)
+
+
 _TB_LOCK = threading.Lock()
 _TB_CACHE = {}
 
@@ -335,7 +322,7 @@ def twisted_bernoulli(n, xi, order=None):
     with _TB_LOCK:
         table = _TB_CACHE.get(key)
         if table is None:
-            table = _TB_CACHE[key] = [(1 - xi.embed(order)).inverse()]
+            table = _TB_CACHE[key] = [_inverse_one_minus(xi, order)]
         if len(table) <= n:
             ratio = xi.embed(order) * table[0]  # z / (1 - z)
             while len(table) <= n:
@@ -349,11 +336,13 @@ def frobenius_euler(n, lam):
     """Frobenius-Euler number H_n(lambda) of (1 - lambda)/(e^t - lambda)."""
     if isinstance(lam, RootOfUnity):
         _require_nontrivial(lam)
+        inv = -_inverse_one_minus(lam)  # 1/(lam - 1)
         lam = lam.embed()
-    if lam == 1:
+    elif lam == 1:
         raise ValueError("Frobenius-Euler numbers require lambda != 1")
+    else:
+        inv = Fraction(1) / (lam - 1)
     check_index(n)
-    inv = (lam - 1).inverse() if isinstance(lam, CycloElement) else Fraction(1) / (lam - 1)
     table = [lam * 0 + 1]  # H_0 = 1 in the right ring
     for m in range(1, n + 1):
         acc = sum(table[k] * binomial(m, k) for k in range(m))
@@ -374,8 +363,7 @@ def negative_polylog(k, xi):
         # z d/dz [N/(1-z)^step] = (z N' (1-z) + step z N) / (1-z)^(step+1)
         z_deriv = SPoly(1, {e: e[0] * a for e, a in num.terms.items()})  # z N'
         num = z_deriv - z_deriv * z + z * num * step
-    root = xi.embed()
-    return num.evaluate((root,)) * ((1 - root).inverse() ** (k + 1))
+    return num.evaluate((xi.embed(),)) * _inverse_one_minus(xi) ** (k + 1)
 
 
 def root_sum_twisted(n, c):

@@ -178,11 +178,14 @@ class SPoly:
         if len(point) != self.r:
             raise ValueError("point needs %d coordinates, got %d" % (self.r, len(point)))
         out = 0
+        powers = [[x] for x in point]  # powers[k][p - 1] is point[k] ** p
         for e, a in self.terms.items():
             term = a
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    term = term * x
+            for x_powers, p in zip(powers, e):
+                if p > 0:
+                    while len(x_powers) < p:
+                        x_powers.append(x_powers[-1] * x_powers[0])
+                    term = term * x_powers[p - 1]
             out = out + term
         return out
 

@@ -39,6 +39,8 @@ class TruncatedSeries:
         self.coeffs = {}
         if coeffs:
             for e, v in coeffs.items():
+                if len(e) != len(self.box):
+                    raise ValueError("exponent %r needs %d entries" % (tuple(e), len(self.box)))
                 if v and all(map(le, e, self.box)):
                     self.coeffs[tuple(e)] = v
 

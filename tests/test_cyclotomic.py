@@ -1,14 +1,15 @@
 """Cyclotomic arithmetic and twisted Bernoulli numbers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deszeta import cyclotomic
 from deszeta.cyclotomic import (
     CycloElement,
-    _poly_divmod,
     OrderMismatchError,
     RootOfUnity,
     TrivialRootError,
@@ -81,12 +82,16 @@ def test_element_inverse(c, data):
 
 def fraction_route(c, poly):
     """Rational coefficients reduced by Fraction division with remainder by
-    Phi_c, padded to phi(c): the reference for the integer representation."""
+    the monic Phi_c, padded to phi(c): the reference for the integer
+    representation."""
     modulus = cyclotomic_polynomial(c)
+    deg = len(modulus) - 1
     poly = [Fraction(x) for x in poly]
-    if len(poly) >= len(modulus):
-        _, poly = _poly_divmod(poly, modulus)
-    return tuple(poly + [Fraction(0)] * (len(modulus) - 1 - len(poly)))
+    for i in range(len(poly) - 1, deg - 1, -1):
+        top = poly.pop()
+        for j, a in enumerate(modulus[:-1]):
+            poly[i - deg + j] -= top * a
+    return tuple(poly + [Fraction(0)] * (deg - len(poly)))
 
 
 def fraction_product(x, y):
@@ -151,6 +156,26 @@ def test_element_arithmetic_matches_fraction_route(vectors, q):
         assert_canonical(inv)
         one = fraction_route(c, [1])
         assert fraction_route(c, fraction_product(inv.coeffs, x.coeffs)) == one
+
+
+@pytest.mark.parametrize("c", [97, 420])
+def test_dense_element_inverse(c):
+    # the Galois norm inverts a dense element of a degree-96 field quickly
+    rng = random.Random(c)
+    x = CycloElement(c, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(phi(c))])
+    assert x * x.inverse() == 1
+
+
+def test_closed_form_matches_generic_inverse():
+    # 1/(1 - xi) by the closed form, for every root of order c <= 30,
+    # primitive or not, in its own field and embedded in orders 2c and 3c
+    for c in range(2, 31):
+        for a in range(1, c):
+            xi = RootOfUnity(c, a)
+            for order in (c, 2 * c, 3 * c):
+                want = (1 - xi.embed(order)).inverse()
+                assert cyclotomic._inverse_one_minus(xi, order) == want
 
 
 def test_element_division_by_zero():
@@ -231,13 +256,13 @@ def test_twisted_bernoulli_cache_hit_skips_inverse(monkeypatch):
     xi = RootOfUnity(7, 3)
     first = twisted_bernoulli(6, xi)
     calls = []
-    original = CycloElement.inverse
+    original = cyclotomic._inverse_one_minus
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(CycloElement, "inverse", counting)
+    monkeypatch.setattr(cyclotomic, "_inverse_one_minus", counting)
     assert twisted_bernoulli(6, xi) == first
     assert twisted_bernoulli(2, xi) == twisted_bernoulli(2, xi)
     assert calls == []

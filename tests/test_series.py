@@ -142,6 +142,16 @@ def test_box_mismatch_rejected():
         a * Fraction(2)
 
 
+def test_exponent_length_must_match_box():
+    with pytest.raises(ValueError):
+        TruncatedSeries((2,), {(1, 5): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries((2, 2), {(1,): 1})
+    # a zero coefficient is dropped, but its key is still checked
+    with pytest.raises(ValueError):
+        TruncatedSeries((2,), {(0, 0): 0})
+
+
 def _box_indices(box):
     return product(*(range(b + 1) for b in box))
 

@@ -46,3 +46,22 @@ def test_tracer_counts_series_products():
     counts = json.loads(proc.stdout)
     for key in ("series.products", "series.terms_built", "series.terms_read"):
         assert counts.get(key, 0) > 0, key
+
+
+def test_traced_table_reads_phi_once_and_never_inverts():
+    # 1/(1 - xi) comes from its closed form and Phi_c from one cache per c,
+    # so a table over Q(zeta_12) multiplies but never calls the generic
+    # inverse, and looks Phi up at most once per divisor of 12
+    proc = _traced(
+        "import json, contextlib, io\n"
+        "from deszeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['multi-bernoulli', '--r', '2', '--c', '12',\n"
+        "                     '--a-list', '1,5', '--max', '3']) == 0\n"
+        "print(json.dumps(tracer.counts))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts.get("cyclotomic.mul_calls", 0) > 0
+    assert counts.get("cyclotomic.inverse_calls", 0) == 0
+    assert counts.get("cyclotomic.phi_lookups", 0) <= 6
