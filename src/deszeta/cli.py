@@ -18,7 +18,7 @@ from .cyclotomic import RootOfUnity, twisted_bernoulli
 from .exact import bernoulli_number, format_rational
 from .numeric import ToleranceError, desing1, desing2
 from .values import desing_value_table, twisted_multiple_bernoulli_table
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -210,7 +210,7 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--suite", choices=("all", "exact", "numeric"), default="all")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -2,8 +2,9 @@
 
 Each check returns (worst_deviation, passed).  The exact suite exercises the
 identities that tie the independent construction routes together; the numeric
-suite exercises the analytic continuation against closed-form targets.  The
-CLI "verify" subcommand and the acceptance tests both run these.
+suite exercises the analytic continuation against closed-form targets.
+``SUITES`` is the one list of checks: the CLI "verify" subcommand runs them,
+and the acceptance gate runs the exact then the numeric ones as criteria 01-11.
 """
 
 import math
@@ -17,6 +18,7 @@ from .numeric import desing2, double_zeta_direct, hurwitz_zeta, riemann_zeta
 from .series import build_tilde_H
 from .values import (
     desing_value_exact,
+    desing_value_r2_closed,
     desing_value_table,
     double_twisted_closed,
     twisted_multiple_bernoulli_table,
@@ -134,23 +136,26 @@ def check_root_pair_sum():
     return float(bad), bad == 0
 
 
+# three weight samples per depth r = 1..3 for the desingularized-value routes
+DESING_SAMPLES = {
+    1: [(Fraction(1),), (Fraction(1, 2),), (Fraction(3),)],
+    2: [(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3)),
+        (Fraction(2), Fraction(1, 3))],
+    3: [(Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(1, 2), Fraction(3), Fraction(1)),
+        (Fraction(2), Fraction(1, 3), Fraction(1, 5))],
+}
+
+
 def check_desing_routes():
     """Desingularized values at non-positive integers: the matrix-enumeration
     route equals the limit-product table (the one the CLI prints) for
-    r <= 3, all indices <= 4, at three weight samples."""
-    samples = {
-        1: [(Fraction(1),), (Fraction(1, 2),), (Fraction(3),)],
-        2: [(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3)),
-            (Fraction(2), Fraction(1, 3))],
-        3: [(Fraction(1), Fraction(1), Fraction(1)),
-            (Fraction(1, 2), Fraction(3), Fraction(1)),
-            (Fraction(2), Fraction(1, 3), Fraction(1, 5))],
-    }
+    r <= 3, all indices <= 4, at the three weight samples of DESING_SAMPLES."""
     bad = 0
     for r in (1, 2, 3):
-        for gammas in samples[r]:
-            for k, oracle in desing_value_table(4, gammas).items():
-                if desing_value_exact(k, gammas) != oracle:
+        for gammas in DESING_SAMPLES[r]:
+            for k, want in desing_value_table(4, gammas).items():
+                if desing_value_exact(k, gammas) != want:
                     bad += 1
     return float(bad), bad == 0
 
@@ -204,8 +209,6 @@ def check_cross_engine():
     """Numeric continuation at the non-positive integer grid against the
     exact convolution values, to 1e-6; every grid point sits on singular
     hyperplanes of the individual terms."""
-    from .values import desing_value_r2_closed
-
     worst = 0.0
     for k in range(4):
         for l in range(4):
@@ -249,10 +252,6 @@ SUITES = {
 def run_suite(name):
     """Run one suite ("exact", "numeric") or "all"; returns a list of
     (check_id, worst_deviation, passed) in check-id order."""
-    if name == "all":
-        checks = SUITES["exact"] + SUITES["numeric"]
-    elif name in SUITES:
-        checks = SUITES[name]
-    else:
-        raise KeyError(name)
+    names = list(SUITES) if name == "all" else [name]
+    checks = [check for n in names for check in SUITES[n]]
     return [(cid, *fn()) for cid, fn in sorted(checks)]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from deszeta import verify
 from deszeta.cli import main
 
 
@@ -183,10 +184,42 @@ def test_verify_exact_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "exact")
     assert code == 0
     lines = [l for l in out.splitlines() if l.strip()]
-    assert len(lines) == 7
+    assert len(lines) == len(verify.SUITES["exact"])
     assert all("PASS" in l for l in lines)
     # deterministic ordering by check id
     assert lines == sorted(lines)
+
+
+def _break_frozen_table(monkeypatch):
+    monkeypatch.setitem(verify.FROZEN_GROUPS, 1, {(0,): {(0,): 1, (1,): 1}})
+
+
+def _shift_desing2(monkeypatch):
+    real = verify.desing2
+
+    def shifted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        # off by 1e-5 at right angles to the real targets, so the checks'
+        # own rounding error cannot cancel part of the shift
+        result.value += 1e-5j
+        return result
+
+    monkeypatch.setattr(verify, "desing2", shifted)
+
+
+@pytest.mark.parametrize("suite, breakage, failing, least", [
+    ("exact", _break_frozen_table, ["exact-01-frozen-tables"], 1.0),
+    ("numeric", _shift_desing2, ["numeric-02-value-table", "numeric-03-cross-engine",
+                                 "numeric-04-regular-point"], 1e-5),
+], ids=["exact", "numeric"])
+def test_verify_reports_a_broken_check(capsys, monkeypatch, suite, breakage, failing, least):
+    breakage(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 1
+    rows = [line.split() for line in out.splitlines()]
+    assert [cid for cid, status, _ in rows if status == "FAIL"] == failing
+    worst = {cid: float(w[len("worst="):]) for cid, _, w in rows}
+    assert all(worst[cid] >= least for cid in failing)
 
 
 def test_verify_bad_suite(capsys):

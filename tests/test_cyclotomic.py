@@ -16,10 +16,8 @@ from deszeta.cyclotomic import (
     cyclotomic_polynomial,
     frobenius_euler,
     negative_polylog,
-    root_sum_twisted,
     twisted_bernoulli,
 )
-from deszeta.exact import bernoulli_number
 
 
 def phi(c):
@@ -243,13 +241,6 @@ def test_frobenius_euler_rational_argument():
     assert frobenius_euler(1, Fraction(-1)) == Fraction(-1, 2)
     assert frobenius_euler(2, Fraction(-1)) == 0
     assert frobenius_euler(3, Fraction(-1)) == Fraction(1, 4)
-
-
-def test_root_sum_identity():
-    for c in range(2, 7):
-        for n in range(8):
-            want = (1 - Fraction(c) ** (n + 1)) * bernoulli_number(n + 1) / (n + 1)
-            assert root_sum_twisted(n, c) == want
 
 
 def test_twisted_bernoulli_cache_hit_skips_inverse(monkeypatch):

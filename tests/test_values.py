@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from deszeta.cyclotomic import RootOfUnity, frobenius_euler, negative_polylog, twisted_bernoulli
-from deszeta.exact import bernoulli_number
 from deszeta.values import (
     desing_value_exact,
     desing_value_oracle,
@@ -74,12 +73,6 @@ def test_length_mismatch_rejected():
         twisted_multiple_bernoulli((1, 2), (xi,), (Fraction(1),))
     with pytest.raises(ValueError):
         desing_value_exact((1, 2), (Fraction(1),))
-
-
-def test_desing_depth_one_is_bernoulli():
-    for k in range(13):
-        want = Fraction((-1) ** k) * bernoulli_number(k + 1)
-        assert desing_value_exact((k,), (Fraction(1),)) == want
 
 
 def test_desing_depth_two_frozen_values():
