@@ -1,10 +1,12 @@
 """Numeric evaluation of the desingularized double zeta.
 
-Every point in the plane is reachable: regular points sum the three-term
-combination directly, while points on the singular hyperplanes of the
-individual terms are recovered by approaching along a generic direction and
-extrapolating.  The script compares against closed-form targets and against
-the exact rational values at non-positive integers.
+Regular points sum the three-term combination directly.  So do the points
+with s2 = -l, l >= 2: there every term is a finite sum of single zetas, and
+the value is exact, on the singular hyperplanes s1 + s2 = -k - l too.  The
+other points on the singular hyperplanes of the individual terms are
+recovered by approaching along a generic direction and extrapolating.  The
+script compares against closed-form targets and against the exact rational
+values at non-positive integers.
 """
 
 from deszeta import desing2, desing_value_r2_closed, riemann_zeta
@@ -25,19 +27,22 @@ for (s1, s2), want, label in targets:
           % (s1, s2, r.value.real, label, abs(r.value - want), r.method))
 print()
 
-print("Cancellation at the non-positive integer grid: the continued value")
-print("must land on the exact rational from the convolution formula, even")
-print("though each individual term of the combination is singular there.")
+print("The non-positive integer grid: the continued value must land on the")
+print("exact rational from the convolution formula.  With l >= 2 the terms are")
+print("sums of single zetas and are summed exactly; with l <= 1 a shifted term")
+print("is singular there and the value is extrapolated.")
 for k in range(4):
     for l in range(4):
         exact = desing_value_r2_closed(k, l, 1, 1)
         r = desing2(-k, -l)
         dev = abs(r.value - float(exact))
-        print("  (-%d, -%d): %+.10f  exact %-10s dev %.1e" % (k, l, r.value.real, exact, dev))
+        print("  (-%d, -%d): %+.10f  exact %-10s dev %.1e  %s"
+              % (k, l, r.value.real, exact, dev, r.method))
 print()
 
 print("Error estimates travel with every result:")
-r = desing2(3, 4)
-print("  regular point (3, 4):   value %+.14f, err %.1e" % (r.value.real, r.err_estimate))
-r = desing2(-2, -2)
-print("  singular grid (-2, -2): value %+.14f, err %.1e" % (r.value.real, r.err_estimate))
+for label, point in (("regular point", (3, 4)), ("exact grid", (-2, -2)),
+                     ("singular grid", (-2, -1))):
+    r = desing2(*point)
+    print("  %-13s %-9s value %+.14f, err %.1e, %s"
+          % (label, "(%d, %d):" % point, r.value.real, r.err_estimate, r.method))

@@ -4,11 +4,11 @@ Continuation strategy: everything is built on a single Euler-Maclaurin
 Hurwitz-zeta kernel.  The double zeta is reduced to an outer sum of Hurwitz
 values; its tail is accelerated by substituting the asymptotic expansion of
 the inner Hurwitz zeta and re-expanding binomially, which turns the tail
-into a finite combination of shifted Hurwitz values.  At points on (or
-near) the singular hyperplanes of the individual terms, the desingularized
-combination is recovered by shifting along a generic direction and Neville
-extrapolation in the shift size; the combination itself is entire, so the
-limit exists and low-order polynomial extrapolation converges quickly.
+into a finite combination of shifted Hurwitz values; at s2 = -n the inner
+zeta is a Bernoulli polynomial, which leaves single zetas.  At points on (or
+near) the singular hyperplanes of the terms' routes, the entire
+desingularized combination is recovered by shifting along a generic
+direction and Neville extrapolation in the shift size.
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -46,7 +46,6 @@ _TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
 _REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion " \
     "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
-_SINGULAR_DEPTH = 40  # singularity_distance checks s1 + s2 down to -40
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 
@@ -226,13 +225,16 @@ def riemann_zeta(s):
 
 
 def singularity_distance(s1, s2):
-    """Distance of (s1, s2) to the singular locus of the double zeta:
-    s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...} (down to -40)."""
+    """Distance of (s1, s2) to the singular locus of double_zeta's route:
+    s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...}, down to the tail's reach
+    2 - _TAIL_ORDER, or at s2 = -n to the last pole 1 - n of its zeta(s1 - i)."""
     s1 = complex(s1)
     s2 = complex(s2)
+    n = _is_nonpositive_int(s2)
+    bottom = 2 - _TAIL_ORDER if n is None else 1 - n
     best = SingularityReport("s2=1", abs(s2 - 1))
     w = s1 + s2
-    for v in [2, 1, 0] + list(range(-2, -_SINGULAR_DEPTH - 1, -2)):
+    for v in (2, 1, *range(0, bottom - 1, -2)):
         d = abs(w - v) / math.sqrt(2)
         if d < best.distance:
             best = SingularityReport("s1+s2=%d" % v, d)
@@ -240,11 +242,8 @@ def singularity_distance(s1, s2):
 
 
 def _is_nonpositive_int(z, eps=1e-12):
-    z = complex(z)
-    n = round(z.real)
-    if n <= 0 and abs(z - n) < eps:
-        return -n
-    return None
+    n = round(complex(z).real)
+    return -n if n <= 0 and abs(z - n) < eps else None
 
 
 def _within_reach(s1, s2):
@@ -252,19 +251,19 @@ def _within_reach(s1, s2):
     return (s1 + s2).real > 2 - _TAIL_ORDER
 
 
-
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     """Generalized Euler-Zagier double zeta, analytically continued.
 
-    The evaluation point must stay off the singular hyperplanes.  When s2
-    is a non-positive integer the inner Hurwitz zeta collapses to a
-    Bernoulli polynomial and the value reduces exactly to a finite
-    combination of single zetas; otherwise the outer sum is split into a
-    Hurwitz head and a binomially re-expanded Euler-Maclaurin tail.  The
-    head has about (|s2| + 22) / (2 pi |gamma1/gamma2|) terms; a weight
-    ratio so small that it would need more than _HEAD_MAX terms even at
-    s2 = 0 raises ContinuationReachError (a head lengthened by a large |s2|
-    alone is summed), and so does a tail that overflows double precision.
+    At s2 = -n the inner Hurwitz zeta is a Bernoulli polynomial, and the
+    value is that of s1 -> zeta_2(s1, -n), a finite sum of single zetas
+    finite off that line's own poles; otherwise a Hurwitz head of about
+    (|s2| + 22) / (2 pi |gamma1/gamma2|) terms meets a binomially
+    re-expanded Euler-Maclaurin tail.  On its route's singular hyperplanes
+    (singularity_distance) the point raises SingularPointError.  A weight
+    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
+    alone is summed), a tail overflowing double precision and a point beyond
+    the tail's reach, on a deep hyperplane too, raise ContinuationReachError;
+    both errors are ValueErrors.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -494,16 +493,18 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
 
     Off the singular hyperplanes of the individual terms the combination is
     summed directly.  On or near them the point is approached along the
-    generic direction (1, 1/golden_ratio) with geometrically shrinking
-    shifts and the limit taken by Neville extrapolation; entireness of the
-    combination guarantees the limit exists.  Too few usable shifted points
-    raise ToleranceError, naming the reach when they lie beyond it.
+    generic direction (1, 1/golden_ratio) with 7 shifts halving from eps0
+    and the limit taken by Neville extrapolation; entireness of the
+    combination guarantees the limit exists.  With eps0 in [2^-10, 1], fewer
+    than 4 usable shifts (ToleranceError) occur only beyond the tail's reach.
     """
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
+    if not 2**-10 <= eps0 <= 1:
+        raise ValueError("eps0 must lie in [2^-10, 1]")
     with _naming_point(s1, s2):
         return _desing2_at(s1, s2, g1, g2, tol, eps0)
 
@@ -515,21 +516,15 @@ def _desing2_at(s1, s2, g1, g2, tol, eps0):
 
     d1, d2 = 1.0, 1.0 / _GOLDEN
     xs, ys = [], []
-    worst = None
     for k in range(_NEVILLE_STEPS):
         eps = eps0 * 2.0**-k
         p1, p2 = s1 + eps * d1, s2 + eps * d2
-        if not _desing2_evaluable(p1, p2):
-            worst = (p1, p2)
-            continue
-        total, _ = _desing2_combination(p1, p2, g1, g2, tol)
-        xs.append(eps)
-        ys.append(total)
+        if _desing2_evaluable(p1, p2):
+            total, _ = _desing2_combination(p1, p2, g1, g2, tol)
+            xs.append(eps)
+            ys.append(total)
     if len(xs) < 4:
-        if not _within_reach(*worst):
-            raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
-        raise ToleranceError(
-            "extrapolation grid unusable; worst shifted point %r" % (worst,)
-        )
+        # the shifts leave their starting hyperplane and cross one per family at most
+        raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
     value, correction = neville_extrapolate(xs, ys)
     return EvalResult(value, correction, "extrapolated")

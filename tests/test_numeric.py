@@ -22,7 +22,7 @@ from deszeta.numeric import (
     riemann_zeta,
     singularity_distance,
 )
-from deszeta.values import desing_value_exact
+from deszeta.values import desing_value_exact, desing_value_r2_closed
 
 
 class TestHurwitzKernel:
@@ -142,6 +142,14 @@ class TestDoubleZeta:
         with pytest.raises(SingularPointError):
             double_zeta(0.5, 1.0)
 
+    def test_polynomial_route_on_a_tail_hyperplane(self):
+        # s1 + s2 = -6 is singular for the tail route only: at s2 = -2 the
+        # value is that of s1 -> zeta_2(s1, -2) =
+        # -(2 zeta(s1 - 3) + 3 zeta(s1 - 2) + zeta(s1 - 1)) / 6
+        assert abs(double_zeta(-4, -2).value + 11 / 15120) < 1e-18
+        with pytest.raises(SingularPointError):
+            double_zeta(-3.5, -2.5)
+
     def test_reach_guard(self):
         with pytest.raises(ContinuationReachError):
             double_zeta(-20.0, -10.5)
@@ -208,6 +216,12 @@ class TestSingularityDistance:
 
     def test_regular_point(self):
         assert singularity_distance(3, 4).distance > 1
+
+    def test_locus_follows_the_route(self):
+        # at s2 = -2 the polynomial route's last pole is at s1 + s2 = -1
+        assert singularity_distance(-4, -2).distance >= 1 / math.sqrt(2)
+        assert singularity_distance(-3.5, -2.5).distance == 0  # tail route
+        assert singularity_distance(3, -2).distance == 0  # pole of zeta(s1 - 2)
 
 
 class TestNeville:
@@ -290,6 +304,26 @@ class TestDesing:
         with pytest.raises(ValueError):
             desing2(2, 3, 0.0, 1.0)
 
+    @pytest.mark.parametrize("eps0", [1e-5, 2.0])
+    def test_eps0_outside_the_usable_range_rejected(self, eps0):
+        # below 2^-10 the smallest shifts stay within 1e-6 of the starting
+        # hyperplane; above 1 the shifts can cross several hyperplanes
+        with pytest.raises(ValueError, match="eps0"):
+            desing2(-1, -1, eps0=eps0)
+
+    @pytest.mark.parametrize("weights", [(1, 1), (Fraction(2, 3), Fraction(3, 2))])
+    def test_integer_s2_grid_summed_directly(self, weights):
+        # at s2 = -l with l >= 2 all three shifted s2 are non-positive
+        # integers: every term is a finite sum of single zetas, and the
+        # combination is summed exactly, on the hyperplanes s1 + s2 = -k - l too
+        g1, g2 = (float(g) for g in weights)
+        for k in range(6):
+            for l in range(2, 6):
+                got = desing2(-k, -l, g1, g2)
+                want = float(desing_value_r2_closed(k, l, *weights))
+                assert got.method == "euler_maclaurin"
+                assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
+
     def test_beyond_reach_named(self):
         # every shifted point of the extrapolation lies beyond the tail's reach
         with pytest.raises(ToleranceError, match=r"Re\(s1\+s2\)=-20\.2 .*Re\(s1\+s2\) > -14"):
@@ -310,7 +344,8 @@ def _count_hurwitz(monkeypatch):
 
 
 class TestHurwitzMemo:
-    @pytest.mark.parametrize("point, most", [((-3, -3), 427), ((3, 4), 60)])
+    # (-3, -1) is extrapolated: a shifted s2 lands on 1
+    @pytest.mark.parametrize("point, most", [((-3, -1), 427), ((3, 4), 60)])
     def test_call_count(self, monkeypatch, point, most):
         calls = _count_hurwitz(monkeypatch)
         desing2(*point)

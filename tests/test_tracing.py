@@ -65,3 +65,18 @@ def test_traced_table_reads_phi_once_and_never_inverts():
     assert counts.get("cyclotomic.mul_calls", 0) > 0
     assert counts.get("cyclotomic.inverse_calls", 0) == 0
     assert counts.get("cyclotomic.phi_lookups", 0) <= 6
+
+
+def test_tracer_reaches_calls_under_the_memo():
+    # desing2(-3, -1) is extrapolated: 945 hurwitz_zeta calls, of which the
+    # per-combination memo answers all but 427; the tracer must see them all
+    proc = _traced(
+        "import json, deszeta\n"
+        "deszeta.desing2(-3, -1)\n"
+        "calls, _ = tracing.summarize(tracer)\n"
+        "print(json.dumps(calls))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["numeric.desing2"] == 1
+    assert calls["numeric.hurwitz_zeta"] == 945
