@@ -321,14 +321,16 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
             "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
         )
     M = max(8, int(math.ceil(span / abs(beta))))
-    pref = g1 ** (-s1) * g2 ** (-s2)
+    g2_s2 = g2 ** (-s2)
+    pref = g1 ** (-s1) * g2_s2
 
     head = 0j
     err = 0.0
     for m in range(1, M + 1):
         z = hurwitz_zeta(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
-        head += (m * g1) ** (-s1) * g2 ** (-s2) * z.value
-        err += abs((m * g1) ** (-s1) * g2 ** (-s2)) * z.err_estimate
+        weight = (m * g1) ** (-s1) * g2_s2
+        head += weight * z.value
+        err += abs(weight) * z.err_estimate
 
     # asymptotic expansion of the inner zeta at x = 1 + beta m:
     # sum over branches w with x^{-w}; branch list (w, c_w)
