@@ -48,6 +48,7 @@ _REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion
     "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
+_TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 
 
 @dataclass
@@ -258,12 +259,14 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     value is that of s1 -> zeta_2(s1, -n), a finite sum of single zetas
     finite off that line's own poles; otherwise a Hurwitz head of about
     (|s2| + 22) / (2 pi |gamma1/gamma2|) terms meets a binomially
-    re-expanded Euler-Maclaurin tail.  On its route's singular hyperplanes
-    (singularity_distance) the point raises SingularPointError.  A weight
-    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
-    alone is summed), a tail overflowing double precision and a point beyond
-    the tail's reach, on a deep hyperplane too, raise ContinuationReachError;
-    both errors are ValueErrors.
+    re-expanded Euler-Maclaurin tail, truncated where tol allows: each
+    omitted piece is bounded over every m beyond the head and kept below
+    _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz values).  On
+    its route's singular hyperplanes (singularity_distance) the point raises
+    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
+    even at s2 = 0 (a large |s2| alone is summed), a tail overflowing double
+    precision and a point beyond the tail's reach, on a deep hyperplane too,
+    raise ContinuationReachError; both errors are ValueErrors.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -308,6 +311,11 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
 
 
 def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
+    """Hurwitz head m <= M plus the re-expanded tail m > M.  tol sets the
+    tail truncation: a branch is dropped whole, or cut once its terms
+    halve, where the bound on what is omitted, summed over every m > M, is
+    at most _TAIL_BUDGET * tol; the caps K and _TAIL_ORDER keep their
+    proxies, taken at m = M + 1."""
     # Head length: the binomial re-expansion needs |beta (M+1)| comfortably
     # above 1 and the asymptotic expansion of the inner zeta must be valid at
     # x = 1 + beta(M+1).  Keep M as small as those constraints allow: the
@@ -332,14 +340,17 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
         head += weight * z.value
         err += abs(weight) * z.err_estimate
 
-    # asymptotic expansion of the inner zeta at x = 1 + beta m:
-    # sum over branches w with x^{-w}; branch list (w, c_w)
+    # asymptotic expansion of the inner zeta at x = 1 + beta m: branches w
+    # with x^{-w}, branch list (w, c_w); re-expanded binomially in 1/(beta m),
+    # the term j of branch w is c_w C(-w, j) pref beta^(1-s2-p) times
+    # zeta(s1 + s2 - 1 + p, M + 1), p = w - (s2 - 1) + j: summed over m > M
     branches = [(s2 - 1, 1.0 / (s2 - 1)), (s2, 0.5 + 0j)]
     coefs = _em_coefficients(s2)
     for k in range(1, K + 1):
         branches.append((s2 + 2 * k - 1, next(coefs)))
     x0 = abs(1 + beta * (M + 1))
-    # magnitude of the first omitted asymptotic order, as the tail error proxy
+    # magnitude of the first omitted asymptotic order at m = M + 1, as the
+    # tail error proxy
     k = K + 1
     err += (
         abs(next(coefs))
@@ -348,28 +359,50 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
         * (M + 1) ** (-s1.real)
     )
 
+    # truncation: each omitted piece (a branch's binomial rest, or a whole
+    # branch) is bounded over every m > M and kept within _TAIL_BUDGET * tol
+    ratio = 1.0 / abs(beta * (M + 1))  # below 2 pi / 22 by the choice of M
+    base = s1 + s2 - 1
+    scale = beta ** (1 - s2)
+    budget = _TAIL_BUDGET * tol
+
     # collect by the integer offset p: all branch/binomial products with the
     # same total shift hit the same zeta argument s1 + s2 - 1 + p, and the
     # grouped coefficient is what cancels at the regular integer offsets
-    ratio = 1.0 / abs(beta * (M + 1))
     groups = {}
     for w, c in branches:
         delta = round((w - (s2 - 1)).real)  # exact integer by construction
+        # |c_w C(-w, j)| bound bounds term j from order j0 on, where sigma =
+        # Re(base + p) >= 3/2: |zeta(base + p, M + 1)| <= sum_{m>M} m^-sigma,
+        # and the bound shrinks at least by ratio per order
+        j0 = max(0, math.ceil(1.5 - base.real) - delta)
+        sigma = base.real + delta + j0
+        bound = abs(pref * scale * beta ** -(delta + j0)) * (M + 1) ** -sigma \
+            * (1 + (M + 1) / (sigma - 1))
+        # the whole branch: sum_j |C(-w, j)| ratio^j <= (1 - ratio)^-|w|
+        whole = abs(c) * bound * (1 - ratio) ** -abs(w)
+        if j0 == 0 and whole <= budget:
+            err += whole
+            continue
+        # from order `start` on ratio (|w| + j) <= (j + 1) / 2: every term at
+        # least halves, and twice the first omitted one bounds the rest
+        start = max(j0, math.ceil((ratio * abs(w) - 0.5) / (0.5 - ratio)))
         bin_c = 1.0 + 0j
         for j in range(_TAIL_ORDER + 1):
             if j > 0:
                 bin_c *= (-w - (j - 1)) / j
+            if j > j0:
+                bound *= ratio
             p = delta + j
-            contrib = c * bin_c
-            if abs(contrib) * ratio**j < 1e-305:
+            if j >= start and 2 * abs(c * bin_c) * bound <= budget:
+                err += 2 * abs(c * bin_c) * bound
                 break
-            groups[p] = groups.get(p, 0j) + contrib
-        # binomial truncation proxy for this branch
-        err += abs(c * bin_c) * ratio ** (_TAIL_ORDER + 1) * abs(pref) * x0 ** (-(w.real))
+            groups[p] = groups.get(p, 0j) + c * bin_c
+        else:
+            # binomial truncation proxy at the cap, taken at m = M + 1 only
+            err += abs(c * bin_c) * ratio ** (_TAIL_ORDER + 1) * abs(pref) * x0 ** (-(w.real))
 
     tail = 0j
-    base = s1 + s2 - 1
-    scale = beta ** (1 - s2)
     for p in sorted(groups):
         coeff = groups[p] * scale * beta ** (-p)
         arg = base + p
@@ -499,6 +532,8 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     and the limit taken by Neville extrapolation; entireness of the
     combination guarantees the limit exists.  With eps0 in [2^-10, 1], fewer
     than 4 usable shifts (ToleranceError) occur only beyond the tail's reach.
+    tol is passed to every double zeta, where it also sets how far the tail
+    re-expansion is carried.
     """
     s1 = complex(s1)
     s2 = complex(s2)

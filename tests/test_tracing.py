@@ -16,12 +16,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _traced(code):
+def _traced(code, before=""):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     return subprocess.run(
         [sys.executable, "-c",
-         "import deszeta, tracing; tracer = tracing.Tracer(); "
+         before + "import deszeta, tracing; tracer = tracing.Tracer(); "
          "tracing.install(tracer, deszeta)\n" + code],
         env=env, capture_output=True, text=True, timeout=120,
     )
@@ -68,15 +68,28 @@ def test_traced_table_reads_phi_once_and_never_inverts():
 
 
 def test_tracer_reaches_calls_under_the_memo():
-    # desing2(-3, -1) is extrapolated: 945 hurwitz_zeta calls, of which the
-    # per-combination memo answers all but 427; the tracer must see them all
+    # desing2(-3, -1) is extrapolated, and the per-combination memo answers
+    # most of its hurwitz_zeta calls without a kernel evaluation; the tracer
+    # must count every call, as a counter installed beneath it does
     proc = _traced(
-        "import json, deszeta\n"
         "deszeta.desing2(-3, -1)\n"
         "calls, _ = tracing.summarize(tracer)\n"
-        "print(json.dumps(calls))\n"
+        "print(json.dumps([calls, counted]))\n",
+        before=(
+            "import json\n"
+            "from deszeta import numeric\n"
+            "counted = dict.fromkeys(('hurwitz_zeta', '_hurwitz_kernel'), 0)\n"
+            "def count(name, original):\n"
+            "    def counting(*args, **kwargs):\n"
+            "        counted[name] += 1\n"
+            "        return original(*args, **kwargs)\n"
+            "    return counting\n"
+            "for name in counted:\n"
+            "    setattr(numeric, name, count(name, getattr(numeric, name)))\n"
+        ),
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    calls, counted = json.loads(proc.stdout)
     assert calls["numeric.desing2"] == 1
-    assert calls["numeric.hurwitz_zeta"] == 945
+    assert calls["numeric.hurwitz_zeta"] == counted["hurwitz_zeta"]
+    assert counted["hurwitz_zeta"] > counted["_hurwitz_kernel"] > 0
