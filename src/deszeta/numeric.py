@@ -259,14 +259,15 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     value is that of s1 -> zeta_2(s1, -n), a finite sum of single zetas
     finite off that line's own poles; otherwise a Hurwitz head of about
     (|s2| + 22) / (2 pi |gamma1/gamma2|) terms meets a binomially
-    re-expanded Euler-Maclaurin tail, truncated where tol allows: each
-    omitted piece is bounded over every m beyond the head and kept below
-    _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz values).  On
-    its route's singular hyperplanes (singularity_distance) the point raises
-    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
-    even at s2 = 0 (a large |s2| alone is summed), a tail overflowing double
-    precision and a point beyond the tail's reach, on a deep hyperplane too,
-    raise ContinuationReachError; both errors are ValueErrors.
+    re-expanded Euler-Maclaurin tail, truncated where tol allows: short of
+    the order caps, each omitted piece is bounded over every m beyond the
+    head and kept below _TAIL_BUDGET * tol (a looser tol asks for fewer
+    Hurwitz values).  On its route's singular hyperplanes
+    (singularity_distance) the point raises SingularPointError.  A weight
+    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
+    alone is summed), a tail overflowing double precision and a point beyond
+    the tail's reach, on a deep hyperplane too, raise ContinuationReachError;
+    both errors are ValueErrors.
     """
     s1 = complex(s1)
     s2 = complex(s2)

@@ -370,7 +370,7 @@ class TestTailTruncation:
         assert n_loose < len(calls) - n_loose
 
     def test_growing_branch_kept_until_it_halves(self, monkeypatch):
-        # |beta (M + 1)| = 8.75 is small beside |s2| = 30: the terms of the
+        # |beta (M + 1)| = 35 / 4 is small beside |s2| = 30: the terms of the
         # high Euler-Maclaurin branches grow with the binomial order before
         # they shrink, so their first terms are below the budget although
         # the later ones are not.  A branch is cut only once its terms halve
