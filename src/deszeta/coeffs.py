@@ -160,6 +160,7 @@ class ShiftedCombination:
             poly = SPoly.pochhammer_product(self.r, l) * a
             out[m] = out.get(m, SPoly(self.r)) + poly
         self._groups = {m: out[m] for m in sorted(out) if out[m]}
+        self._last = (None, None)  # (n, [(m, coefficient re-expanded about n)])
 
     def groups(self):
         """Map shift vector m -> polynomial coefficient in (s_j), in shift
@@ -175,12 +176,22 @@ class ShiftedCombination:
         about 0, its monomials cancel near the integer points where the
         shifted terms are singular.  ValueError unless s has r coordinates.
         """
-        n = [round(complex(sj).real) for sj in s]
-        about_n = [SPoly.variable(len(n), j) + nj for j, nj in enumerate(n)]
+        n = tuple(round(complex(sj).real) for sj in s)
         offset = [sj - nj for sj, nj in zip(s, n)]
-        for m, poly in self._groups.items():
-            c = complex(poly.evaluate(about_n).evaluate(offset))
+        for m, poly in self._expanded_about(n):
+            c = complex(poly.evaluate(offset))
             yield c, tuple(sj + mj for sj, mj in zip(s, m))
+
+    def _expanded_about(self, n):
+        """The grouped coefficients re-expanded exactly about the integer
+        point n, in shift order.  The last one is kept, so the nodes that
+        Neville extrapolation evaluates around one point share it."""
+        last_n, expanded = self._last
+        if last_n != n:
+            about_n = [SPoly.variable(len(n), j) + nj for j, nj in enumerate(n)]
+            expanded = [(m, poly.evaluate(about_n)) for m, poly in self._groups.items()]
+            self._last = (n, expanded)
+        return expanded
 
     def evaluate(self, s, zeta_fn):
         """Evaluate the combination at the complex point s; zeta_fn maps a

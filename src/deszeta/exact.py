@@ -9,6 +9,7 @@ silently breaks every downstream value formula; do not change it.
 import math
 import threading
 from fractions import Fraction
+from operator import add
 
 __all__ = [
     "bernoulli_number",
@@ -158,7 +159,7 @@ class SPoly:
         out = {}
         for e1, a1 in self.terms.items():
             for e2, a2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + a1 * a2
         return SPoly(self.r, out)
 

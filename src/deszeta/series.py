@@ -7,11 +7,12 @@ one auxiliary parameter c, kept symbolic so the limit c -> 1 is exact.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
-from operator import add, le
+from itertools import chain, product
+from operator import le, mul
 
-from .cyclotomic import TrivialRootError
+from .cyclotomic import CycloElement, OrderMismatchError, TrivialRootError, _reduce
 from .exact import SPoly, bernoulli_number, multinomial
 
 __all__ = [
@@ -65,22 +66,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.box, out)
 
     def __mul__(self, other):
+        """The product truncated to the box.  Rational and Q(zeta_c)
+        coefficients are multiplied as integer numerators over one
+        denominator per operand, an element's numerators packed into one
+        integer, so each output coefficient is summed in integers and
+        normalized once; SPoly coefficients use their own + and *."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
         box = self.box
-        terms = list(other.coeffs.items())
-        out = {}
-        for e1, v1 in self.coeffs.items():
-            caps = [b - a for a, b in zip(e1, box)]
-            for e2, v2 in terms:
-                if not all(map(le, e2, caps)):
-                    continue
-                e = tuple(map(add, e1, e2))
-                prod = v1 * v2
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return TruncatedSeries(box, out)
+        left, right = _integer_form(self.coeffs), _integer_form(other.coeffs)
+        if left is None or right is None:
+            return TruncatedSeries(box, _convolve(box, self.coeffs, other.coeffs))
+        (c1, d1, n1), (c2, d2, n2) = left, right
+        if c1 and c2 and c1 != c2:
+            raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c1, c2))
+        c, den = c1 or c2, d1 * d2
+        if not c:
+            out = _convolve(box, _pack(n1, 0), _pack(n2, 0))
+            return TruncatedSeries(box, {e: Fraction(x, den) for e, x in out.items()})
+        size = max(map(len, chain(n1.values(), n2.values())))  # phi(c)
+        # a slot of a packed product sums at most `size` products per pair,
+        # and at most min(len(n1), len(n2)) pairs meet in one exponent
+        bound = min(len(n1), len(n2)) * size * _largest(n1) * _largest(n2)
+        width = bound.bit_length() + 1
+        out = _convolve(box, _pack(n1, width), _pack(n2, width))
+        return TruncatedSeries(box, {
+            e: CycloElement._make(c, _reduce(c, _unpack(x, width, 2 * size - 1)), den)
+            for e, x in out.items()
+        })
 
     __rmul__ = __mul__
 
@@ -94,6 +108,81 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "TruncatedSeries(box=%s, %d terms)" % (self.box, len(self.coeffs))
+
+
+def _convolve(box, left, right):
+    """{e1 + e2: sum of x * y} over the terms e1: x of ``left`` and e2: y of
+    ``right`` whose exponents add up inside ``box``."""
+    # inside the box, exponents add as their mixed-radix indices do
+    strides = [math.prod(b + 1 for b in box[k + 1:]) for k in range(len(box))]
+    # right's terms grouped by their leading exponents and sorted by the
+    # last one (none in a box of no variables), so each e1 walks only the
+    # terms under its caps
+    groups = {}
+    for e2, y in sorted(right.items(), key=lambda t: t[0][-1:]):
+        lasts, terms = groups.setdefault(e2[:-1], ([], []))
+        lasts.append(e2[-1:])
+        terms.append((sum(map(mul, e2, strides)), y))
+    groups = list(groups.items())
+    out = {}
+    for e1, x in left.items():
+        i1 = sum(map(mul, e1, strides))
+        caps = tuple(b - a for a, b in zip(e1, box))
+        lead_caps, cut = caps[:-1], caps[-1:]
+        for lead, (lasts, terms) in groups:
+            if not all(map(le, lead, lead_caps)):
+                continue
+            for i2, y in terms[:bisect_right(lasts, cut)]:
+                prod = x * y
+                cur = out.get(i1 + i2)
+                out[i1 + i2] = prod if cur is None else cur + prod
+    return {tuple(i // s % (b + 1) for s, b in zip(strides, box)): v for i, v in out.items()}
+
+
+def _integer_form(coeffs):
+    """(c, den, {e: numerators}): each coefficient as a list of integer
+    numerators over the one denominator den, one numerator for a rational
+    and the phi(c) power-basis numerators for an element of Q(zeta_c).  c is
+    None when every coefficient is rational; the result is None when some
+    coefficient is neither (an SPoly)."""
+    c, parts = None, {}
+    for e, v in coeffs.items():
+        if isinstance(v, CycloElement):
+            if c is not None and c != v.c:
+                raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c, v.c))
+            c = v.c
+            parts[e] = (v.num, v.den)
+        elif isinstance(v, (int, Fraction)):
+            parts[e] = ((v.numerator,), v.denominator)
+        else:
+            return None
+    den = math.lcm(*(d for _, d in parts.values()))
+    return c, den, {e: [a * (den // d) for a in num] for e, (num, d) in parts.items()}
+
+
+def _largest(numerators):
+    return max((abs(a) for num in numerators.values() for a in num), default=0)
+
+
+def _pack(numerators, width):
+    """Each numerator list as one integer, entry i in the signed slot of
+    ``width`` bits at bit width * i; a product of two packed integers is the
+    packed convolution of their lists while no slot overflows."""
+    return {e: sum(a << (width * i) for i, a in enumerate(num))
+            for e, num in numerators.items()}
+
+
+def _unpack(x, width, slots):
+    """The ``slots`` signed slot values of a packed integer."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(slots):
+        low = x & mask
+        if low >= half:
+            low -= 1 << width
+        out.append(low)
+        x = (x - low) >> width
+    return out
 
 
 def series_mul(a, b):

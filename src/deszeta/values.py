@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli
-from .exact import bernoulli_number, binomial, check_index
+from .exact import bernoulli_number, binomial, check_index, multinomial
 from .series import build_E_product, build_H_r
 
 __all__ = [
@@ -126,29 +126,38 @@ def _compositions(total, parts):
 
 def desing_value_exact(k, gammas):
     """Desingularized value at (-k_j) by direct enumeration of the
-    upper-triangular nu-matrices with column sums k_j."""
+    upper-triangular nu-matrices with column sums k_j.
+
+    The sum is taken in integers: the multinomials of the matrices are
+    summed per vector of row sums, each row's factors B_{1+n} gamma_j^n are
+    put over one denominator, and the one division comes last."""
     k = tuple(k)
     check_index(*k)
     r = len(k)
     gammas = _weights(gammas, r)
 
-    # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j]; each
-    # is built once, with its 1/prod nu! as one Fraction
-    columns = [[(nu, Fraction(1, math.prod(map(math.factorial, nu))))
+    # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j],
+    # padded to r rows; it carries the integer multinomial k_j! / prod nu!
+    columns = [[(nu + (0,) * (r - 1 - j), multinomial(*nu))
                 for nu in _compositions(k[j], j + 1)] for j in range(r)]
-    row_factor = {}  # (j, n) -> B_{1+n} gamma_j^n
-    total = Fraction(0)
+    # the sum of prod_j k_j! / prod nu! over the matrices with each vector
+    # of row sums n
+    weight = {}
     for choice in iter_product(*columns):
-        term = 1
-        for j in range(r):
-            n = sum(choice[l][0][j] for l in range(j, r))
-            if (j, n) not in row_factor:
-                row_factor[j, n] = bernoulli_number(1 + n) * gammas[j] ** n
-            term *= row_factor[j, n]
-        if term:  # B_{1+n} vanishes for every even n >= 2
-            total += term * math.prod(scale for _, scale in choice)
-    prefactor = Fraction(math.prod(math.factorial(kj) for kj in k))
-    return prefactor * Fraction((-1) ** sum(k)) * total
+        n = tuple(map(sum, zip(*(nu for nu, _ in choice))))
+        weight[n] = weight.get(n, 0) + math.prod(m for _, m in choice)
+    # B_{1+n} gamma_j^n = rows[j][n] / dens[j], one denominator per row j
+    bern = [bernoulli_number(1 + n) for n in range(sum(k) + 1)]
+    dens, rows = [], []
+    for j, g in enumerate(gammas):
+        top = sum(k[j:])
+        den = math.lcm(*(b.denominator for b in bern[:top + 1]))
+        rows.append([b.numerator * (den // b.denominator)
+                     * g.numerator ** n * g.denominator ** (top - n)
+                     for n, b in enumerate(bern[:top + 1])])
+        dens.append(den * g.denominator ** top)
+    total = sum(w * math.prod(row[nj] for row, nj in zip(rows, n)) for n, w in weight.items())
+    return Fraction((-1) ** sum(k) * total, math.prod(dens))
 
 
 def desing_value_r2_closed(k, l, gamma1, gamma2):

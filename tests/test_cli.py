@@ -374,6 +374,20 @@ def test_cyclotomic_tables_match_recorded_digests(capsys, name):
         assert digests[argv] == record["sha256"], argv
 
 
+# the largest table of each kind, beyond the boxes of perfbench/digests.json
+@pytest.mark.parametrize("argv, rows, sha256", [
+    (("desing-values", "--r", "4", "--kmax", "8", "--gamma", "1/2,2/3,3/2,2"), 6561,
+     "3e8015fe78a6d1023e6e462507c8c76cbf3b504f42ec06569cc5fe6da4bc9058"),
+    (("multi-bernoulli", "--r", "4", "--c", "5", "--a-list", "1,2,3,4", "--max", "6"), 2401,
+     "24b7154c8784b1da724df84cf567e81e91ea2aa38660791d04193af2cc4c4501"),
+], ids=["desing-values-r4-kmax8", "multi-bernoulli-r4-c5-max6"])
+def test_largest_tables_match_pinned_digests(capsys, argv, rows, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == rows
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_other_exceptions_propagate(monkeypatch):
     from deszeta import cli
 

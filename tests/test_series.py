@@ -15,7 +15,7 @@ from deszeta.series import (
     collapse_tilde,
     compose_linear,
 )
-from deszeta.cyclotomic import RootOfUnity, TrivialRootError
+from deszeta.cyclotomic import CycloElement, OrderMismatchError, RootOfUnity, TrivialRootError
 
 
 def small_series(data, box=(3, 2)):
@@ -42,6 +42,89 @@ def test_mul_associative(data):
     b = small_series(data)
     c = small_series(data)
     assert (a * b) * c == a * (b * c)
+
+
+# small numerators, so that coefficients often cancel, and wide ones of
+# either sign, so that the packed slots of the Q(zeta_c) product are tested
+NUMERATORS = st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70))
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.fractions(max_denominator=6).filter(bool),
+                      st.builds(Fraction, NUMERATORS, st.integers(1, 10**6)))
+
+
+def scalars(c):
+    """Rationals, and for an order c elements of Q(zeta_c) with rationals
+    among them."""
+    if c is None:
+        return RATIONALS
+    phi = len(CycloElement.from_rational(c, 0).num)
+    element = st.lists(st.builds(Fraction, NUMERATORS, st.integers(1, 30)),
+                       min_size=phi, max_size=phi)
+    return st.one_of(RATIONALS, element.map(lambda coeffs: CycloElement(c, coeffs)))
+
+
+def sparse_series(data, box, c):
+    coeffs = {}
+    for e in product(*(range(b + 1) for b in box)):
+        if data.draw(st.booleans()):
+            coeffs[e] = data.draw(scalars(c))
+    return TruncatedSeries(box, coeffs)
+
+
+def schoolbook(a, b):
+    """The truncated product by the scalars' own + and *, pair by pair."""
+    out = {}
+    for e1, x in a.coeffs.items():
+        for e2, y in b.coeffs.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            if all(p <= cap for p, cap in zip(e, a.box)):
+                out[e] = out[e] + x * y if e in out else x * y
+    return {e: v for e, v in out.items() if v}
+
+
+@pytest.mark.parametrize("c", [None, 5, 12])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_schoolbook(c, data):
+    box = tuple(data.draw(st.lists(st.integers(0, 3), max_size=3)))
+    a = sparse_series(data, box, c)
+    b = sparse_series(data, box, c)
+    prod = a * b
+    assert prod.box == box
+    assert prod.coeffs == schoolbook(a, b)
+    assert all(prod.coeffs.values())  # cancelled coefficients are dropped
+
+
+@pytest.mark.parametrize("unit", [
+    Fraction(1, 3),
+    CycloElement.root_power(5, 2),
+    CycloElement(12, [Fraction(1, 2), 0, Fraction(-3, 7), 1]),
+])
+def test_mul_drops_cancelled_coefficients(unit):
+    # (1 + u t)(1 - u t) = 1 - u^2 t^2: the t coefficient cancels
+    a = TruncatedSeries((2,), {(0,): 1, (1,): unit})
+    b = TruncatedSeries((2,), {(0,): 1, (1,): -unit})
+    assert (a * b).coeffs == {(0,): 1, (2,): -(unit * unit)}
+    assert (a * b).coefficient((1,)) == 0
+
+
+@pytest.mark.parametrize("unit", [Fraction(2, 3), CycloElement.root_power(5, 1)])
+def test_mul_with_empty_series(unit):
+    empty = TruncatedSeries((2, 1))
+    a = TruncatedSeries((2, 1), {(0, 0): unit, (1, 1): unit})
+    assert (a * empty).coeffs == (empty * a).coeffs == {}
+    assert (empty * empty).coeffs == {}
+
+
+def test_mul_refuses_mixed_cyclotomic_orders():
+    a = TruncatedSeries((2,), {(0,): CycloElement.root_power(5, 1)})
+    b = TruncatedSeries((2,), {(1,): CycloElement.root_power(7, 3)})
+    with pytest.raises(OrderMismatchError):
+        a * b
+    mixed = TruncatedSeries((2,), {(0,): CycloElement.root_power(5, 1),
+                                   (1,): CycloElement.root_power(7, 3)})
+    with pytest.raises(OrderMismatchError):
+        mixed * mixed
 
 
 def test_truncation_drops_high_degree():

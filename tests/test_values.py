@@ -92,6 +92,14 @@ def test_closed_r2_matches_enumeration():
                 assert a == b
 
 
+def test_enumeration_matches_table_at_depth_four():
+    gammas = (Fraction(1, 2), Fraction(3), Fraction(2, 3), Fraction(5, 4))
+    table = desing_value_table(2, gammas)
+    assert len(table) == 81
+    for k, want in table.items():
+        assert desing_value_exact(k, gammas) == want, k
+
+
 def test_oracle_route_agrees():
     for gammas in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1, 3))):
         for k in range(4):
