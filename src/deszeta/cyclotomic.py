@@ -326,9 +326,13 @@ def twisted_bernoulli(n, xi, order=None):
         if len(table) <= n:
             ratio = xi.embed(order) * table[0]  # z / (1 - z)
             while len(table) <= n:
-                m = len(table)
-                acc = sum(table[k] * binomial(m, k) for k in range(m))
-                table.append(ratio * acc)
+                # sum_k C(m, k) table[k] as integer numerators over one lcm
+                m, den = len(table), math.lcm(*(b.den for b in table))
+                acc = [0] * len(ratio.num)
+                for k, b in enumerate(table):
+                    f = binomial(m, k) * (den // b.den)
+                    acc = [x + f * y for x, y in zip(acc, b.num)]
+                table.append(ratio * CycloElement._make(order, acc, den))
         return table[n]
 
 

@@ -47,6 +47,7 @@ _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are
 _REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion " \
     "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
 _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
+_EPS0 = 1.0 / 64  # the first of them; they halve from it
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 
@@ -242,9 +243,9 @@ def singularity_distance(s1, s2):
     return best
 
 
-def _is_nonpositive_int(z, eps=1e-12):
+def _is_nonpositive_int(z):
     n = round(complex(z).real)
-    return -n if n <= 0 and abs(z - n) < eps else None
+    return -n if n <= 0 and abs(z - n) < 1e-12 else None
 
 
 def _within_reach(s1, s2):
@@ -524,15 +525,15 @@ def neville_extrapolate(xs, ys):
     return p[n - 1], correction
 
 
-def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
+def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
     Off the singular hyperplanes of the individual terms the combination is
     summed directly.  On or near them the point is approached along the
-    generic direction (1, 1/golden_ratio) with 7 shifts halving from eps0
+    generic direction (1, 1/golden_ratio) with 7 shifts halving from 1/64
     and the limit taken by Neville extrapolation; entireness of the
-    combination guarantees the limit exists.  With eps0 in [2^-10, 1], fewer
-    than 4 usable shifts (ToleranceError) occur only beyond the tail's reach.
+    combination guarantees the limit exists.  Fewer than 4 usable shifts
+    (ToleranceError) occur only beyond the tail's reach.
     tol is passed to every double zeta, where it also sets how far the tail
     re-expansion is carried.
     """
@@ -541,13 +542,11 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9, eps0=1.0 / 64):
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
-    if not 2**-10 <= eps0 <= 1:
-        raise ValueError("eps0 must lie in [2^-10, 1]")
     with _naming_point(s1, s2):
-        return _desing2_at(s1, s2, g1, g2, tol, eps0)
+        return _desing2_at(s1, s2, g1, g2, tol)
 
 
-def _desing2_at(s1, s2, g1, g2, tol, eps0):
+def _desing2_at(s1, s2, g1, g2, tol):
     if _desing2_evaluable(s1, s2):
         total, err = _desing2_combination(s1, s2, g1, g2, tol)
         return EvalResult(total, err, "euler_maclaurin")
@@ -555,7 +554,7 @@ def _desing2_at(s1, s2, g1, g2, tol, eps0):
     d1, d2 = 1.0, 1.0 / _GOLDEN
     xs, ys = [], []
     for k in range(_NEVILLE_STEPS):
-        eps = eps0 * 2.0**-k
+        eps = _EPS0 * 2.0**-k
         p1, p2 = s1 + eps * d1, s2 + eps * d2
         if _desing2_evaluable(p1, p2):
             total, _ = _desing2_combination(p1, p2, g1, g2, tol)

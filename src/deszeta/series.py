@@ -1,19 +1,20 @@
-"""Truncated multivariate power series over exact scalars, and the generating
-functions whose coefficients are twisted/desingularized Bernoulli data.
+"""Truncated power series over exact scalars, and the generating functions
+whose coefficients are twisted/desingularized Bernoulli data.
 
 The series are sparse maps from exponent tuples, each capped per variable by
 a box, to scalars; scalars may be Fractions, CycloElements, or SPolys in the
-one auxiliary parameter c, kept symbolic so the limit c -> 1 is exact.
+one auxiliary parameter c, kept symbolic so the limit c -> 1 is exact.  The
+generating functions are read one variable at a time (_triangular_product).
 """
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, product
-from operator import le, mul
+from itertools import chain
+from operator import le
 
-from .cyclotomic import CycloElement, OrderMismatchError, TrivialRootError, _reduce
-from .exact import SPoly, bernoulli_number, multinomial
+from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _reduce,
+                         twisted_bernoulli)
+from .exact import SPoly, bernoulli_number
 
 __all__ = [
     "TruncatedSeries",
@@ -66,31 +67,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.box, out)
 
     def __mul__(self, other):
-        """The product truncated to the box.  Rational and Q(zeta_c)
-        coefficients are multiplied as integer numerators over one
-        denominator per operand, an element's numerators packed into one
-        integer, so each output coefficient is summed in integers and
-        normalized once; SPoly coefficients use their own + and *."""
+        """The product of one-variable series (ValueError for other boxes),
+        truncated to the cap.  Rational and Q(zeta_c) coefficients are
+        multiplied as integer numerators over one denominator per operand,
+        an element's numerators packed into one integer, so each output
+        coefficient is summed in integers and normalized once; SPoly
+        coefficients use their own + and *."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
         box = self.box
+        if len(box) != 1:
+            raise ValueError("only one-variable series multiply")
+        (cap,) = box
         left, right = _integer_form(self.coeffs), _integer_form(other.coeffs)
         if left is None or right is None:
-            return TruncatedSeries(box, _convolve(box, self.coeffs, other.coeffs))
+            return TruncatedSeries(box, _convolve(cap, self.coeffs, other.coeffs))
         (c1, d1, n1), (c2, d2, n2) = left, right
         if c1 and c2 and c1 != c2:
             raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c1, c2))
         c, den = c1 or c2, d1 * d2
         if not c:
-            out = _convolve(box, _pack(n1, 0), _pack(n2, 0))
+            out = _convolve(cap, _pack(n1, 0), _pack(n2, 0))
             return TruncatedSeries(box, {e: Fraction(x, den) for e, x in out.items()})
         size = max(map(len, chain(n1.values(), n2.values())))  # phi(c)
         # a slot of a packed product sums at most `size` products per pair,
         # and at most min(len(n1), len(n2)) pairs meet in one exponent
         bound = min(len(n1), len(n2)) * size * _largest(n1) * _largest(n2)
         width = bound.bit_length() + 1
-        out = _convolve(box, _pack(n1, width), _pack(n2, width))
+        out = _convolve(cap, _pack(n1, width), _pack(n2, width))
         return TruncatedSeries(box, {
             e: CycloElement._make(c, _reduce(c, _unpack(x, width, 2 * size - 1)), den)
             for e, x in out.items()
@@ -110,33 +115,17 @@ class TruncatedSeries:
         return "TruncatedSeries(box=%s, %d terms)" % (self.box, len(self.coeffs))
 
 
-def _convolve(box, left, right):
-    """{e1 + e2: sum of x * y} over the terms e1: x of ``left`` and e2: y of
-    ``right`` whose exponents add up inside ``box``."""
-    # inside the box, exponents add as their mixed-radix indices do
-    strides = [math.prod(b + 1 for b in box[k + 1:]) for k in range(len(box))]
-    # right's terms grouped by their leading exponents and sorted by the
-    # last one (none in a box of no variables), so each e1 walks only the
-    # terms under its caps
-    groups = {}
-    for e2, y in sorted(right.items(), key=lambda t: t[0][-1:]):
-        lasts, terms = groups.setdefault(e2[:-1], ([], []))
-        lasts.append(e2[-1:])
-        terms.append((sum(map(mul, e2, strides)), y))
-    groups = list(groups.items())
+def _convolve(cap, left, right):
+    """{(i + j,): sum of x * y} over the terms (i,): x of ``left`` and
+    (j,): y of ``right`` with i + j <= cap."""
+    right = sorted(right.items())
     out = {}
-    for e1, x in left.items():
-        i1 = sum(map(mul, e1, strides))
-        caps = tuple(b - a for a, b in zip(e1, box))
-        lead_caps, cut = caps[:-1], caps[-1:]
-        for lead, (lasts, terms) in groups:
-            if not all(map(le, lead, lead_caps)):
-                continue
-            for i2, y in terms[:bisect_right(lasts, cut)]:
-                prod = x * y
-                cur = out.get(i1 + i2)
-                out[i1 + i2] = prod if cur is None else cur + prod
-    return {tuple(i // s % (b + 1) for s, b in zip(strides, box)): v for i, v in out.items()}
+    for (i,), x in left.items():
+        for (j,), y in right:
+            if i + j > cap:
+                break
+            out[i + j] = out[i + j] + x * y if i + j in out else x * y
+    return {(n,): v for n, v in out.items()}
 
 
 def _integer_form(coeffs):
@@ -190,42 +179,47 @@ def series_mul(a, b):
     return a * b
 
 
-def compose_linear(f_coeffs, weights, box):
-    """Substitute y = sum_k weights[k] t_k into a univariate series.
+def compose_linear(f_coeffs, gamma, cap):
+    """The univariate series f(gamma U) in U, truncated to degree ``cap``.
 
-    f_coeffs[n] is the coefficient of y^n, zero beyond the list; the result
-    is truncated to the per-variable caps ``box``, one cap per weight.  Only
-    the exponents inside the box are enumerated, and a variable with weight
-    zero stays at exponent zero.  Expansion is by multinomial coefficients,
-    so the weights must be exact rationals (or scalars commuting with the
-    ring).
+    f_coeffs[n] is the coefficient of y^n, zero beyond the list; gamma is
+    taken as an exact rational.
     """
-    if len(box) != len(weights):
-        raise ValueError("box needs one cap per weight")
-    caps = [cap if wk else 0 for cap, wk in zip(box, weights)]
-    out = {}
-    for e in product(*(range(cap + 1) for cap in caps)):
-        n = sum(e)
-        if n >= len(f_coeffs) or not f_coeffs[n]:
-            continue
-        w = Fraction(multinomial(*e))
-        for wk, ek in zip(weights, e):
-            if ek:
-                w *= Fraction(wk) ** ek
-        out[e] = f_coeffs[n] * w
-    return TruncatedSeries(box, out)
+    gamma = Fraction(gamma)
+    return TruncatedSeries((cap,), {
+        (n,): a * gamma**n for n, a in enumerate(f_coeffs[:cap + 1])
+    })
 
 
 def _triangular_product(factors, gammas, box):
-    """prod_j f_j(gamma_j (t_j + ... + t_r)), where factors[j] lists the
-    coefficients of the univariate series f_j."""
-    r = len(gammas)
-    result = None
-    for j, f in enumerate(factors):
-        weights = [gammas[j] if k >= j else Fraction(0) for k in range(r)]
-        factor = compose_linear(f, weights, box)
-        result = factor if result is None else result * factor
-    return result
+    """prod_j f_j(gamma_j (t_j + ... + t_r)) truncated to ``box``, where
+    factors[j] lists the coefficients of the univariate series f_j.
+
+    The product is read one variable at a time.  With U_j = t_j + ... + t_r
+    and D_j = box[j] + ... + box[r-1], what is left of it once the
+    coefficient of t_1^k_1 ... t_{j-1}^k_{j-1} is taken is h(U_j) times the
+    factors from j on, h a series capped at D_j (h = 1 at j = 1).  Let g be
+    h times f_j(gamma_j U_j); since U_j = t_j + U_{j+1}, the coefficient of
+    t_j^k in g is the next h, sum_m C(k + m, k) g[k + m] U_{j+1}^m.  After
+    the last variable h is a constant, the coefficient sought.
+    """
+    if not len(factors) == len(gammas) == len(box):
+        raise ValueError("factors, weights and box must have equal length")
+    caps = [sum(box[j:]) for j in range(len(box) + 1)]
+    level = {(): TruncatedSeries(caps[:1], {(0,): 1})}
+    for j, (f, gamma) in enumerate(zip(factors, gammas)):
+        factor = compose_linear(f, gamma, caps[j])
+        cap = caps[j + 1]
+        next_level = {}
+        for prefix, h in level.items():
+            g = (h * factor).coeffs
+            for k in range(box[j] + 1):
+                next_level[prefix + (k,)] = TruncatedSeries((cap,), {
+                    (m,): math.comb(k + m, k) * g[(k + m,)]
+                    for m in range(cap + 1) if (k + m,) in g
+                })
+        level = next_level
+    return TruncatedSeries(box, {k: h.coeffs.get((0,), 0) for k, h in level.items()})
 
 
 def build_H_r(xis, gammas, box):
@@ -236,22 +230,12 @@ def build_H_r(xis, gammas, box):
     The coefficient of prod t_j^{n_j} / n_j! is the twisted multiple
     Bernoulli number for the index (n_j).
     """
-    from .cyclotomic import twisted_bernoulli
-
-    r = len(xis)
-    if len(gammas) != r:
-        raise ValueError("xis and gammas must have equal length")
     for xi in xis:
         if not xi.nontrivial:
             raise TrivialRootError("all roots must differ from 1")
     order = math.lcm(*(xi.c for xi in xis))
-    factors = [
-        [
-            twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))
-            for n in range(sum(box) + 1)
-        ]
-        for xi in xis
-    ]
+    factors = [[twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))
+                for n in range(sum(box) + 1)] for xi in xis]
     return _triangular_product(factors, gammas, box)
 
 
@@ -259,11 +243,9 @@ def build_tilde_H(gammas, box):
     """Expansion of the c-symbolic product with factors
     sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, keeping c as an SPoly variable,
     truncated to ``box``."""
-    f = [
-        SPoly(1, {(0,): 1, (n + 1,): -1})
-        * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
-        for n in range(sum(box) + 1)
-    ]
+    f = [SPoly(1, {(0,): 1, (n + 1,): -1})
+         * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
+         for n in range(sum(box) + 1)]
     return _triangular_product([f] * len(gammas), gammas, box)
 
 
@@ -274,10 +256,7 @@ def build_E_product(gammas, box):
     Its coefficients encode the desingularized values at non-positive
     integers: coefficient of prod t_j^{k_j} times (-1)^{sum k} prod k_j!.
     """
-    f = [
-        bernoulli_number(n + 1) / Fraction(math.factorial(n))
-        for n in range(sum(box) + 1)
-    ]
+    f = [bernoulli_number(n + 1) / Fraction(math.factorial(n)) for n in range(sum(box) + 1)]
     return _triangular_product([f] * len(gammas), gammas, box)
 
 

@@ -6,8 +6,9 @@ The desingularized values come in three independent routes that must agree:
 the nu-matrix enumeration, the r = 2 closed convolution form, and the
 generating-function oracle read off the exact c -> 1 limit product.
 
-The generating-function routes read whole tables: one product, truncated to
-the box [0, max]^r, holds every index of the box.
+The generating-function routes read whole tables: one triangular product,
+truncated to the box [0, max]^r and read one variable at a time
+(series._triangular_product), holds every index of the box.
 """
 
 import math

@@ -46,6 +46,9 @@ def test_tracer_counts_series_products():
     counts = json.loads(proc.stdout)
     for key in ("series.products", "series.terms_built", "series.terms_read"):
         assert counts.get(key, 0) > 0, key
+    # the table is read one variable at a time, one product per prefix of
+    # the index: the empty prefix, then k_1 = 0, 1, 2
+    assert counts["series.products"] == 1 + 3
 
 
 def test_traced_table_reads_phi_once_and_never_inverts():
