@@ -3,7 +3,7 @@
 The desingularized multiple zeta-function is entire, so its values at tuples
 of non-positive integers are honest finite numbers, and they turn out to be
 rational.  Depth 1 reproduces the Bernoulli numbers; depth 2 and 3 values
-come from an enumeration of triangular arrays of indices, cross-checked here
+come from a sum over triangular arrays of indices, cross-checked here
 against an independent generating-function oracle.
 """
 

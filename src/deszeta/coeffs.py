@@ -7,7 +7,8 @@ sum a_{l,m} prod_j (s_j)_{l_j} zeta_r((s_j + m_j); (1); (gamma_j)) is entire.
 G is multiplied out as an SPoly (the package's one exact polynomial type,
 defined in deszeta.exact) in the 2r variables u_1..u_r, v_1..v_r, its
 Laurent v-exponents being negative exponents.  The subset-sum construction
-of the same table is kept as an independent cross-check of the product form.
+of the same table over exact.linear_form_product is kept as an independent
+cross-check of the product form.
 
 ShiftedCombination.terms is the single evaluator of the combination: both
 ShiftedCombination.evaluate and the numeric desing2 sum over it.
@@ -16,7 +17,7 @@ ShiftedCombination.evaluate and the numeric desing2 sum over it.
 import functools
 from itertools import chain, combinations
 
-from .exact import SPoly
+from .exact import SPoly, linear_form_product
 
 __all__ = [
     "CoeffTable",
@@ -103,30 +104,15 @@ def _subsets(items):
     return chain.from_iterable(combinations(items, n) for n in range(len(items) + 1))
 
 
-def _linear_form_product(r, J):
-    """Expansion of prod_{j in J} (t_j + ... + t_r): map exponent -> integer."""
-    out = {(0,) * r: 1}
-    for j in J:
-        nxt = {}
-        for e, b in out.items():
-            for k in range(j, r):
-                e2 = list(e)
-                e2[k] += 1
-                key = tuple(e2)
-                nxt[key] = nxt.get(key, 0) + b
-        out = nxt
-    return out
-
-
 def expand_H(r):
     """Subset-sum construction of the same coefficient table, built from the
-    signed sums over J and K with the linear-form expansions; exists to
-    cross-check expand_G."""
+    signed sums over J and K with the linear-form expansions of
+    exact.linear_form_product; exists to cross-check expand_G."""
     if r < 1:
         raise ValueError("r must be positive")
     terms = {}
     for J in _subsets(range(r)):
-        bJ = _linear_form_product(r, J)
+        bJ = linear_form_product(r, J)
         for K in _subsets([j for j in J if j != 0]):
             K = set(K)
             sign = (-1) ** (len(J) - len(K))

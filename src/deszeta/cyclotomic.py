@@ -111,12 +111,17 @@ class RootOfUnity:
     def inverse(self):
         return RootOfUnity(self.c, -self.a)
 
+    def _exponent_in(self, order):
+        """The b with zeta_c^a = zeta_order^b; OrderMismatchError unless c
+        divides order."""
+        if order % self.c:
+            raise OrderMismatchError("cannot embed order %d root in Q(zeta_%d)" % (self.c, order))
+        return self.a * (order // self.c)
+
     def embed(self, order=None):
         """This root as a CycloElement of Q(zeta_order) (default: own order)."""
         order = order or self.c
-        if order % self.c:
-            raise OrderMismatchError("cannot embed order %d root in Q(zeta_%d)" % (self.c, order))
-        return CycloElement.root_power(order, self.a * (order // self.c))
+        return CycloElement.root_power(order, self._exponent_in(order))
 
     def __complex__(self):
         return cmath.exp(2j * cmath.pi * self.a / self.c)
@@ -296,9 +301,10 @@ def _require_nontrivial(xi):
 
 def _inverse_one_minus(xi, order=None):
     """1/(1 - xi) in Q(zeta_order) (default: xi's own order) for a nontrivial
-    root xi: -(1/m) sum_{k<m} k xi^k, valid whenever xi^m = 1 (here m = xi.c)."""
+    root xi: -(1/m) sum_{k<m} k xi^k, valid whenever xi^m = 1 (here m = xi.c).
+    OrderMismatchError unless xi.c divides order."""
     order = order or xi.c
-    step = xi.a * (order // xi.c)
+    step = xi._exponent_in(order)
     num = [0] * order
     for k in range(1, xi.c):
         num[k * step % order] -= k

@@ -1,5 +1,6 @@
 """Exact rational building blocks: Bernoulli numbers, binomials, Pochhammer
-symbols, and the one exact polynomial type SPoly.
+symbols, the expansion of products of linear forms, and the one exact
+polynomial type SPoly.
 
 The Bernoulli convention throughout this package is the generating function
 t/(e^t - 1), so B_1 = -1/2.  Switching to the other convention (B_1 = +1/2)
@@ -15,7 +16,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_polynomial",
     "binomial",
-    "multinomial",
+    "linear_form_product",
     "pochhammer",
     "SPoly",
     "check_index",
@@ -79,15 +80,20 @@ def binomial(n, k):
     return math.comb(n, k)
 
 
-def multinomial(*parts):
-    """Multinomial coefficient (sum parts)! / prod(part!)."""
-    total = 0
-    out = 1
-    for p in parts:
-        if p < 0:
-            return 0
-        total += p
-        out *= math.comb(total, p)
+def linear_form_product(r, starts):
+    """Expansion of prod_{j in starts} (t_j + ... + t_{r-1}) in the r
+    variables t_0..t_{r-1} (a start may repeat): map exponent -> integer
+    coefficient."""
+    out = {(0,) * r: 1}
+    for j in starts:
+        nxt = {}
+        for e, b in out.items():
+            for k in range(j, r):
+                e2 = list(e)
+                e2[k] += 1
+                key = tuple(e2)
+                nxt[key] = nxt.get(key, 0) + b
+        out = nxt
     return out
 
 
@@ -175,7 +181,7 @@ class SPoly:
         """Value at the point; its coordinates may be numbers, field elements
         or SPolys, so evaluating at (s_j + n_j) re-expands the polynomial
         about n.  ValueError unless the point has one coordinate per
-        variable."""
+        variable and every exponent is non-negative."""
         if len(point) != self.r:
             raise ValueError("point needs %d coordinates, got %d" % (self.r, len(point)))
         out = 0
@@ -187,6 +193,8 @@ class SPoly:
                     while len(x_powers) < p:
                         x_powers.append(x_powers[-1] * x_powers[0])
                     term = term * x_powers[p - 1]
+                elif p < 0:
+                    raise ValueError("cannot evaluate a negative exponent")
             out = out + term
         return out
 

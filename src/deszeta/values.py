@@ -3,7 +3,8 @@ twisted multiple zeta-function at non-positive integers, and desingularized
 values at non-positive integers.
 
 The desingularized values come in three independent routes that must agree:
-the nu-matrix enumeration, the r = 2 closed convolution form, and the
+the nu-matrix sum (its matrices summed by the multinomial theorem, with no
+series product), the r = 2 closed convolution form, and the
 generating-function oracle read off the exact c -> 1 limit product.
 
 The generating-function routes read whole tables: one triangular product,
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli
-from .exact import bernoulli_number, binomial, check_index, multinomial
+from .exact import bernoulli_number, binomial, check_index, linear_form_product
 from .series import build_E_product, build_H_r
 
 __all__ = [
@@ -115,38 +116,24 @@ def lerch_special_value(n, xis, gammas):
     return twisted_multiple_bernoulli(n, inv, gammas) * sign
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def desing_value_exact(k, gammas):
-    """Desingularized value at (-k_j) by direct enumeration of the
-    upper-triangular nu-matrices with column sums k_j.
+    """Desingularized value at (-k_j) as the sum over the upper-triangular
+    nu-matrices with column sums k_j of prod_j k_j!/prod nu! times
+    prod_j B_{1+n_j} gamma_j^{n_j}, n being the vector of row sums.
 
-    The sum is taken in integers: the multinomials of the matrices are
-    summed per vector of row sums, each row's factors B_{1+n} gamma_j^n are
-    put over one denominator, and the one division comes last."""
+    By the multinomial theorem the matrix weights summed per n are the
+    coefficients of x^n in prod_j (x_1 + ... + x_j)^{k_j}, read from
+    exact.linear_form_product with the variables reversed.  The sum is taken
+    in integers: each row's factors B_{1+n} gamma_j^n are put over one
+    denominator, and the one division comes last."""
     k = tuple(k)
     check_index(*k)
     r = len(k)
     gammas = _weights(gammas, r)
-
-    # column j (0-based) holds nu_{0j}..nu_{jj}, a composition of k[j],
-    # padded to r rows; it carries the integer multinomial k_j! / prod nu!
-    columns = [[(nu + (0,) * (r - 1 - j), multinomial(*nu))
-                for nu in _compositions(k[j], j + 1)] for j in range(r)]
-    # the sum of prod_j k_j! / prod nu! over the matrices with each vector
-    # of row sums n
-    weight = {}
-    for choice in iter_product(*columns):
-        n = tuple(map(sum, zip(*(nu for nu, _ in choice))))
-        weight[n] = weight.get(n, 0) + math.prod(m for _, m in choice)
+    # column j's form x_0 + ... + x_j is t_{r-1-j} + ... + t_{r-1} in the
+    # reversed variables t_i = x_{r-1-i}
+    starts = [r - 1 - j for j in range(r) for _ in range(k[j])]
+    weight = {e[::-1]: w for e, w in linear_form_product(r, starts).items()}
     # B_{1+n} gamma_j^n = rows[j][n] / dens[j], one denominator per row j
     bern = [bernoulli_number(1 + n) for n in range(sum(k) + 1)]
     dens, rows = [], []
@@ -188,7 +175,7 @@ def _desing_read(box, indices, gammas):
 
 def desing_value_oracle(k, gammas):
     """Desingularized value at (-k_j) read from the exact limit product's
-    coefficients; independent of the nu-matrix enumeration."""
+    coefficients; independent of the nu-matrix sum."""
     k = tuple(k)
     return _desing_read(k, [k], gammas)[k]
 

@@ -148,7 +148,7 @@ DESING_SAMPLES = {
 
 
 def check_desing_routes():
-    """Desingularized values at non-positive integers: the matrix-enumeration
+    """Desingularized values at non-positive integers: the nu-matrix
     route equals the limit-product table (the one the CLI prints) for
     r <= 3, all indices <= 4, at the three weight samples of DESING_SAMPLES."""
     bad = 0

@@ -4,7 +4,7 @@ Criterion NN is the NN-th check of ``verify.SUITES["exact"] +
 verify.SUITES["numeric"]``, the same checks ``deszeta verify`` runs.  Each
 test prints "criterion NN: PASS" (or FAIL) on stderr and asserts the
 criterion's runtime gate where it carries one.  Criterion 06 also compares
-the enumeration route with the per-index oracle, which stays out of
+the nu-matrix route with the per-index oracle, which stays out of
 ``verify`` because the benchmark times ``verify --suite exact``.
 """
 
@@ -23,7 +23,7 @@ CHECKS = verify.SUITES["exact"] + verify.SUITES["numeric"]
 LIMITS = {1: 1.0, 2: 10.0, 3: 5.0, 9: 60.0}
 
 
-def enumeration_matches_oracle():
+def nu_matrices_match_oracle():
     return all(
         desing_value_exact(k, gammas) == desing_value_oracle(k, gammas)
         for r, samples in verify.DESING_SAMPLES.items()
@@ -52,7 +52,7 @@ def test_criterion(number, cid, check):
     worst, passed = check()
     seconds = time.perf_counter() - start
     if cid == "exact-06-desing-routes":
-        passed = passed and enumeration_matches_oracle()
+        passed = passed and nu_matrices_match_oracle()
     limit = LIMITS.get(number, math.inf)
     ok = passed and seconds < limit
     print("criterion %02d: %s" % (number, "PASS" if ok else "FAIL"), file=sys.stderr)

@@ -63,6 +63,16 @@ def test_spoly_evaluate():
     assert p.evaluate((Fraction(1, 2), 2)) == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize("poly, point", [
+    (SPoly(1, {(-1,): 1}), (2,)),
+    (SPoly(2, {(1, -2): 3}), (2, 5)),
+])
+def test_spoly_evaluate_refuses_negative_exponents(poly, point):
+    # a Laurent monomial has no value read as a polynomial; x^-1 is not x^0
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly.evaluate(point)
+
+
 @pytest.mark.parametrize("point", [(5,), (5, 7, 9)])
 def test_spoly_evaluate_refuses_wrong_arity(point):
     with pytest.raises(ValueError, match="point needs 2 coordinates"):

@@ -243,6 +243,16 @@ def test_frobenius_euler_rational_argument():
     assert frobenius_euler(3, Fraction(-1)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_twisted_bernoulli_refuses_incompatible_order(n):
+    # an order-3 root has no place in Q(zeta_4): refused at every n, and
+    # nothing is cached for the pair
+    xi = RootOfUnity(3, 1)
+    with pytest.raises(OrderMismatchError, match="cannot embed order 3 root in Q\\(zeta_4\\)"):
+        twisted_bernoulli(n, xi, order=4)
+    assert (3, 1, 4) not in cyclotomic._TB_CACHE
+
+
 def test_twisted_bernoulli_cache_hit_skips_inverse(monkeypatch):
     xi = RootOfUnity(7, 3)
     first = twisted_bernoulli(6, xi)

@@ -10,7 +10,7 @@ from deszeta.exact import (
     bernoulli_polynomial,
     binomial,
     format_rational,
-    multinomial,
+    linear_form_product,
     parse_rational,
     pochhammer,
 )
@@ -77,10 +77,15 @@ def test_binomial_out_of_range():
     assert binomial(5, 2) == 10
 
 
-def test_multinomial():
-    assert multinomial(2, 1, 1) == 12
-    assert multinomial(0, 0) == 1
-    assert multinomial(3) == 1
+def test_linear_form_product():
+    # (t1 + t2 + t3)^4 holds t1^2 t2 t3 with the multinomial 4!/(2! 1! 1!)
+    assert linear_form_product(3, [0] * 4)[(2, 1, 1)] == 12
+    assert linear_form_product(3, [0] * 3)[(3, 0, 0)] == 1
+    assert linear_form_product(2, []) == {(0, 0): 1}
+    # a proper suffix: (t1 + t2) t2
+    assert linear_form_product(2, [0, 1]) == {(1, 1): 1, (0, 2): 1}
+    # a repeated start: (t2 + t3)^2
+    assert linear_form_product(3, [1, 1]) == {(0, 2, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}
 
 
 @given(

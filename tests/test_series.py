@@ -288,7 +288,7 @@ def test_box_H_r_matches_total_degree(box, roots, gammas):
 ])
 def test_deep_E_product_matches_nu_matrices(box, gammas):
     # beyond the depths the CLI offers, every coefficient of the chain read
-    # still equals the nu-matrix enumeration
+    # still equals the nu-matrix sum
     series = build_E_product(gammas, box)
     for k in _box_indices(box):
         scale = (-1) ** sum(k) * math.prod(map(math.factorial, k))

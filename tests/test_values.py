@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deszeta import series
 from deszeta.cyclotomic import RootOfUnity, frobenius_euler, negative_polylog, twisted_bernoulli
 from deszeta.values import (
     desing_value_exact,
@@ -98,6 +99,20 @@ def test_enumeration_matches_table_at_depth_four():
     assert len(table) == 81
     for k, want in table.items():
         assert desing_value_exact(k, gammas) == want, k
+
+
+def test_nu_matrix_route_uses_no_series_product(monkeypatch):
+    # the nu-matrix route stays independent of the generating function: with
+    # every series product refused it still gives the recorded values
+    def refuse(*args, **kwargs):
+        raise AssertionError("series product used")
+
+    monkeypatch.setattr(series, "_triangular_product", refuse)
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", refuse)
+    gammas = (Fraction(1), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(1, 2))
+    assert desing_value_exact((2, 1, 3, 0, 2), gammas) == Fraction(89317, 12247200)
+    gammas = (Fraction(1, 2), Fraction(3), Fraction(1))
+    assert desing_value_exact((1, 3, 2), gammas) == Fraction(-21037, 80640)
 
 
 def test_oracle_route_agrees():
