@@ -50,6 +50,7 @@ _NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
 _EPS0 = 1.0 / 64  # the first of them; they halve from it
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
+_SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
 
 
 @dataclass
@@ -263,12 +264,13 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     re-expanded Euler-Maclaurin tail, truncated where tol allows: short of
     the order caps, each omitted piece is bounded over every m beyond the
     head and kept below _TAIL_BUDGET * tol (a looser tol asks for fewer
-    Hurwitz values).  On its route's singular hyperplanes
-    (singularity_distance) the point raises SingularPointError.  A weight
-    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
-    alone is summed), a tail overflowing double precision and a point beyond
-    the tail's reach, on a deep hyperplane too, raise ContinuationReachError;
-    both errors are ValueErrors.
+    Hurwitz values).  The head takes one kernel evaluation per residue class
+    of a rational weight ratio, one per term otherwise.  On its route's
+    singular hyperplanes (singularity_distance) the point raises
+    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
+    even at s2 = 0 (a large |s2| alone is summed), a head or tail
+    overflowing double precision and a point beyond the tail's reach, on a
+    deep hyperplane too, raise ContinuationReachError; both are ValueErrors.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -289,7 +291,7 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
         return _double_zeta_tail(s1, s2, g1, g2, beta, tol)
     except OverflowError:
         raise ContinuationReachError(
-            "double-zeta tail overflows double precision at Re s2=%g with "
+            "double-zeta head or tail overflows double precision at Re s2=%g with "
             "weight ratio |gamma1/gamma2|=%g" % (s2.real, abs(beta))
         ) from None
 
@@ -313,11 +315,12 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
 
 
 def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
-    """Hurwitz head m <= M plus the re-expanded tail m > M.  tol sets the
-    tail truncation: a branch is dropped whole, or cut once its terms
-    halve, where the bound on what is omitted, summed over every m > M, is
-    at most _TAIL_BUDGET * tol; the caps K and _TAIL_ORDER keep their
-    proxies, taken at m = M + 1."""
+    """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
+    class of a rational weight ratio, per m otherwise) plus the re-expanded
+    tail m > M.  tol sets the tail truncation: a branch is dropped whole, or
+    cut once its terms halve, where the bound on what is omitted, summed
+    over every m > M, is at most _TAIL_BUDGET * tol; the caps K and
+    _TAIL_ORDER keep their proxies, taken at m = M + 1."""
     # Head length: the binomial re-expansion needs |beta (M+1)| comfortably
     # above 1 and the asymptotic expansion of the inner zeta must be valid at
     # x = 1 + beta(M+1).  Keep M as small as those constraints allow: the
@@ -336,11 +339,10 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
 
     head = 0j
     err = 0.0
-    for m in range(1, M + 1):
-        z = hurwitz_zeta(s2, 1 + beta * m, min(tol * 1e-2, 1e-15))
+    for m, value, value_err in _head_values(s2, beta, M, min(tol * 1e-2, 1e-15)):
         weight = (m * g1) ** (-s1) * g2_s2
-        head += weight * z.value
-        err += abs(weight) * z.err_estimate
+        head += weight * value
+        err += abs(weight) * value_err
 
     # asymptotic expansion of the inner zeta at x = 1 + beta m: branches w
     # with x^{-w}, branch list (w, c_w); re-expanded binomially in 1/(beta m),
@@ -416,6 +418,49 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
         tail += coeff * z.value
         err += abs(coeff) * z.err_estimate
     return EvalResult(head + pref * tail, err, "euler_maclaurin")
+
+
+def _head_values(s2, beta, M, tol):
+    """Yield (m, zeta(s2, 1 + beta m), its error estimate) for m = 1..M.
+
+    A real beta within 4 ulps of p/q, q < M and p <= _SHIFT_MAX, takes one
+    kernel evaluation per residue class of m mod q; the class's other
+    offsets lie p apart and follow by zeta(s, a + 1) = zeta(s, a) - a^-s,
+    forward from its smallest where Re s2 < 1 (the values grow with a
+    there, so nothing cancels), backward from its largest otherwise.  The
+    sums carry TwoSum compensation; the estimate is the class start's plus
+    u times the sum of |a^-s2| applied so far.  Any other beta takes one
+    kernel evaluation per m.
+    """
+    p, q = Fraction(beta.real).limit_denominator(_SHIFT_MAX).as_integer_ratio()
+    if beta.imag or q >= M or p > _SHIFT_MAX or abs(beta.real - p / q) > 4 * math.ulp(beta.real):
+        for m in range(1, M + 1):
+            z = hurwitz_zeta(s2, 1 + beta * m, tol)
+            yield m, z.value, z.err_estimate
+        return
+    sign = -1 if s2.real < 1 else 1  # forward subtracts the powers, backward adds them
+    classes = [None] * q  # (offset, value, compensation, error) per class
+    found = []  # backward values, held from m = M down
+    for m in range(1, M + 1) if sign < 0 else range(M, 0, -1):
+        if classes[m % q] is None:
+            z = hurwitz_zeta(s2, 1 + beta * m, tol)
+            a, value, comp, err = 1 + beta * m, z.value, 0j, z.err_estimate
+        else:
+            a, value, comp, err = classes[m % q]
+            low = a if sign < 0 else a - p  # the lowest offset of this step
+            for i in range(p):
+                t = sign * (low + i) ** -s2
+                total = value + t  # TwoSum: exact in each component
+                back = total - value
+                comp += (value - (total - back)) + (t - back)
+                value = total
+                err += abs(t) * 2.0**-53  # u, the unit roundoff
+            a = low + p if sign < 0 else low
+        classes[m % q] = a, value, comp, err
+        found.append((m, value + comp, err))
+        if sign < 0:
+            yield found.pop()
+    yield from reversed(found)
 
 
 def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):

@@ -1,0 +1,32 @@
+"""The package has no runtime dependencies: every module of src/deszeta
+imports only the standard library and the package itself."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "deszeta"
+
+
+def _imported_modules(path):
+    """Top-level names of the absolute imports of one source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_and_package(path):
+    outside = {name for name in _imported_modules(path)
+               if name != "deszeta" and name not in sys.stdlib_module_names}
+    assert not outside, "%s imports %s" % (path.name, ", ".join(sorted(outside)))
+
+
+def test_check_sees_a_third_party_import(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import math\nfrom . import numeric\nif True:\n    import mpmath\n")
+    assert list(_imported_modules(source)) == ["math", "mpmath"]

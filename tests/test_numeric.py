@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -381,9 +382,56 @@ class TestTailTruncation:
         assert abs(loose.value - tight.value) <= loose.err_estimate + tight.err_estimate
 
 
+class TestHeadRecurrence:
+    # (weights, head length M, kernel evaluations of the head): a ratio p/q
+    # with q < M takes one per residue class of m mod q, a ratio with q >= M
+    # and a complex one take one per m.  Neither estimate counts the
+    # kernel's own rounding (ROADMAP item 1(d)), up to 256 u max(1, |zeta|)
+    # at these points, so the comparison allows 512 u on top of them
+    @pytest.mark.parametrize("weights, M, kernel_calls", [
+        ((1, 1), 8, 1),
+        ((1, 4), 20, 4),
+        ((4, 1), 8, 1),
+        ((1, 10), 40, 10),
+        ((15, 16), 9, 9),
+        ((1 + 1j, 2 - 0.5j), 10, 10),
+    ])
+    @pytest.mark.parametrize("s2", [-2.5 + 0.7j, 3.2 - 0.4j, 0.5 + 30j])
+    def test_matches_the_kernel(self, monkeypatch, weights, M, kernel_calls, s2):
+        beta = complex(weights[0]) / complex(weights[1])
+        calls = _count_hurwitz(monkeypatch)
+        head = list(numeric._head_values(s2, beta, M, 1e-15))
+        assert len(calls) == kernel_calls
+        assert [m for m, _, _ in head] == list(range(1, M + 1))
+        for m, value, err in head:
+            z = hurwitz_zeta(s2, 1 + beta * m, 1e-15)
+            assert abs(value - z.value) <= err + z.err_estimate + 2.0**-44 * max(1, abs(z.value))
+
+    def test_huge_integer_ratio_takes_the_kernel(self):
+        # beta = 2^40 is p/q with q = 1 but p far above the recurrence's
+        # bound: p powers per step would never finish.  The literal is the
+        # value summed with one kernel call per head term
+        start = time.perf_counter()
+        z = double_zeta(3, 4, 2**40, 1)
+        assert time.perf_counter() - start < 1
+        assert abs(z.value - 1.919310865560092e-73) <= 2 * z.err_estimate
+
+    def test_overflow_in_the_recurrence_refused(self):
+        # weight ratio 16, head m <= 8: the class starts at zeta(-150.5, 17)
+        # and recurs towards the offset 129 = 1 + 16 * 8, and a power on the
+        # way overflows double precision (a kernel call at 129 would overflow
+        # in the kernel itself)
+        with pytest.raises(ContinuationReachError,
+                           match=r"head or tail overflows double precision at Re s2=-150\.5 "):
+            double_zeta(150.3, -150.5, 16, 1)
+        with pytest.raises(ContinuationReachError,
+                           match=r"^cannot reach s=\(150\.3\+0j, -150\.5\+0j\): double-zeta head"):
+            desing2(150.3, -150.5, 16, 1)
+
+
 class TestHurwitzMemo:
     # (-3, -1) is extrapolated: a shifted s2 lands on 1
-    @pytest.mark.parametrize("point, most", [((-3, -1), 371), ((3, 4), 38)])
+    @pytest.mark.parametrize("point, most", [((-3, -1), 224), ((3, 4), 17)])
     def test_call_count(self, monkeypatch, point, most):
         calls = _count_hurwitz(monkeypatch)
         desing2(*point)
