@@ -4,8 +4,8 @@ Regular points sum the three-term combination directly.  So do the points
 with s2 = -l, l >= 2: there every term is a finite sum of single zetas, and
 the value is exact, on the singular hyperplanes s1 + s2 = -k - l too.  The
 other points on the singular hyperplanes of the individual terms are
-recovered by approaching along a generic direction and extrapolating.  The
-script compares against closed-form targets and against the exact rational
+recovered from the combination being entire: its value there is its mean
+over six nodes on a small circle around the point.  The script compares against closed-form targets and against the exact rational
 values at non-positive integers.
 """
 
@@ -30,7 +30,7 @@ print()
 print("The non-positive integer grid: the continued value must land on the")
 print("exact rational from the convolution formula.  With l >= 2 the terms are")
 print("sums of single zetas and are summed exactly; with l <= 1 a shifted term")
-print("is singular there and the value is extrapolated.")
+print("is singular there and the value is the mean over a circle around it.")
 for k in range(4):
     for l in range(4):
         exact = desing_value_r2_closed(k, l, 1, 1)

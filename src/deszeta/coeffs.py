@@ -170,8 +170,8 @@ class ShiftedCombination:
 
     def _expanded_about(self, n):
         """The grouped coefficients re-expanded exactly about the integer
-        point n, in shift order.  The last one is kept, so the nodes that
-        Neville extrapolation evaluates around one point share it."""
+        point n, in shift order.  The last one is kept, so the nodes of the
+        circle desing2 averages over around one point share it."""
         last_n, expanded = self._last
         if last_n != n:
             about_n = [SPoly.variable(len(n), j) + nj for j, nj in enumerate(n)]

@@ -8,7 +8,6 @@ unity (primitive or not) live inside the single field Q(zeta_c), which is
 what the root-of-unity summation identities need.
 """
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -122,9 +121,6 @@ class RootOfUnity:
         """This root as a CycloElement of Q(zeta_order) (default: own order)."""
         order = order or self.c
         return CycloElement.root_power(order, self._exponent_in(order))
-
-    def __complex__(self):
-        return cmath.exp(2j * cmath.pi * self.a / self.c)
 
 
 class CycloElement:
@@ -272,13 +268,6 @@ class CycloElement:
         if not self.is_rational:
             raise ValueError("element is not rational: %r" % self)
         return Fraction(self.num[0], self.den)
-
-    def __complex__(self):
-        z = cmath.exp(2j * cmath.pi / self.c)
-        out = 0j
-        for a in reversed(self.coeffs):
-            out = out * z + complex(a)
-        return out
 
     def to_json(self):
         return {"c": self.c, "coeffs": [format_rational(a) for a in self.coeffs]}

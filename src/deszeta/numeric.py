@@ -7,8 +7,9 @@ the inner Hurwitz zeta and re-expanding binomially, which turns the tail
 into a finite combination of shifted Hurwitz values; at s2 = -n the inner
 zeta is a Bernoulli polynomial, which leaves single zetas.  At points on (or
 near) the singular hyperplanes of the terms' routes, the entire
-desingularized combination is recovered by shifting along a generic
-direction and Neville extrapolation in the shift size.
+desingularized combination is recovered as its mean over a small circle
+of six nodes around the point (Cauchy's integral formula, summed by the
+trapezoid rule).
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "desing1",
     "desing2",
     "singularity_distance",
-    "neville_extrapolate",
 ]
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
@@ -46,8 +46,8 @@ _TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
 _REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion " \
     "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
-_NEVILLE_STEPS = 7  # shrinking shifts tried by desing2's extrapolation
-_EPS0 = 1.0 / 64  # the first of them; they halve from it
+_CIRCLE_NODES = 6  # nodes of desing2's circle mean near the singular hyperplanes
+_CIRCLE_RADIUS = 1.0 / 1024  # its radius in the shift w of s + w (1, 1/_GOLDEN)
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
@@ -268,9 +268,11 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     of a rational weight ratio, one per term otherwise.  On its route's
     singular hyperplanes (singularity_distance) the point raises
     SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
-    even at s2 = 0 (a large |s2| alone is summed), a head or tail
-    overflowing double precision and a point beyond the tail's reach, on a
-    deep hyperplane too, raise ContinuationReachError; both are ValueErrors.
+    even at s2 = 0 (a large |s2| alone is summed), either route overflowing
+    double precision, a power of the weights underflowing it and a point
+    beyond the tail's reach, on a deep hyperplane too, raise
+    ContinuationReachError; both are ValueErrors.  Both routes ask the
+    kernel for each Hurwitz value at min(tol / 100, 1e-15).
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -283,20 +285,27 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
 
     beta = g1 / g2
     n = _is_nonpositive_int(s2)
-    if n is not None:
-        return _double_zeta_polynomial(s1, n, g1, g2, beta, tol)
-    if not _within_reach(s1, s2):
+    if n is None and not _within_reach(s1, s2):
         raise ContinuationReachError(_REACH_REFUSAL % (s1 + s2).real)
+    kernel_tol = min(tol * 1e-2, 1e-15)
     try:
-        return _double_zeta_tail(s1, s2, g1, g2, beta, tol)
+        if n is not None:
+            return _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol)
+        return _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol)
     except OverflowError:
         raise ContinuationReachError(
-            "double-zeta head or tail overflows double precision at Re s2=%g with "
-            "weight ratio |gamma1/gamma2|=%g" % (s2.real, abs(beta))
+            "double-zeta %s overflows double precision at Re s2=%g with weight ratio "
+            "|gamma1/gamma2|=%g" % ("head or tail" if n is None else "sum of single zetas",
+                                    s2.real, abs(beta))
+        ) from None
+    except ZeroDivisionError:  # a complex power by an integer: 1 / (a power that underflowed)
+        raise ContinuationReachError(
+            "a weight power underflows double precision at |gamma1|=%g, |gamma2|=%g "
+            "(weight ratio |gamma1/gamma2|=%g)" % (abs(g1), abs(g2), abs(beta))
         ) from None
 
 
-def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
+def _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol):
     # zeta(-n, 1 + beta m) = -B_{n+1}(1 + beta m)/(n+1); expanding the
     # Bernoulli polynomial in powers of m leaves single zetas of s1 - i.
     total = 0j
@@ -307,20 +316,21 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, tol):
         if coeff == 0:
             continue
         arg = s1 - i
-        z = hurwitz_zeta(arg, 1.0, tol)
+        z = hurwitz_zeta(arg, 1.0, kernel_tol)
         total += coeff * z.value
         err += abs(coeff) * z.err_estimate
     scale = -(g2**n) / (n + 1) * g1 ** (-s1)
     return EvalResult(scale * total, abs(scale) * err, "polynomial_reduction")
 
 
-def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
+def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
     """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
     class of a rational weight ratio, per m otherwise) plus the re-expanded
     tail m > M.  tol sets the tail truncation: a branch is dropped whole, or
     cut once its terms halve, where the bound on what is omitted, summed
     over every m > M, is at most _TAIL_BUDGET * tol; the caps K and
-    _TAIL_ORDER keep their proxies, taken at m = M + 1."""
+    _TAIL_ORDER keep their proxies, taken at m = M + 1.  Every Hurwitz value
+    is asked for at kernel_tol."""
     # Head length: the binomial re-expansion needs |beta (M+1)| comfortably
     # above 1 and the asymptotic expansion of the inner zeta must be valid at
     # x = 1 + beta(M+1).  Keep M as small as those constraints allow: the
@@ -339,7 +349,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
 
     head = 0j
     err = 0.0
-    for m, value, value_err in _head_values(s2, beta, M, min(tol * 1e-2, 1e-15)):
+    for m, value, value_err in _head_values(s2, beta, M, kernel_tol):
         weight = (m * g1) ** (-s1) * g2_s2
         head += weight * value
         err += abs(weight) * value_err
@@ -414,7 +424,7 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol):
             if abs(coeff) < 1e-9 * max(1.0, abs(scale)):
                 continue  # grouped coefficient cancels at the pole
             raise SingularPointError(SingularityReport("tail term at s=1", 0.0))
-        z = hurwitz_zeta(arg, M + 1, min(tol * 1e-2, 1e-15))
+        z = hurwitz_zeta(arg, M + 1, kernel_tol)
         tail += coeff * z.value
         err += abs(coeff) * z.err_estimate
     return EvalResult(head + pref * tail, err, "euler_maclaurin")
@@ -551,34 +561,16 @@ def _desing2_evaluable(s1, s2):
     return True
 
 
-def neville_extrapolate(xs, ys):
-    """Neville polynomial extrapolation of (xs, ys) to x = 0.
-
-    Returns (limit, last_correction) where the correction is the change in
-    the final diagonal step.  Needs at least two points.
-    """
-    n = len(xs)
-    if n < 2 or len(ys) != n:
-        raise ValueError("need at least two points, one value per abscissa")
-    p = list(ys)
-    prev_diag = p[0]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            p[i] = (xs[i - j] * p[i] - xs[i] * p[i - 1]) / (xs[i - j] - xs[i])
-        correction = abs(p[n - 1] - prev_diag)
-        prev_diag = p[n - 1]
-    return p[n - 1], correction
-
-
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
     Off the singular hyperplanes of the individual terms the combination is
-    summed directly.  On or near them the point is approached along the
-    generic direction (1, 1/golden_ratio) with 7 shifts halving from 1/64
-    and the limit taken by Neville extrapolation; entireness of the
-    combination guarantees the limit exists.  Fewer than 4 usable shifts
-    (ToleranceError) occur only beyond the tail's reach.
+    summed directly.  On or near them the combination, which is entire, is
+    averaged over _CIRCLE_NODES = 6 nodes s + w (1, 1/golden_ratio), w on
+    the circle of radius 1/1024 about 0 (method "extrapolated"); the error
+    estimate is the distance to the mean over every other node, and leaves
+    out the nodes' own estimates.  A node beyond the tail's reach raises
+    ToleranceError.
     tol is passed to every double zeta, where it also sets how far the tail
     re-expansion is carried.
     """
@@ -596,17 +588,16 @@ def _desing2_at(s1, s2, g1, g2, tol):
         total, err = _desing2_combination(s1, s2, g1, g2, tol)
         return EvalResult(total, err, "euler_maclaurin")
 
-    d1, d2 = 1.0, 1.0 / _GOLDEN
-    xs, ys = [], []
-    for k in range(_NEVILLE_STEPS):
-        eps = _EPS0 * 2.0**-k
-        p1, p2 = s1 + eps * d1, s2 + eps * d2
-        if _desing2_evaluable(p1, p2):
-            total, _ = _desing2_combination(p1, p2, g1, g2, tol)
-            xs.append(eps)
-            ys.append(total)
-    if len(xs) < 4:
-        # the shifts leave their starting hyperplane and cross one per family at most
-        raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
-    value, correction = neville_extrapolate(xs, ys)
-    return EvalResult(value, correction, "extrapolated")
+    # the trapezoid rule on a circle converges geometrically to the mean,
+    # which is the value at its centre (Cauchy's integral formula)
+    totals = []
+    for j in range(_CIRCLE_NODES):
+        w = _CIRCLE_RADIUS * cmath.exp(2j * math.pi * j / _CIRCLE_NODES)
+        p1, p2 = s1 + w, s2 + w / _GOLDEN
+        if not _desing2_evaluable(p1, p2):
+            # the nodes keep about the radius from every hyperplane near the point
+            raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
+        totals.append(_desing2_combination(p1, p2, g1, g2, tol)[0])
+    value = sum(totals) / _CIRCLE_NODES
+    half = sum(totals[::2]) / (_CIRCLE_NODES // 2)
+    return EvalResult(value, abs(value - half), "extrapolated")

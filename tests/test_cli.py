@@ -174,6 +174,24 @@ def test_eval_tiny_weight_ratio_refused(capsys):
     assert err.startswith("error: ") and "head longer" in err
 
 
+def test_eval_weight_power_underflow_refused(capsys):
+    code, out, err = run(capsys, "eval", "--s", "3,4", "--gamma", "1e300,1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot reach s=(3+0j, 4+0j): a weight power underflows")
+    assert "weight ratio" in err
+
+
+def test_eval_polynomial_route_meets_tol(capsys):
+    # s2 = -3: a finite sum of single zetas, summed within tol 1e-6; the
+    # literal is the combination summed by mpmath at 30 digits
+    code, out, _ = run(capsys, "eval", "--s", "2.5,-3", "--tol", "1e-6")
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["value"]["re"] - 0.453928933072866768747516347509) < 1e-12
+    assert data["err_estimate"] < 1e-6
+
+
 def test_eval_tolerance_exit(capsys):
     code, _, err = run(capsys, "eval", "--s", "-1,1", "--tol", "1e-30")
     assert code == 3

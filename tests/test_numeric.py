@@ -19,7 +19,6 @@ from deszeta.numeric import (
     double_zeta,
     double_zeta_direct,
     hurwitz_zeta,
-    neville_extrapolate,
     riemann_zeta,
     singularity_distance,
 )
@@ -228,22 +227,6 @@ class TestSingularityDistance:
         assert singularity_distance(3, -2).distance == 0  # pole of zeta(s1 - 2)
 
 
-class TestNeville:
-    def test_exact_on_polynomial(self):
-        xs = [1.0, 0.5, 0.25, 0.125]
-        ys = [2 + 3 * x - x**2 for x in xs]
-        limit, corr = neville_extrapolate(xs, ys)
-        assert abs(limit - 2) < 1e-12
-        assert corr < 1e-12
-
-    @pytest.mark.parametrize(
-        "xs, ys", [([1.0], [2.0]), ([], []), ([1.0, 0.5], [2.0])]
-    )
-    def test_malformed_input_rejected(self, xs, ys):
-        with pytest.raises(ValueError):
-            neville_extrapolate(xs, ys)
-
-
 class TestDesing:
     def test_depth_one(self):
         assert desing1(1).value == -1
@@ -272,19 +255,32 @@ class TestDesing:
     def test_cancellation_at_one_one(self, monkeypatch):
         # (1, 1) lies on singular hyperplanes of all three shifted terms, where
         # the coefficient polynomials must be evaluated without cancellation
-        for eps0 in (1.0 / 64, 1.0 / 128):
-            monkeypatch.setattr(numeric, "_EPS0", eps0)
+        for radius in (1.0 / 1024, 1.0 / 512):
+            monkeypatch.setattr(numeric, "_CIRCLE_RADIUS", radius)
             assert abs(desing2(1, 1).value - 0.5) < 1e-10
 
     def test_extrapolation_stability(self, monkeypatch):
-        # halving the initial shift moves the answer by less than the
-        # reported error estimate (plus double-precision noise)
+        # doubling the radius of the circle moves the mean by less than the
+        # reported error estimates (plus double-precision noise)
         for s1, s2 in ((-1, 1), (1, 1), (2, 1), (-1, 4)):
             a = desing2(s1, s2)
             with monkeypatch.context() as m:
-                m.setattr(numeric, "_EPS0", 1.0 / 128)
+                m.setattr(numeric, "_CIRCLE_RADIUS", 1.0 / 512)
                 b = desing2(s1, s2)
             assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate + 1e-9
+
+    def test_circle_mean_on_the_singular_grid(self):
+        # at (-k, -l) with l <= 1 a shifted term is singular, and the value
+        # is the mean over the circle's nodes; for k <= 3 the true error is
+        # also within the reported estimate
+        for k in range(6):
+            for l in range(2):
+                got = desing2(-k, -l)
+                err = abs(got.value - float(desing_value_r2_closed(k, l, 1, 1)))
+                assert got.method == "extrapolated"
+                assert err < 1e-8
+                if k <= 3:
+                    assert err <= got.err_estimate
 
     def test_weighted_combination(self):
         # brute-force sum of the combination at a regular point, gamma != 1
@@ -324,8 +320,22 @@ class TestDesing:
                 assert got.method == "euler_maclaurin"
                 assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("s, weights, route", [
+        ((3, 4), (1e300, 1e-300), "euler_maclaurin"),
+        ((3, 4), (1e-100, 1e-100), "euler_maclaurin"),
+        ((5, -2), (1e-100, 1), "polynomial_reduction"),
+    ])
+    def test_weight_power_underflow_refused(self, s, weights, route):
+        # Python's complex power by an integer divides by a power that
+        # underflowed to zero; both routes refuse it naming the weight ratio
+        assert double_zeta(*s).method == route
+        with pytest.raises(ContinuationReachError, match=r"underflows .*weight ratio"):
+            double_zeta(*s, *weights)
+        with pytest.raises(ContinuationReachError, match=r"^cannot reach s=.*weight ratio"):
+            desing2(*s, *weights)
+
     def test_beyond_reach_named(self):
-        # every shifted point of the extrapolation lies beyond the tail's reach
+        # every node of the circle lies beyond the tail's reach
         with pytest.raises(ToleranceError, match=r"Re\(s1\+s2\)=-20\.2 .*Re\(s1\+s2\) > -14"):
             desing2(-20.5, 0.3)
 
