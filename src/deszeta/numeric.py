@@ -3,9 +3,10 @@
 Continuation strategy: everything is built on a single Euler-Maclaurin
 Hurwitz-zeta kernel.  The double zeta is reduced to an outer sum of Hurwitz
 values; its tail is accelerated by substituting the asymptotic expansion of
-the inner Hurwitz zeta and re-expanding binomially, which turns the tail
-into a finite combination of shifted Hurwitz values; at s2 = -n the inner
-zeta is a Bernoulli polynomial, which leaves single zetas.  At points on (or
+the inner Hurwitz zeta in powers of beta m (beta = gamma1/gamma2), which
+turns the tail into a finite combination of single Hurwitz values
+zeta(s1 + s2 - 1 + p, M + 1); at s2 = -n the inner zeta is a Bernoulli
+polynomial, which leaves single zetas.  At points on (or
 near) the singular hyperplanes of the terms' routes, the entire
 desingularized combination is recovered as its mean over a small circle
 of six nodes around the point (Cauchy's integral formula, summed by the
@@ -17,6 +18,7 @@ All arithmetic is double precision; tolerances below are set for it.
 import cmath
 import contextlib
 import contextvars
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -42,10 +44,11 @@ __all__ = [
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
-_TAIL_ORDER = 16  # binomial order of the double-zeta tail; sets _within_reach
+_TAIL_K = 10  # Euler-Maclaurin orders of the double-zeta tail; sets Re s2 > -21 in _within_reach
+_REACH = -14  # the tail reaches Re(s1+s2) above this (and its deepest hyperplane)
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
-_REACH_REFUSAL = "Re(s1+s2)=%%g beyond continuation reach: the tail re-expansion " \
-    "reaches Re(s1+s2) > %d" % (2 - _TAIL_ORDER)
+_REACH_REFUSAL = "Re(s1+s2)=%%g and Re s2=%%g beyond continuation reach: the tail " \
+    "reaches Re(s1+s2) > %d and Re s2 > %d" % (_REACH, -(2 * _TAIL_K + 1))
 _CIRCLE_NODES = 6  # nodes of desing2's circle mean near the singular hyperplanes
 _CIRCLE_RADIUS = 1.0 / 1024  # its radius in the shift w of s + w (1, 1/_GOLDEN)
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
@@ -230,11 +233,11 @@ def riemann_zeta(s):
 def singularity_distance(s1, s2):
     """Distance of (s1, s2) to the singular locus of double_zeta's route:
     s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...}, down to the tail's reach
-    2 - _TAIL_ORDER, or at s2 = -n to the last pole 1 - n of its zeta(s1 - i)."""
+    _REACH, or at s2 = -n to the last pole 1 - n of its zeta(s1 - i)."""
     s1 = complex(s1)
     s2 = complex(s2)
     n = _is_nonpositive_int(s2)
-    bottom = 2 - _TAIL_ORDER if n is None else 1 - n
+    bottom = _REACH if n is None else 1 - n
     best = SingularityReport("s2=1", abs(s2 - 1))
     w = s1 + s2
     for v in (2, 1, *range(0, bottom - 1, -2)):
@@ -250,8 +253,10 @@ def _is_nonpositive_int(z):
 
 
 def _within_reach(s1, s2):
-    """Whether the tail re-expansion of double_zeta reaches (s1, s2)."""
-    return (s1 + s2).real > 2 - _TAIL_ORDER
+    """Whether the tail of double_zeta reaches (s1, s2): Re(s1+s2) above
+    _REACH, and Re s2 > -(2 _TAIL_K + 1), where the remainder bound of its
+    last order exists."""
+    return (s1 + s2).real > _REACH and s2.real > -(2 * _TAIL_K + 1)
 
 
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
@@ -260,19 +265,19 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     At s2 = -n the inner Hurwitz zeta is a Bernoulli polynomial, and the
     value is that of s1 -> zeta_2(s1, -n), a finite sum of single zetas
     finite off that line's own poles; otherwise a Hurwitz head of about
-    (|s2| + 22) / (2 pi |gamma1/gamma2|) terms meets a binomially
-    re-expanded Euler-Maclaurin tail, truncated where tol allows: short of
-    the order caps, each omitted piece is bounded over every m beyond the
-    head and kept below _TAIL_BUDGET * tol (a looser tol asks for fewer
-    Hurwitz values).  The head takes one kernel evaluation per residue class
-    of a rational weight ratio, one per term otherwise.  On its route's
-    singular hyperplanes (singularity_distance) the point raises
-    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
-    even at s2 = 0 (a large |s2| alone is summed), either route overflowing
-    double precision, a power of the weights underflowing it and a point
-    beyond the tail's reach, on a deep hyperplane too, raise
-    ContinuationReachError; both are ValueErrors.  Both routes ask the
-    kernel for each Hurwitz value at min(tol / 100, 1e-15).
+    ((|s2| + 22) / (2 pi) + 1) / |gamma1/gamma2| terms meets the
+    Euler-Maclaurin tail of order K = _TAIL_K, truncated at the first order
+    whose remainder, bounded over every m beyond the head, is below
+    _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz values).  The
+    head takes one kernel evaluation per residue class of a rational weight
+    ratio, one per term otherwise.  On its route's singular hyperplanes
+    (singularity_distance) the point raises SingularPointError.  A weight
+    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
+    alone is summed), either route overflowing double precision, a power of
+    the weights underflowing it and a point beyond the tail's reach
+    (Re(s1+s2) > _REACH and Re s2 > -(2K + 1)), on a deep hyperplane too,
+    raise ContinuationReachError; both are ValueErrors.  Both routes ask
+    the kernel for each Hurwitz value at min(tol / 100, 1e-15).
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -286,7 +291,7 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     beta = g1 / g2
     n = _is_nonpositive_int(s2)
     if n is None and not _within_reach(s1, s2):
-        raise ContinuationReachError(_REACH_REFUSAL % (s1 + s2).real)
+        raise ContinuationReachError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
     kernel_tol = min(tol * 1e-2, 1e-15)
     try:
         if n is not None:
@@ -325,25 +330,32 @@ def _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol):
 
 def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
     """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
-    class of a rational weight ratio, per m otherwise) plus the re-expanded
-    tail m > M.  tol sets the tail truncation: a branch is dropped whole, or
-    cut once its terms halve, where the bound on what is omitted, summed
-    over every m > M, is at most _TAIL_BUDGET * tol; the caps K and
-    _TAIL_ORDER keep their proxies, taken at m = M + 1.  Every Hurwitz value
-    is asked for at kernel_tol."""
-    # Head length: the binomial re-expansion needs |beta (M+1)| comfortably
-    # above 1 and the asymptotic expansion of the inner zeta must be valid at
-    # x = 1 + beta(M+1).  Keep M as small as those constraints allow: the
-    # rounding-noise floor of the head/tail cancellation grows like a power
-    # of M, and it dominates the error at deeply negative weights.
-    K = 10
-    span = (abs(s2) + 2 * K + 2) / (2 * math.pi)  # M >= span / |beta|
-    if abs(beta) * _HEAD_MAX < (2 * K + 2) / (2 * math.pi):
+    class of a rational weight ratio, per m otherwise) plus the tail m > M.
+
+    With x = beta m, zeta(s2, 1 + x) ~ x^(1-s2)/(s2-1) - x^(-s2)/2 +
+    sum_k c_k x^(1-s2-2k), c_k = B_2k/(2k)! (s2)_(2k-1), so the tail is
+    pref sum_p coef_p beta^(1-s2-p) zeta(s1+s2-1+p, M+1) over p = 0, 1, 2,
+    4, ..., 2K (the weighted Akiyama-Egami-Tanigawa formula).  Order k is
+    omitted, and the expansion stops, at the first k where sigma =
+    Re(s1+s2-1+2k) > 1, w = s2+2k-1 has Re w > 0 and the remainder bound
+    |c_k pref beta^(1-s2-2k)| (M+1)^-sigma (1 + (M+1)/(sigma-1)) |w|/Re w,
+    summed over every m > M, is at most _TAIL_BUDGET * tol; at k = K+1 the
+    bound is added whatever its size.  The factor |w|/Re w is the
+    Euler-Maclaurin remainder bound on the real axis x > 0; for a complex
+    weight ratio beta it is not proven.  Every Hurwitz value is asked for at
+    kernel_tol."""
+    # Head length: the asymptotic expansion of the inner zeta must be valid
+    # at x = beta m for every m > M, |beta| M >= (|s2| + 2K + 2) / (2 pi) + 1.
+    # Keep M as small as that allows: the rounding-noise floor of the
+    # head/tail cancellation grows like a power of M, and it dominates the
+    # error at deeply negative weights.
+    span0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # that bound at s2 = 0
+    if abs(beta) * _HEAD_MAX < span0:
         raise ContinuationReachError(
             "double-zeta head longer than %d terms even at s2 = 0: weight "
             "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
         )
-    M = max(8, int(math.ceil(span / abs(beta))))
+    M = max(8, int(math.ceil((span0 + abs(s2) / (2 * math.pi)) / abs(beta))))
     g2_s2 = g2 ** (-s2)
     pref = g1 ** (-s1) * g2_s2
 
@@ -354,79 +366,24 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
         head += weight * value
         err += abs(weight) * value_err
 
-    # asymptotic expansion of the inner zeta at x = 1 + beta m: branches w
-    # with x^{-w}, branch list (w, c_w); re-expanded binomially in 1/(beta m),
-    # the term j of branch w is c_w C(-w, j) pref beta^(1-s2-p) times
-    # zeta(s1 + s2 - 1 + p, M + 1), p = w - (s2 - 1) + j: summed over m > M
-    branches = [(s2 - 1, 1.0 / (s2 - 1)), (s2, 0.5 + 0j)]
-    coefs = _em_coefficients(s2)
-    for k in range(1, K + 1):
-        branches.append((s2 + 2 * k - 1, next(coefs)))
-    x0 = abs(1 + beta * (M + 1))
-    # magnitude of the first omitted asymptotic order at m = M + 1, as the
-    # tail error proxy
-    k = K + 1
-    err += (
-        abs(next(coefs))
-        * x0 ** (-(s2.real) - 2 * k + 1)
-        * abs(pref)
-        * (M + 1) ** (-s1.real)
-    )
-
-    # truncation: each omitted piece (a branch's binomial rest, or a whole
-    # branch) is bounded over every m > M and kept within _TAIL_BUDGET * tol
-    ratio = 1.0 / abs(beta * (M + 1))  # below 2 pi / 22 by the choice of M
     base = s1 + s2 - 1
-    scale = beta ** (1 - s2)
     budget = _TAIL_BUDGET * tol
-
-    # collect by the integer offset p: all branch/binomial products with the
-    # same total shift hit the same zeta argument s1 + s2 - 1 + p, and the
-    # grouped coefficient is what cancels at the regular integer offsets
-    groups = {}
-    for w, c in branches:
-        delta = round((w - (s2 - 1)).real)  # exact integer by construction
-        # |c_w C(-w, j)| bound bounds term j from order j0 on, where sigma =
-        # Re(base + p) >= 3/2: |zeta(base + p, M + 1)| <= sum_{m>M} m^-sigma,
-        # and the bound shrinks at least by ratio per order
-        j0 = max(0, math.ceil(1.5 - base.real) - delta)
-        sigma = base.real + delta + j0
-        bound = abs(pref * scale * beta ** -(delta + j0)) * (M + 1) ** -sigma \
-            * (1 + (M + 1) / (sigma - 1))
-        # the whole branch: sum_j |C(-w, j)| ratio^j <= (1 - ratio)^-|w|
-        whole = abs(c) * bound * (1 - ratio) ** -abs(w)
-        if j0 == 0 and whole <= budget:
-            err += whole
-            continue
-        # from order `start` on ratio (|w| + j) <= (j + 1) / 2: every term at
-        # least halves, and twice the first omitted one bounds the rest
-        start = max(j0, math.ceil((ratio * abs(w) - 0.5) / (0.5 - ratio)))
-        bin_c = 1.0 + 0j
-        for j in range(_TAIL_ORDER + 1):
-            if j > 0:
-                bin_c *= (-w - (j - 1)) / j
-            if j > j0:
-                bound *= ratio
-            p = delta + j
-            if j >= start and 2 * abs(c * bin_c) * bound <= budget:
-                err += 2 * abs(c * bin_c) * bound
-                break
-            groups[p] = groups.get(p, 0j) + c * bin_c
-        else:
-            # binomial truncation proxy at the cap, taken at m = M + 1 only
-            err += abs(c * bin_c) * ratio ** (_TAIL_ORDER + 1) * abs(pref) * x0 ** (-(w.real))
-
     tail = 0j
-    for p in sorted(groups):
-        coeff = groups[p] * scale * beta ** (-p)
-        arg = base + p
-        if abs(arg - 1) < 1e-9:
-            if abs(coeff) < 1e-9 * max(1.0, abs(scale)):
-                continue  # grouped coefficient cancels at the pole
-            raise SingularPointError(SingularityReport("tail term at s=1", 0.0))
-        z = hurwitz_zeta(arg, M + 1, kernel_tol)
+    orders = (0, 1, *range(2, 2 * _TAIL_K + 3, 2))
+    coefs = itertools.chain((1 / (s2 - 1), -0.5), _em_coefficients(s2))
+    for p, c in zip(orders, coefs):
+        coeff = c * beta ** (1 - s2 - p)
+        sigma = base.real + p
+        w = s2 + p - 1
+        if p > 1 and sigma > 1 and w.real > 0:
+            bound = abs(pref * coeff) * (M + 1) ** -sigma * (1 + (M + 1) / (sigma - 1)) \
+                * abs(w) / w.real
+            if bound <= budget or p > 2 * _TAIL_K:
+                err += bound
+                break
+        z = hurwitz_zeta(base + p, M + 1, kernel_tol)
         tail += coeff * z.value
-        err += abs(coeff) * z.err_estimate
+        err += abs(pref * coeff) * z.err_estimate
     return EvalResult(head + pref * tail, err, "euler_maclaurin")
 
 
@@ -572,7 +529,7 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     out the nodes' own estimates.  A node beyond the tail's reach raises
     ToleranceError.
     tol is passed to every double zeta, where it also sets how far the tail
-    re-expansion is carried.
+    expansion is carried.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -596,7 +553,7 @@ def _desing2_at(s1, s2, g1, g2, tol):
         p1, p2 = s1 + w, s2 + w / _GOLDEN
         if not _desing2_evaluable(p1, p2):
             # the nodes keep about the radius from every hyperplane near the point
-            raise ToleranceError(_REACH_REFUSAL % (s1 + s2).real)
+            raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
         totals.append(_desing2_combination(p1, p2, g1, g2, tol)[0])
     value = sum(totals) / _CIRCLE_NODES
     half = sum(totals[::2]) / (_CIRCLE_NODES // 2)

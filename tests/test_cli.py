@@ -192,6 +192,25 @@ def test_eval_polynomial_route_meets_tol(capsys):
     assert data["err_estimate"] < 1e-6
 
 
+def test_eval_small_weight_ratio_meets_tol(capsys):
+    # weight ratio 1/20: heads of about 110 terms and a tail whose omitted
+    # orders are bounded over every m beyond the head; the literal is the
+    # combination summed by mpmath at 30 digits
+    code, out, _ = run(capsys, "eval", "--s", "3,4", "--gamma", "1/20,1", "--tol", "1e-6")
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["value"]["re"] - 52491.22860295592) <= data["err_estimate"] <= 1e-6
+
+
+def test_eval_beyond_the_tail_s2_bound(capsys):
+    # Re(s1+s2) = -10.5 is within reach, Re s2 = -25.5 is not: the tail's
+    # last order has no remainder bound there
+    code, out, err = run(capsys, "eval", "--s", "15,-25.5")
+    assert code == 3
+    assert out == ""
+    assert "Re s2=-25.5 beyond continuation reach" in err and "Re s2 > -21" in err
+
+
 def test_eval_tolerance_exit(capsys):
     code, _, err = run(capsys, "eval", "--s", "-1,1", "--tol", "1e-30")
     assert code == 3

@@ -158,9 +158,12 @@ class TestDoubleZeta:
         with pytest.raises(ValueError):
             double_zeta(2.0, 3.0, -1.0, 1.0)
 
-    @pytest.mark.parametrize("weights", [(1e-300, 1.0), (1e-5, 1.0), (1e-320, 1e10)])
+    @pytest.mark.parametrize("weights", [(1e-300, 1.0), (1e-5, 1.0), (1e-320, 1e10),
+                                         (1 / 300, 1.0), (1 / 230, 1.0)])
     def test_tiny_weight_ratio_refused(self, weights):
-        # the head length grows like 1/|gamma1/gamma2|; the last ratio is 0.0
+        # the head length grows like 1/|gamma1/gamma2|: at s2 = 0 it is
+        # (22 / (2 pi) + 1) / |gamma1/gamma2|, over 1000 terms below about
+        # 0.0045; the third ratio is 0.0
         with pytest.raises(ContinuationReachError, match="head longer"):
             desing2(3, 4, *weights)
 
@@ -376,20 +379,32 @@ class TestTailTruncation:
         assert abs(loose.value - tight.value) <= loose.err_estimate + tight.err_estimate
         assert n_loose < len(calls) - n_loose
 
-    def test_growing_branch_kept_until_it_halves(self, monkeypatch):
-        # |beta (M + 1)| = 35 / 4 is small beside |s2| = 30: the terms of the
-        # high Euler-Maclaurin branches grow with the binomial order before
-        # they shrink, so their first terms are below the budget although
-        # the later ones are not.  A branch is cut only once its terms halve
-        # or dropped whole within the budget, which keeps every offset up to
-        # 20; cutting at the first small term stops at 14
+    def test_large_s2_agrees_across_tol(self):
+        # |beta (M + 1)| = 39 / 4 is small beside |s2| = 30, so the tail's
+        # coefficients grow over the first orders before they shrink
+        loose = double_zeta(3, 2 + 30j, 1, 4, tol=1e-4)
+        tight = double_zeta(3, 2 + 30j, 1, 4, tol=1e-13)
+        assert abs(loose.value - tight.value) <= loose.err_estimate + tight.err_estimate
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-13])
+    def test_tail_evaluates_offsets_zero_one_and_even(self, monkeypatch, tol):
+        # the grouped coefficients of the odd offsets p >= 3 vanish: the
+        # tail asks for zeta(s1 + s2 - 1 + p, M + 1), M + 1 = 39, at
+        # p = 0, 1, 2, 4, ... only
         s1, s2 = 3, 2 + 30j
         calls = _count_hurwitz(monkeypatch)
-        loose = double_zeta(s1, s2, 1, 4, tol=1e-4)
-        offsets = {round((s - (s1 + s2 - 1)).real) for s, a, _ in calls if a == 35}
-        assert offsets == set(range(21))
-        tight = double_zeta(s1, s2, 1, 4, tol=1e-13)
-        assert abs(loose.value - tight.value) <= loose.err_estimate + tight.err_estimate
+        double_zeta(s1, s2, 1, 4, tol=tol)
+        offsets = {(s - (s1 + s2 - 1)).real for s, a, _ in calls if a == 39}
+        assert {0, 1, 2} <= offsets
+        assert all(p == round(p) and (p < 2 or p % 2 == 0) for p in offsets)
+
+    @pytest.mark.parametrize("args, tols", [
+        ((3, 2 + 1600j, 1, 4), (1e-4, 1e-6, 1e-10, 1e-13)),
+        ((4.630 - 0.760j, -0.030 + 27.066j, 0.195 - 0.156j, 0.782 + 0.624j), (1e-7, 1e-13)),
+    ])
+    def test_estimate_does_not_grow_as_tol_tightens(self, args, tols):
+        estimates = [double_zeta(*args, tol=tol).err_estimate for tol in tols]
+        assert estimates == sorted(estimates, reverse=True)
 
 
 class TestHeadRecurrence:
@@ -419,29 +434,30 @@ class TestHeadRecurrence:
 
     def test_huge_integer_ratio_takes_the_kernel(self):
         # beta = 2^40 is p/q with q = 1 but p far above the recurrence's
-        # bound: p powers per step would never finish.  The literal is the
-        # value summed with one kernel call per head term
+        # bound: p powers per step would never finish.  The literal is
+        # mpmath at 40 digits: the head m <= 8 plus the tail m > 8
         start = time.perf_counter()
         z = double_zeta(3, 4, 2**40, 1)
         assert time.perf_counter() - start < 1
-        assert abs(z.value - 1.919310865560092e-73) <= 2 * z.err_estimate
+        assert abs(z.value - 1.9193192254978388e-73) <= 2 * z.err_estimate
 
     def test_overflow_in_the_recurrence_refused(self):
         # weight ratio 16, head m <= 8: the class starts at zeta(-150.5, 17)
         # and recurs towards the offset 129 = 1 + 16 * 8, and a power on the
         # way overflows double precision (a kernel call at 129 would overflow
-        # in the kernel itself)
-        with pytest.raises(ContinuationReachError,
-                           match=r"head or tail overflows double precision at Re s2=-150\.5 "):
+        # in the kernel itself).  Such an s2 is beyond the tail's reach
+        # Re s2 > -21, so double_zeta and desing2 refuse it before any sum
+        with pytest.raises(OverflowError):
+            list(numeric._head_values(-150.5 + 0j, 16 + 0j, 8, 1e-15))
+        with pytest.raises(ContinuationReachError, match=r"Re s2=-150\.5 beyond .* Re s2 > -21"):
             double_zeta(150.3, -150.5, 16, 1)
-        with pytest.raises(ContinuationReachError,
-                           match=r"^cannot reach s=\(150\.3\+0j, -150\.5\+0j\): double-zeta head"):
+        with pytest.raises(ToleranceError, match=r"Re s2=-150\.5 beyond .* Re s2 > -21"):
             desing2(150.3, -150.5, 16, 1)
 
 
 class TestHurwitzMemo:
     # (-3, -1) is extrapolated: a shifted s2 lands on 1
-    @pytest.mark.parametrize("point, most", [((-3, -1), 224), ((3, 4), 17)])
+    @pytest.mark.parametrize("point, most", [((-3, -1), 90), ((3, 4), 9)])
     def test_call_count(self, monkeypatch, point, most):
         calls = _count_hurwitz(monkeypatch)
         desing2(*point)
