@@ -15,12 +15,12 @@ trapezoid rule).
 All arithmetic is double precision; tolerances below are set for it.
 """
 
+import bisect
 import cmath
 import contextlib
 import contextvars
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,29 +95,25 @@ class ToleranceError(ArithmeticError):
     """The requested tolerance could not be met."""
 
 
-_EM_TABLE = []  # B_{2k}/(2k)! as floats at index k - 1, filled on first use
-_EM_LOCK = threading.Lock()
+class _EMTable(dict):
+    """{k: B_{2k}/(2k)! as a float}, each entry computed on first use."""
+
+    def __missing__(self, k):
+        value = self[k] = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
+        return value
+
+
+_EM_TABLE = _EMTable()
+_BERNOULLI_VALUES = {}  # {(n, a): float(-B_{n+1}(a)/(n+1))}, the kernel at s = -n, real a
 
 
 def _em_coefficients(s):
-    """Yield the Euler-Maclaurin coefficients B_{2k}/(2k)! (s)_{2k-1} for
-    k = 1, 2, ...; each one costs two multiplications of the rising
-    factorial, whose factors (s)(s+1)(s+2)... are multiplied in from the
-    left, one at a time, which fixes the rounding of every coefficient."""
-    table = _EM_TABLE
-    poch = 1.0 + 0j
-    k = 1
-    while True:
-        if k > 1:
-            poch *= s + (2 * k - 3)
-        poch *= s + (2 * k - 2)
-        if k > len(table):
-            with _EM_LOCK:
-                while len(table) < k:
-                    n = 2 * len(table) + 2
-                    table.append(float(bernoulli_number(n)) / math.factorial(n))
-        yield table[k - 1] * poch
-        k += 1
+    """Yield B_{2k}/(2k)! (s)_{2k-1} for k = 1, 2, ..., multiplying the factors
+    (s)(s+1)(s+2)... in from the left, one at a time, as the kernel does."""
+    poch = s
+    for k in itertools.count(1):
+        yield _EM_TABLE[k] * poch
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
 
 
 def _check_inputs(tol, args, weights=()):
@@ -142,9 +138,12 @@ _HURWITZ_MEMO = contextvars.ContextVar("deszeta_hurwitz_memo", default=None)
 def hurwitz_zeta(s, a, tol=1e-14):
     """Hurwitz zeta continued in s by Euler-Maclaurin summation.
 
-    Partial sum to N, boundary terms, and Bernoulli corrections; N and the
-    correction order are raised until the first omitted correction is below
-    tol.  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
+    Partial sum to N, boundary terms, and Bernoulli corrections, from one
+    complex power x^-s per N (x = a + N; each correction's power is the
+    last one's times x^-2), the partial sum carried from one N to the next;
+    N and the correction order are raised until the first omitted correction
+    is below tol.  At s = -n and real a the value is -B_{n+1}(a)/(n+1),
+    computed once per (n, a).  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
     Raises ContinuationReachError on overflow and where the corrections
     still fail to converge at the longest partial sum (|Im s| > ~2000).
     While a desing2 combination is summed, each distinct (s, a, tol) is
@@ -183,13 +182,14 @@ def _hurwitz_sum(s, a, tol):
         and s.real <= 0
     ):
         # exactly integral non-positive s: the value is a Bernoulli
-        # polynomial, computable in exact rational arithmetic
+        # polynomial, computed once per (n, a) in exact rational arithmetic
         n = int(-s.real)
-        value = -Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1)
-        out = float(value)
+        out = _BERNOULLI_VALUES.get((n, a.real))
+        if out is None:
+            value = -Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1)
+            out = _BERNOULLI_VALUES[n, a.real] = float(value)
         return EvalResult(complex(out), abs(out) * 2e-16 + 1e-300, "bernoulli_polynomial")
 
-    smod = abs(s)
     if s.real < 0.5:
         # For Re s < 0 the partial sum grows like (a+N)^{1-Re s}, so a large
         # N destroys the final cancellation in double precision; start from
@@ -197,17 +197,21 @@ def _hurwitz_sum(s, a, tol):
         ladder = (0, 2, 4, 8, 16, 32, 64, 128, 256, _HURWITZ_N_MAX)
     else:
         ladder = (16, 32, 64, 128, 256, _HURWITZ_N_MAX)
-    for N in ladder:
-        if s.real >= 0.5 and N <= smod / 2 and N < _HURWITZ_N_MAX:
-            continue
+        ladder = ladder[min(5, bisect.bisect_right(ladder, abs(s) / 2)):]  # N > |s|/2
+    partial = 0  # the partial sum over n < N, carried up the ladder
+    for low, N in zip((0, *ladder), ladder):
+        for n in range(low, N):
+            partial += (a + n) ** (-s)
         x = a + N
-        total = sum((a + n) ** (-s) for n in range(N))
-        total += x ** (1 - s) / (s - 1)
-        total += 0.5 * x ** (-s)
-        prev = math.inf
-        err = math.inf
-        for k, coef_poch in zip(range(1, 40), _em_coefficients(s)):
-            term = coef_poch * x ** (-s - 2 * k + 1)
+        xs = x ** (-s)
+        power = x * xs  # x^(1-s), then x^(1-s-2k) at correction k
+        total = partial + power / (s - 1) + 0.5 * xs
+        x_2 = x ** -2
+        poch = s  # the rising factorial (s)_(2k-1)
+        prev = err = math.inf
+        for k in range(1, 40):
+            power *= x_2
+            term = _EM_TABLE[k] * poch * power
             mag = abs(term)
             if mag > prev:
                 err = mag  # asymptotic series started diverging
@@ -217,6 +221,9 @@ def _hurwitz_sum(s, a, tol):
             if mag < tol * max(1.0, abs(total)):
                 err = mag
                 break
+            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        if not cmath.isfinite(power):  # the powers grow with k where |x| < 1
+            raise OverflowError
         if err < tol * max(1.0, abs(total)):
             return EvalResult(total, err, "euler_maclaurin")
     if math.isinf(err):  # no correction was small, and none grew
@@ -240,7 +247,9 @@ def singularity_distance(s1, s2):
     bottom = _REACH if n is None else 1 - n
     best = SingularityReport("s2=1", abs(s2 - 1))
     w = s1 + s2
-    for v in (2, 1, *range(0, bottom - 1, -2)):
+    # the even level in [bottom, 0] nearest w, the higher one on a tie; 1 again if none
+    r = min(0.5, max(bottom, w.real))
+    for v in (2, 1, max(bottom, 2 * math.floor((r + 1) / 2))):
         d = abs(w - v) / math.sqrt(2)
         if d < best.distance:
             best = SingularityReport("s1+s2=%d" % v, d)
@@ -371,8 +380,12 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
     tail = 0j
     orders = (0, 1, *range(2, 2 * _TAIL_K + 3, 2))
     coefs = itertools.chain((1 / (s2 - 1), -0.5), _em_coefficients(s2))
+    power = beta ** (1 - s2)  # beta^(1-s2-p), divided down order by order
     for p, c in zip(orders, coefs):
-        coeff = c * beta ** (1 - s2 - p)
+        if not cmath.isfinite(power):
+            raise OverflowError
+        coeff = c * power
+        power /= beta if p < 2 else beta * beta
         sigma = base.real + p
         w = s2 + p - 1
         if p > 1 and sigma > 1 and w.real > 0:

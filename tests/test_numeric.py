@@ -1,5 +1,6 @@
 """Numeric continuation: Hurwitz kernel, double zeta, desingularized values."""
 
+import cmath
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from deszeta import numeric
+from deszeta.exact import bernoulli_polynomial
 from deszeta.numeric import (
     ContinuationReachError,
     SingularPointError,
@@ -64,26 +66,71 @@ class TestHurwitzKernel:
 # hurwitz_zeta pinned bit for bit, so that a change to the Euler-Maclaurin
 # coefficient loop cannot move digits unnoticed: (s, a), value, err_estimate.
 # The points cover the N = 0 ladder (Re s < 0.5), Re s >= 0.5, complex a, and
-# a |s| so large that the correction series stops on divergence.
+# a |s| so large that the correction series stops on divergence.  Three
+# estimates are not bounds on the error (ROADMAP 1(d)): (-10.2, 0.1) is off
+# by 2.1e-10, (3+5000j, 1) by 5.7e-8, and (-45+20j, 0.3+0.4j) returns a
+# value near 5.6e39 where the true one is 5.53e31-1.67e32j.
 KERNEL_PINS = [
-    ((-2.5, 0.7), complex(0.004002311060612144, 0.0), 9.714309833418105e-15),
-    ((-10.2, 0.1), complex(-0.004137542836921566, 0.0), 8.349507363277895e-15),
-    ((0.3 + 2j, 1.0), complex(0.38531035090764304, -0.282528211686485), 1.5368716528191212e-15),
-    ((2.5, 1.3), complex(0.7832185539082374, 0.0), 1.0814901201459962e-15),
-    ((3 + 40j, 1.0), complex(0.9326091439284988, -0.06375750607117799), 6.571128058053325e-15),
+    ((-2.5, 0.7), complex(0.004002311060612588, 0.0), 9.714309833418091e-15),
+    ((-10.2, 0.1), complex(-0.004137542840125781, 0.0), 8.349507363277872e-15),
+    ((0.3 + 2j, 1.0), complex(0.38531035090764304, -0.2825282116864848), 1.5368716528191234e-15),
+    ((2.5, 1.3), complex(0.7832185539082374, 0.0), 1.0814901201459964e-15),
+    ((3 + 40j, 1.0), complex(0.9326091439284988, -0.06375750607117799), 6.571128058053324e-15),
     ((1.5 - 0.5j, 1 + 0.8j), complex(0.8937703627307788, 0.24262005404701914),
-     3.4301654471447108e-15),
-    ((-45 + 20j, 0.3 + 0.4j), complex(-1.158861221601719e+40, 4.348600330792238e+39),
-     1.0359782238481631e+25),
-    ((3 + 5000j, 1.0), complex(0.8998677973725441, 0.026966556462518516), 9.525192475022292e-09),
+     3.430165447144709e-15),
+    ((-45 + 20j, 0.3 + 0.4j), complex(-1.4141064238428013e+39, 5.423111077689641e+39),
+     1.0359782238481672e+25),
+    ((3 + 5000j, 1.0), complex(0.8998677973725441, 0.026966556462518516), 9.52519247502229e-09),
 ]
 
 
-@pytest.mark.parametrize("args, value, err", KERNEL_PINS)
+@pytest.mark.parametrize("args, value, err", KERNEL_PINS,
+                         ids=["%s,%s" % args for args, _, _ in KERNEL_PINS])
 def test_kernel_pinned(args, value, err):
     z = hurwitz_zeta(*args)
     assert z.value == value
     assert z.err_estimate == err
+
+
+# the other five pins against their true values (mpmath, 40 digits)
+KERNEL_TRUE = [
+    ((-2.5, 0.7), complex(0.004002311060614838, 0.0)),
+    ((0.3 + 2j, 1.0), complex(0.3853103509076439, -0.282528211686484)),
+    ((2.5, 1.3), complex(0.7832185539082372, 0.0)),
+    ((3 + 40j, 1.0), complex(0.9326091439284984, -0.0637575060711776)),
+    ((1.5 - 0.5j, 1 + 0.8j), complex(0.8937703627307788, 0.24262005404701906)),
+]
+
+
+@pytest.mark.parametrize("args, true", KERNEL_TRUE, ids=["%s,%s" % args for args, _ in KERNEL_TRUE])
+def test_kernel_estimate_bounds_the_true_error(args, true):
+    z = hurwitz_zeta(*args)
+    assert abs(z.value - true) <= z.err_estimate
+
+
+class TestIntegerArgument:
+    @pytest.mark.parametrize("a", [1, 2, 9])
+    def test_bernoulli_polynomial_value(self, a):
+        for n in range(21):
+            z = hurwitz_zeta(-n, a)
+            assert z.method == "bernoulli_polynomial"
+            assert z.value == float(-bernoulli_polynomial(n + 1, a) / (n + 1))
+
+    def test_each_value_computed_once(self, monkeypatch):
+        calls = []
+        original = numeric.bernoulli_polynomial
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(numeric, "_BERNOULLI_VALUES", {})
+        monkeypatch.setattr(numeric, "bernoulli_polynomial", counting)
+        first = desing2(-3, -3)
+        assert calls
+        calls.clear()
+        assert desing2(-3, -3) == first
+        assert calls == []
 
 
 NAN = float("nan")
@@ -181,6 +228,9 @@ class TestDoubleZeta:
         # beta^(1 - s2) = 4^1599 overflows double precision
         with pytest.raises(ContinuationReachError, match=r"Re s2=1600 .*\|gamma1/gamma2\|=0\.25"):
             double_zeta(3, 1600, 1, 4)
+        # beta^(1 - s2) = 5.6e299 is finite, but beta^(1 - s2 - p) overflows at order p = 16
+        with pytest.raises(ContinuationReachError, match=r"Re s2=2 .*\|gamma1/gamma2\|=0\.25"):
+            double_zeta(3, 2 + 492j, 0.25 * cmath.exp(1.4j), 1)
 
 
 class TestKernelRefusals:
@@ -228,6 +278,34 @@ class TestSingularityDistance:
         assert singularity_distance(-4, -2).distance >= 1 / math.sqrt(2)
         assert singularity_distance(-3.5, -2.5).distance == 0  # tail route
         assert singularity_distance(3, -2).distance == 0  # pole of zeta(s1 - 2)
+
+    @staticmethod
+    def scan(s1, s2):
+        """The level-by-level scan that singularity_distance replaced."""
+        s1 = complex(s1)
+        s2 = complex(s2)
+        n = numeric._is_nonpositive_int(s2)
+        bottom = numeric._REACH if n is None else 1 - n
+        best = ("s2=1", abs(s2 - 1))
+        w = s1 + s2
+        for v in (2, 1, *range(0, bottom - 1, -2)):
+            d = abs(w - v) / math.sqrt(2)
+            if d < best[1]:
+                best = ("s1+s2=%d" % v, d)
+        return best
+
+    def test_matches_the_level_scan(self):
+        rng = random.Random(11)
+        points = [(1.25, 0.25), (-1.5 + 0.1j, -1.5 + 0.1j), (-1.5 - 0.1j, -1.5 - 0.1j),
+                  (-20, 5), (30, -1.5), (-0.5, 0)]  # ties at w = 1.5, -3 +- 0.2i
+        for _ in range(400):
+            s1 = complex(rng.uniform(-30, 8), rng.uniform(-2, 2))
+            s2 = complex(rng.uniform(-25, 4), rng.uniform(-1, 1))
+            points += [(s1, s2), (s1, -rng.randrange(25)), (round(s1.real) + 0.5j * rng.random(), s2),
+                       (-rng.randrange(30) - s2 + 1j * rng.uniform(-0.3, 0.3), s2)]
+        for s1, s2 in points:
+            report = singularity_distance(s1, s2)
+            assert (report.hyperplane, report.distance) == self.scan(s1, s2), (s1, s2)
 
 
 class TestDesing:
