@@ -125,7 +125,7 @@ def cmd_coeffs(args):
     if args.format == "tex":
         print(combination(args.r).to_tex())
     else:
-        print(json.dumps(expand_G(args.r).to_json()))
+        print(expand_G(args.r).to_json_text())
     return EXIT_OK
 
 

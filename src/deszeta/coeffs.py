@@ -4,10 +4,11 @@ The Laurent polynomial G((u_j), (v_j)) = prod_j (1 - (u_j v_j + ... + u_r v_r)
 (v_j^{-1} - v_{j-1}^{-1})) (with the v_0^{-1} term absent from the first
 factor) expands into integer coefficients a_{l,m}; the combination
 sum a_{l,m} prod_j (s_j)_{l_j} zeta_r((s_j + m_j); (1); (gamma_j)) is entire.
-G is multiplied out as an SPoly (the package's one exact polynomial type,
-defined in deszeta.exact) in the 2r variables u_1..u_r, v_1..v_r, its
-Laurent v-exponents being negative exponents.  The subset-sum construction
-of the same table over exact.linear_form_product is kept as an independent
+G is multiplied out over packed monomials: u^l v^m is one integer whose
+balanced base-(2r+1) digits are its 2r exponents, m_1 most significant and
+l_r least, so a product of monomials is one integer addition and integer
+order is the table's (m, l) order.  The subset-sum construction of the same
+table over exact.linear_form_product (tuple keys) is kept as an independent
 cross-check of the product form.
 
 ShiftedCombination.terms is the single evaluator of the combination: both
@@ -42,6 +43,13 @@ class CoeffTable:
         )
         self.r = r
 
+    @classmethod
+    def _sorted(cls, r, terms):
+        """A table of terms (a, l, m) already in table order, a != 0."""
+        table = object.__new__(cls)
+        table.r, table.terms = r, terms
+        return table
+
     def __eq__(self, other):
         return (
             isinstance(other, CoeffTable)
@@ -60,44 +68,81 @@ class CoeffTable:
             ],
         }
 
+    def to_json_text(self):
+        """The text of json.dumps(self.to_json()), written without building
+        the dicts: each distinct exponent vector is formatted once."""
+        vectors = {}
+
+        def vector(e):
+            text = vectors.get(e)
+            if text is None:
+                text = vectors[e] = "[%s]" % ", ".join(map(str, e))
+            return text
+
+        return '{"r": %d, "terms": [%s]}' % (self.r, ", ".join(
+            '{"a": %d, "l": %s, "m": %s}' % (a, vector(l), vector(m))
+            for a, l, m in self.terms
+        ))
+
     @classmethod
     def from_json(cls, obj):
         return cls(obj["r"], [(t["a"], t["l"], t["m"]) for t in obj["terms"]])
 
 
 def expand_G(r):
-    """Coefficient table of the product form of the generator polynomial."""
+    """Coefficient table of the product form of the generator polynomial.
+
+    Factors and partial products are dicts {packed monomial: integer
+    coefficient} (see the module docstring).  Each factor moves an exponent
+    by at most 1, so every exponent that arises has |exponent| <= r and
+    fits one balanced digit of base 2r + 1."""
     if r < 1:
         raise ValueError("r must be positive")
-    poly = SPoly.constant(2 * r, 1)
+    base = 2 * r + 1
+    u = [base ** (r - 1 - k) for k in range(r)]  # the digit of l_k
+    v = [base ** (2 * r - 1 - k) for k in range(r)]  # the digit of m_k
+    poly = {0: 1}
     for j in range(r):
-        factor = SPoly.constant(2 * r, 1)
+        # 1 - sum_k (u_k v_k) v_j^{-1} (+ sum_k (u_k v_k) v_{j-1}^{-1} for j > 0)
+        factor = [(0, 1)]
         for k in range(j, r):
-            # -(u_k v_k) v_j^{-1}
-            factor = factor - _uv_monomial(r, k, j)
+            factor.append((u[k] + v[k] - v[j], -1))
             if j > 0:
-                # +(u_k v_k) v_{j-1}^{-1}
-                factor = factor + _uv_monomial(r, k, j - 1)
-        poly = poly * factor
-    # pop each product term while splitting its key into (l, m), so that the
-    # product's keys are freed as the table's are built
-    terms = poly.terms
+                factor.append((u[k] + v[k] - v[j - 1], 1))
+        out = {}
+        get = out.get
+        for e1, a1 in poly.items():
+            for e2, a2 in factor:
+                e = e1 + e2
+                out[e] = get(e, 0) + a1 * a2
+        poly = {e: a for e, a in out.items() if a}
+    # integer order is (m, l) order; each distinct half is decoded once
+    half = base ** r
+    offset = half // 2
+    digits = _Digits(base, r)
+    terms = []
+    for e in sorted(poly):
+        m, l = divmod(e + offset, half)
+        terms.append((poly[e], digits[l - offset], digits[m]))
+    return CoeffTable._sorted(r, terms)
 
-    def drain():
-        while terms:
-            e, a = terms.popitem()
-            yield a, e[:r], e[r:]
 
-    return CoeffTable(r, drain())
+class _Digits(dict):
+    """{x: the n balanced base-`base` digits of x, most significant first},
+    each decoded on first use, so equal exponent vectors share one tuple."""
 
+    def __init__(self, base, n):
+        super().__init__()
+        self.base, self.n = base, n
 
-def _uv_monomial(r, k, j):
-    """u_k v_k v_j^{-1} as an SPoly in u_1..u_r, v_1..v_r."""
-    e = [0] * (2 * r)
-    e[k] = 1
-    e[r + k] += 1
-    e[r + j] -= 1
-    return SPoly(2 * r, {tuple(e): 1})
+    def __missing__(self, x):
+        key, base, top = x, self.base, self.base // 2
+        digits = [0] * self.n
+        for i in range(self.n - 1, -1, -1):
+            x, d = divmod(x + top, base)
+            digits[i] = d - top
+        value = self[key] = tuple(digits)
+        return value
 
 
 def _subsets(items):
@@ -140,12 +185,24 @@ class ShiftedCombination:
         self.table = table
         self.r = table.r
         # the Pochhammer products of all terms sharing a shift, collected
-        # into one polynomial coefficient per shift, in shift order
+        # into one polynomial coefficient per shift, in shift order.  A
+        # monomial whose sum cancels is dropped at once, as SPoly addition
+        # drops it, so each group's monomials keep the order of summing the
+        # terms' SPolys one by one (desing2 sums them in that order).
+        poch = {}
         out = {}
         for a, l, m in table.terms:
-            poly = SPoly.pochhammer_product(self.r, l) * a
-            out[m] = out.get(m, SPoly(self.r)) + poly
-        self._groups = {m: out[m] for m in sorted(out) if out[m]}
+            p = poch.get(l)
+            if p is None:
+                p = poch[l] = SPoly.pochhammer_product(self.r, l).terms
+            acc = out.setdefault(m, {})
+            for e, c in p.items():
+                total = acc.get(e, 0) + a * c
+                if total:
+                    acc[e] = total
+                else:
+                    del acc[e]
+        self._groups = {m: SPoly(self.r, out[m]) for m in sorted(out) if out[m]}
         self._last = (None, None)  # (n, [(m, coefficient re-expanded about n)])
 
     def groups(self):

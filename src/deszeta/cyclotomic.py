@@ -10,7 +10,6 @@ what the root-of-unity summation identities need.
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import SPoly, binomial, check_index, format_rational, parse_rational
@@ -91,17 +90,37 @@ def _product(c, x, y):
     return _reduce(c, prod)
 
 
-@dataclass(frozen=True)
 class RootOfUnity:
-    """The root of unity zeta_c^a = exp(2 pi i a / c), with 0 <= a < c."""
+    """The root of unity zeta_c^a = exp(2 pi i a / c), with 0 <= a < c;
+    immutable and hashable."""
 
-    c: int
-    a: int
+    __slots__ = ("c", "a")
 
-    def __post_init__(self):
-        if self.c < 2:
+    def __init__(self, c, a):
+        if c < 2:
             raise ValueError("order must be at least 2")
-        object.__setattr__(self, "a", self.a % self.c)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a % c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return RootOfUnity, (self.c, self.a)
+
+    def __repr__(self):
+        return "RootOfUnity(c=%r, a=%r)" % (self.c, self.a)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.c, self.a) == (other.c, other.a)
+
+    def __hash__(self):
+        return hash((self.c, self.a))
 
     @property
     def nontrivial(self):

@@ -21,7 +21,6 @@ import contextlib
 import contextvars
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import combination
@@ -56,11 +55,23 @@ _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta ta
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
 
 
-@dataclass
 class EvalResult:
-    value: complex
-    err_estimate: float
-    method: str
+    """A numeric value, its error estimate and the route that gave it."""
+
+    __slots__ = ("value", "err_estimate", "method")
+
+    def __init__(self, value, err_estimate, method):
+        self.value, self.err_estimate, self.method = value, err_estimate, method
+
+    def __repr__(self):
+        return "EvalResult(value=%r, err_estimate=%r, method=%r)" % (
+            self.value, self.err_estimate, self.method)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.err_estimate, self.method) == \
+            (other.value, other.err_estimate, other.method)
 
     def to_json(self):
         return {
@@ -70,10 +81,21 @@ class EvalResult:
         }
 
 
-@dataclass
 class SingularityReport:
-    hyperplane: str
-    distance: float
+    """The nearest singular hyperplane of a point and its distance."""
+
+    __slots__ = ("hyperplane", "distance")
+
+    def __init__(self, hyperplane, distance):
+        self.hyperplane, self.distance = hyperplane, distance
+
+    def __repr__(self):
+        return "SingularityReport(hyperplane=%r, distance=%r)" % (self.hyperplane, self.distance)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.hyperplane, self.distance) == (other.hyperplane, other.distance)
 
 
 class SingularPointError(ValueError):
@@ -304,8 +326,13 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     kernel_tol = min(tol * 1e-2, 1e-15)
     try:
         if n is not None:
-            return _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol)
-        return _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol)
+            result = _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol)
+        else:
+            result = _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol)
+        # a product that overflowed without a ** leaves inf or nan behind
+        if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
+            raise OverflowError
+        return result
     except OverflowError:
         raise ContinuationReachError(
             "double-zeta %s overflows double precision at Re s2=%g with weight ratio "

@@ -126,6 +126,19 @@ def test_coeffs_tex(capsys):
     assert "zeta_2" in out and out.count("\\left(") == 3
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    # the same digest as coeffs-r6 in perfbench/digests.json
+    (("coeffs", "--r", "6"),
+     "76424ded0a35245594a505c3840d64ff3b756f50014698783cdadeeae3e2850e"),
+    (("coeffs", "--r", "6", "--format", "tex"),
+     "79c5bef251b48cf118d0e719978acb5cee67237c419ebe3ed1ffa29bedd8b4e2"),
+], ids=["json", "tex"])
+def test_coeffs_r6_matches_pinned_digest(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_coeffs_out_of_range(capsys):
     assert run(capsys, "coeffs", "--r", "7")[0] == 2
 
@@ -391,6 +404,15 @@ def test_kernel_refusal_names_the_requested_point(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "0.5+3000j" in err
+
+
+def test_eval_non_finite_sum_refused(capsys):
+    # desing2 sums to nan here; the double zeta refuses it for reach, so
+    # the exit is 2 and not the tolerance gate's 3
+    code, out, err = run(capsys, "eval", "--s", "3,-250", "--gamma", "1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot reach s=(3+0j, -250+0j): ")
 
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"

@@ -1,5 +1,6 @@
 """Coefficient tables of the shifted-zeta combination."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,12 @@ def test_json_round_trip():
     for r in (1, 2, 3):
         t = expand_G(r)
         assert CoeffTable.from_json(t.to_json()) == t
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_json_text_is_the_dumped_table(r):
+    t = expand_G(r)
+    assert t.to_json_text() == json.dumps(t.to_json())
 
 
 def test_invalid_depth():
@@ -122,6 +129,17 @@ def test_terms_at_integer_point():
             assert shifted == tuple(nj + mj for nj, mj in zip(n, m))
 
 
+def test_group_monomial_order():
+    # desing2 sums each group's monomials in this order in floating point
+    groups = combination(2).groups()
+    assert list(groups) == [(-2, 2), (-1, 1), (0, 0)]
+    assert list(groups[(-2, 2)].terms.items()) == [((0, 2), -1), ((0, 1), -1)]
+    assert list(groups[(-1, 1)].terms.items()) == [((0, 2), 1), ((0, 1), 1), ((1, 1), -1)]
+    assert list(groups[(0, 0)].terms.items()) == [
+        ((0, 0), 1), ((0, 1), -1), ((1, 0), -1), ((1, 1), 1)]
+    assert list(combination(1).groups()[(0,)].terms.items()) == [((0,), 1), ((1,), -1)]
+
+
 def test_groups_returns_copy():
     before = combination(2).groups()
     changed = combination(2).groups()
@@ -132,3 +150,10 @@ def test_groups_returns_copy():
 
 def test_two_constructions_agree_depth_six():
     assert expand_H(6) == expand_G(6)
+
+
+def test_two_constructions_agree_depth_seven():
+    # exponents reach +-7, the largest digit of the packed monomials of r = 7
+    t = expand_G(7)
+    assert max(max(map(abs, l + m)) for _, l, m in t.terms) == 7
+    assert expand_H(7) == t

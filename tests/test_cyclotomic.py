@@ -1,6 +1,7 @@
 """Cyclotomic arithmetic and twisted Bernoulli numbers."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -47,6 +48,23 @@ def test_root_of_unity_validation():
     assert RootOfUnity(5, 7).a == 2
     with pytest.raises(TrivialRootError):
         twisted_bernoulli(0, RootOfUnity(3, 0))
+
+
+def test_root_of_unity_is_an_immutable_value():
+    xi = RootOfUnity(5, 7)
+    assert repr(xi) == "RootOfUnity(c=5, a=2)"
+    assert xi == RootOfUnity(c=5, a=-3)
+    assert xi != RootOfUnity(5, 3) and xi != RootOfUnity(7, 2) and xi != (5, 2)
+    assert hash(xi) == hash((5, 2))
+    assert len({xi, RootOfUnity(5, 12), RootOfUnity(5, 3)}) == 2
+    with pytest.raises(ValueError, match="^order must be at least 2$"):
+        RootOfUnity(1, 0)
+    with pytest.raises(AttributeError):
+        xi.a = 3
+    with pytest.raises(AttributeError):
+        del xi.c
+    assert (xi.c, xi.a) == (5, 2)
+    assert pickle.loads(pickle.dumps(xi)) == xi
 
 
 def test_root_inverse():

@@ -3,6 +3,7 @@ imports only the standard library and the package itself."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -30,3 +31,13 @@ def test_check_sees_a_third_party_import(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("import math\nfrom . import numeric\nif True:\n    import mpmath\n")
     assert list(_imported_modules(source)) == ["math", "mpmath"]
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses imports inspect, dis, ast and tokenize: a cost on every
+    # start-up of the command line (-S: the site hooks are not the package's)
+    probe = ("import sys; sys.path.insert(0, %r); import deszeta.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

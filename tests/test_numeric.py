@@ -14,6 +14,8 @@ from deszeta import numeric
 from deszeta.exact import bernoulli_polynomial
 from deszeta.numeric import (
     ContinuationReachError,
+    EvalResult,
+    SingularityReport,
     SingularPointError,
     ToleranceError,
     desing1,
@@ -25,6 +27,23 @@ from deszeta.numeric import (
     singularity_distance,
 )
 from deszeta.values import desing_value_exact, desing_value_r2_closed
+
+
+def test_result_records():
+    z = EvalResult(1.5 + 2j, 1e-9, "euler_maclaurin")
+    assert repr(z) == "EvalResult(value=(1.5+2j), err_estimate=1e-09, method='euler_maclaurin')"
+    assert z == EvalResult(1.5 + 2j, 1e-9, "euler_maclaurin")
+    assert z != EvalResult(1.5 + 2j, 2e-9, "euler_maclaurin") and z != (1.5 + 2j, 1e-9)
+    with pytest.raises(TypeError):
+        hash(z)
+    z.err_estimate = 2e-9
+    assert z.to_json() == {"value": {"re": 1.5, "im": 2.0}, "err_estimate": 2e-9,
+                           "method": "euler_maclaurin"}
+    report = SingularityReport("s2=1", 0.5)
+    assert repr(report) == "SingularityReport(hyperplane='s2=1', distance=0.5)"
+    assert report == SingularityReport("s2=1", 0.5) != SingularityReport("s1+s2=0", 0.5)
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 class TestHurwitzKernel:
@@ -231,6 +250,26 @@ class TestDoubleZeta:
         # beta^(1 - s2) = 5.6e299 is finite, but beta^(1 - s2 - p) overflows at order p = 16
         with pytest.raises(ContinuationReachError, match=r"Re s2=2 .*\|gamma1/gamma2\|=0\.25"):
             double_zeta(3, 2 + 492j, 0.25 * cmath.exp(1.4j), 1)
+
+    @pytest.mark.parametrize("s2, weights, shown", [
+        # beta^(1 - s2) = 2.8e292 is finite, its products with the
+        # coefficients and Hurwitz values are not: nan without the check
+        (2 + 480j, (0.25 * cmath.exp(1.4j), 1), r"Re s2=2 "),
+        # the sum of single zetas at s2 = -250 reaches inf and then nan
+        (-250, (1, 2), r"Re s2=-250 "),
+    ])
+    def test_non_finite_sum_refused(self, s2, weights, shown):
+        with pytest.raises(ContinuationReachError, match="overflows double precision at " + shown):
+            double_zeta(3, s2, *weights)
+
+    @pytest.mark.parametrize("s2, weights, point", [
+        (2 + 480j, (0.25 * cmath.exp(1.4j), 1), r"3\+0j, 2\+480j"),
+        (-250, (1, 2), r"3\+0j, -250\+0j"),
+    ])
+    def test_desing2_names_the_point_of_a_non_finite_sum(self, s2, weights, point):
+        with pytest.raises(ContinuationReachError,
+                           match=r"^cannot reach s=\(%s\): .*overflows double precision" % point):
+            desing2(3, s2, *weights, tol=1e-6)
 
 
 class TestKernelRefusals:
