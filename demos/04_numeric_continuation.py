@@ -1,12 +1,14 @@
 """Numeric evaluation of the desingularized double zeta.
 
-Regular points sum the three-term combination directly.  So do the points
-with s2 = -l, l >= 2: there every term is a finite sum of single zetas, and
-the value is exact, on the singular hyperplanes s1 + s2 = -k - l too.  The
-other points on the singular hyperplanes of the individual terms are
-recovered from the combination being entire: its value there is its mean
-over six nodes on a small circle around the point.  The script compares against closed-form targets and against the exact rational
-values at non-positive integers.
+Regular points sum the three-term combination directly, each double zeta
+as a Hurwitz head plus the Bernoulli expansion of its tail.  So do the
+points with s2 = -l, l >= 2: there that expansion is exact for every term
+of the outer sum, so it needs no head and is a finite sum of single zetas,
+on the singular hyperplanes s1 + s2 = -k - l too.  The other points on the
+singular hyperplanes of the individual terms are recovered from the
+combination being entire: its value there is its mean over six nodes on a
+small circle around the point.  The script compares against closed-form
+targets and against the exact rational values at non-positive integers.
 """
 
 from deszeta import desing2, desing_value_r2_closed, riemann_zeta

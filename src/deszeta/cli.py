@@ -4,7 +4,8 @@ evaluations, and the verification suite runner.
 Exit codes: 0 success, 1 verification failure, 2 usage error or input the
 library refuses (ValueError), 3 the numerical tolerance could not be met
 (ToleranceError).  The commands check only what the library cannot know
-(the CLI's own caps and list lengths) and raise; ``main`` alone turns
+(the syntax of their flags, the CLI's own caps and list lengths) and
+raise; ``main`` alone turns
 exceptions into an ``error:`` line and an exit code.
 """
 
@@ -35,8 +36,16 @@ def _error(exc, code):
     return code
 
 
-def _parse_fractions(text):
-    return [Fraction(part) for part in text.split(",")]
+def _parse_list(text, flag, parse):
+    """The comma-separated values of a flag; a part that does not parse is
+    refused with the flag's name and the part."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(parse(part))
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+            raise ValueError("%s: cannot parse %r" % (flag, part)) from None
+    return values
 
 
 def _check_max(args):
@@ -81,8 +90,8 @@ def cmd_twisted_bernoulli(args):
 
 def cmd_multi_bernoulli(args):
     _check_table(args.r, args.max, "--max")
-    a_list = [int(a) for a in args.a_list.split(",")]
-    gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
+    a_list = _parse_list(args.a_list, "--a-list", int)
+    gammas = _parse_list(args.gamma, "--gamma", Fraction) if args.gamma else [Fraction(1)] * args.r
     if len(a_list) != args.r or len(gammas) != args.r:
         raise ValueError("--a-list and --gamma must have r entries")
     xis = [RootOfUnity(args.c, a) for a in a_list]
@@ -103,7 +112,7 @@ def cmd_multi_bernoulli(args):
 
 def cmd_desing_values(args):
     _check_table(args.r, args.kmax, "--kmax")
-    gammas = _parse_fractions(args.gamma) if args.gamma else [Fraction(1)] * args.r
+    gammas = _parse_list(args.gamma, "--gamma", Fraction) if args.gamma else [Fraction(1)] * args.r
     if len(gammas) != args.r:
         raise ValueError("--gamma must have r entries")
     rows = desing_value_table(args.kmax, gammas).items()
@@ -132,8 +141,8 @@ def cmd_coeffs(args):
 def cmd_eval(args):
     if not args.tol > 0:
         raise ValueError("--tol must be a positive number")
-    parts = [complex(p) for p in args.s.split(",")]
-    gammas = [complex(Fraction(g)) for g in args.gamma.split(",")] \
+    parts = _parse_list(args.s, "--s", complex)
+    gammas = [complex(g) for g in _parse_list(args.gamma, "--gamma", Fraction)] \
         if args.gamma else [1.0] * len(parts)
     if len(parts) not in (1, 2):
         raise ValueError("--s takes one or two comma-separated components")
@@ -238,7 +247,7 @@ def main(argv=None):
         return args.fn(args)
     except ToleranceError as exc:
         return _error(exc, EXIT_TOLERANCE)
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+    except (ValueError, ZeroDivisionError) as exc:  # desing1's weight power can raise the latter
         return _error(exc, EXIT_USAGE)
 
 

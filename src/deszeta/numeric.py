@@ -5,8 +5,9 @@ Hurwitz-zeta kernel.  The double zeta is reduced to an outer sum of Hurwitz
 values; its tail is accelerated by substituting the asymptotic expansion of
 the inner Hurwitz zeta in powers of beta m (beta = gamma1/gamma2), which
 turns the tail into a finite combination of single Hurwitz values
-zeta(s1 + s2 - 1 + p, M + 1); at s2 = -n the inner zeta is a Bernoulli
-polynomial, which leaves single zetas.  At points on (or
+zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n the same expansion is finite and
+exact (the inner zeta is a Bernoulli polynomial), so it is summed with no
+head, over single zetas zeta(s1 - n - 1 + p).  At points on (or
 near) the singular hyperplanes of the terms' routes, the entire
 desingularized combination is recovered as its mean over a small circle
 of six nodes around the point (Cauchy's integral formula, summed by the
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .coeffs import combination
-from .exact import bernoulli_number, bernoulli_polynomial, binomial
+from .exact import bernoulli_number, bernoulli_polynomial
 
 __all__ = [
     "EvalResult",
@@ -126,7 +127,7 @@ class _EMTable(dict):
 
 
 _EM_TABLE = _EMTable()
-_BERNOULLI_VALUES = {}  # {(n, a): float(-B_{n+1}(a)/(n+1))}, the kernel at s = -n, real a
+_BERNOULLI_VALUES = {}  # {(n, a): float(-B_{n+1}(a)/(n+1))}, the kernel at s = -n, integer a
 
 
 def _em_coefficients(s):
@@ -165,7 +166,8 @@ def hurwitz_zeta(s, a, tol=1e-14):
     last one's times x^-2), the partial sum carried from one N to the next;
     N and the correction order are raised until the first omitted correction
     is below tol.  At s = -n and real a the value is -B_{n+1}(a)/(n+1),
-    computed once per (n, a).  Requires finite s != 1, finite a with Re a > 0, and tol > 0.
+    computed once per (n, a) for integer a.  Requires finite s != 1, finite
+    a with Re a > 0, and tol > 0.
     Raises ContinuationReachError on overflow and where the corrections
     still fail to converge at the longest partial sum (|Im s| > ~2000).
     While a desing2 combination is summed, each distinct (s, a, tol) is
@@ -203,13 +205,15 @@ def _hurwitz_sum(s, a, tol):
         and s.real == round(s.real)
         and s.real <= 0
     ):
-        # exactly integral non-positive s: the value is a Bernoulli
-        # polynomial, computed once per (n, a) in exact rational arithmetic
+        # exactly integral non-positive s: the value is a Bernoulli polynomial
+        # in exact rational arithmetic, stored for integer a only (the
+        # package's own a = 1 and M + 1), so any other real a costs no memory
         n = int(-s.real)
         out = _BERNOULLI_VALUES.get((n, a.real))
         if out is None:
-            value = -Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1)
-            out = _BERNOULLI_VALUES[n, a.real] = float(value)
+            out = float(-Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1))
+            if a.real.is_integer():
+                _BERNOULLI_VALUES[n, a.real] = out
         return EvalResult(complex(out), abs(out) * 2e-16 + 1e-300, "bernoulli_polynomial")
 
     if s.real < 0.5:
@@ -293,22 +297,22 @@ def _within_reach(s1, s2):
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     """Generalized Euler-Zagier double zeta, analytically continued.
 
-    At s2 = -n the inner Hurwitz zeta is a Bernoulli polynomial, and the
-    value is that of s1 -> zeta_2(s1, -n), a finite sum of single zetas
-    finite off that line's own poles; otherwise a Hurwitz head of about
-    ((|s2| + 22) / (2 pi) + 1) / |gamma1/gamma2| terms meets the
-    Euler-Maclaurin tail of order K = _TAIL_K, truncated at the first order
-    whose remainder, bounded over every m beyond the head, is below
-    _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz values).  The
-    head takes one kernel evaluation per residue class of a rational weight
-    ratio, one per term otherwise.  On its route's singular hyperplanes
-    (singularity_distance) the point raises SingularPointError.  A weight
-    ratio needing over _HEAD_MAX head terms even at s2 = 0 (a large |s2|
-    alone is summed), either route overflowing double precision, a power of
-    the weights underflowing it and a point beyond the tail's reach
-    (Re(s1+s2) > _REACH and Re s2 > -(2K + 1)), on a deep hyperplane too,
-    raise ContinuationReachError; both are ValueErrors.  Both routes ask
-    the kernel for each Hurwitz value at min(tol / 100, 1e-15).
+    A Hurwitz head of about ((|s2| + 22) / (2 pi) + 1) / |gamma1/gamma2|
+    terms meets the Euler-Maclaurin tail of order K = _TAIL_K, truncated at
+    the first order whose remainder, bounded over every m beyond the head,
+    is below _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz
+    values).  The head takes one kernel evaluation per residue class of a
+    rational weight ratio, one per term otherwise.  At s2 = -n the tail's
+    expansion is exact for every m: there is no head, and the value is a
+    finite sum of single zetas, finite off that line's own poles.  On the
+    singular hyperplanes (singularity_distance) the point raises
+    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
+    even at s2 = 0 (a large |s2| alone is summed; s2 = -n has no head), a
+    sum overflowing double precision, a power of the weights underflowing
+    it and a point off s2 = -n beyond the tail's reach (Re(s1+s2) > _REACH
+    and Re s2 > -(2K + 1)), on a deep hyperplane too, raise
+    ContinuationReachError; both are ValueErrors.  The kernel is asked for
+    each Hurwitz value at min(tol / 100, 1e-15).
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -323,21 +327,16 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     n = _is_nonpositive_int(s2)
     if n is None and not _within_reach(s1, s2):
         raise ContinuationReachError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
-    kernel_tol = min(tol * 1e-2, 1e-15)
     try:
-        if n is not None:
-            result = _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol)
-        else:
-            result = _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol)
+        result = _double_zeta_tail(s1, s2, n, g1, g2, beta, tol, min(tol * 1e-2, 1e-15))
         # a product that overflowed without a ** leaves inf or nan behind
         if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
             raise OverflowError
         return result
     except OverflowError:
         raise ContinuationReachError(
-            "double-zeta %s overflows double precision at Re s2=%g with weight ratio "
-            "|gamma1/gamma2|=%g" % ("head or tail" if n is None else "sum of single zetas",
-                                    s2.real, abs(beta))
+            "double-zeta head or tail overflows double precision at Re s2=%g with weight ratio "
+            "|gamma1/gamma2|=%g" % (s2.real, abs(beta))
         ) from None
     except ZeroDivisionError:  # a complex power by an integer: 1 / (a power that underflowed)
         raise ContinuationReachError(
@@ -346,25 +345,7 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
         ) from None
 
 
-def _double_zeta_polynomial(s1, n, g1, g2, beta, kernel_tol):
-    # zeta(-n, 1 + beta m) = -B_{n+1}(1 + beta m)/(n+1); expanding the
-    # Bernoulli polynomial in powers of m leaves single zetas of s1 - i.
-    total = 0j
-    err = 0.0
-    for i in range(n + 2):
-        b = float((-1) ** (n + 1 - i) * bernoulli_number(n + 1 - i))  # B_j(1)
-        coeff = binomial(n + 1, i) * b * beta**i
-        if coeff == 0:
-            continue
-        arg = s1 - i
-        z = hurwitz_zeta(arg, 1.0, kernel_tol)
-        total += coeff * z.value
-        err += abs(coeff) * z.err_estimate
-    scale = -(g2**n) / (n + 1) * g1 ** (-s1)
-    return EvalResult(scale * total, abs(scale) * err, "polynomial_reduction")
-
-
-def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
+def _double_zeta_tail(s1, s2, n, g1, g2, beta, tol, kernel_tol):
     """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
     class of a rational weight ratio, per m otherwise) plus the tail m > M.
 
@@ -378,20 +359,27 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
     summed over every m > M, is at most _TAIL_BUDGET * tol; at k = K+1 the
     bound is added whatever its size.  The factor |w|/Re w is the
     Euler-Maclaurin remainder bound on the real axis x > 0; for a complex
-    weight ratio beta it is not proven.  Every Hurwitz value is asked for at
-    kernel_tol."""
-    # Head length: the asymptotic expansion of the inner zeta must be valid
-    # at x = beta m for every m > M, |beta| M >= (|s2| + 2K + 2) / (2 pi) + 1.
-    # Keep M as small as that allows: the rounding-noise floor of the
-    # head/tail cancellation grows like a power of M, and it dominates the
-    # error at deeply negative weights.
-    span0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # that bound at s2 = 0
-    if abs(beta) * _HEAD_MAX < span0:
-        raise ContinuationReachError(
-            "double-zeta head longer than %d terms even at s2 = 0: weight "
-            "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
-        )
-    M = max(8, int(math.ceil((span0 + abs(s2) / (2 * math.pi)) / abs(beta))))
+    weight ratio beta it is not proven.  At s2 = -n (n not None) the
+    expansion is evaluated at s2 = -n exactly: it equals
+    -B_{n+1}(1+x)/(n+1) for every x > 0, so there is no head (M = 0) and
+    it stops at p = n + 1, beyond which every c_k is zero.  Every Hurwitz
+    value is asked for at kernel_tol."""
+    if n is None:
+        # Head length: the asymptotic expansion of the inner zeta must be
+        # valid at x = beta m for every m > M, |beta| M >= (|s2| + 2K + 2)
+        # / (2 pi) + 1.  Keep M as small as that allows: the rounding-noise
+        # floor of the head/tail cancellation grows like a power of M, and
+        # it dominates the error at deeply negative weights.
+        span0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # that bound at s2 = 0
+        if abs(beta) * _HEAD_MAX < span0:
+            raise ContinuationReachError(
+                "double-zeta head longer than %d terms even at s2 = 0: weight "
+                "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
+            )
+        M = max(8, int(math.ceil((span0 + abs(s2) / (2 * math.pi)) / abs(beta))))
+        top = 2 * _TAIL_K + 2
+    else:
+        s2, M, top = complex(-n), 0, n + 1
     g2_s2 = g2 ** (-s2)
     pref = g1 ** (-s1) * g2_s2
 
@@ -405,14 +393,13 @@ def _double_zeta_tail(s1, s2, g1, g2, beta, tol, kernel_tol):
     base = s1 + s2 - 1
     budget = _TAIL_BUDGET * tol
     tail = 0j
-    orders = (0, 1, *range(2, 2 * _TAIL_K + 3, 2))
+    orders = (0, 1, *range(2, top + 1, 2))
     coefs = itertools.chain((1 / (s2 - 1), -0.5), _em_coefficients(s2))
-    power = beta ** (1 - s2)  # beta^(1-s2-p), divided down order by order
     for p, c in zip(orders, coefs):
+        power = beta ** (1 - s2 - p)  # each order's own power: none passes an underflow
         if not cmath.isfinite(power):
             raise OverflowError
         coeff = c * power
-        power /= beta if p < 2 else beta * beta
         sigma = base.real + p
         w = s2 + p - 1
         if p > 1 and sigma > 1 and w.real > 0:

@@ -374,6 +374,23 @@ def test_library_refusal_exits_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (("eval", "--s", "1/0"), "--s: cannot parse '1/0'"),
+    (("eval", "--s", "3,x"), "--s: cannot parse 'x'"),
+    (("eval", "--s", "3,4", "--gamma", "1/0,1"), "--gamma: cannot parse '1/0'"),
+    (("desing-values", "--r", "2", "--kmax", "2", "--gamma", "1/0,1"),
+     "--gamma: cannot parse '1/0'"),
+    (("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,x", "--max", "1"),
+     "--a-list: cannot parse 'x'"),
+], ids=["eval-s-zero-denominator", "eval-s-word", "eval-gamma", "desing-values-gamma",
+        "multi-bernoulli-a-list"])
+def test_parse_error_names_the_flag(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % shown
+
+
 @pytest.mark.parametrize("argv", [
     ("multi-bernoulli", "--r", "0", "--c", "3", "--a-list", "", "--max", "1"),
     ("multi-bernoulli", "--r", "5", "--c", "3", "--a-list", "1,1,1,1,1", "--max", "1"),

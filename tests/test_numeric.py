@@ -151,6 +151,16 @@ class TestIntegerArgument:
         assert desing2(-3, -3) == first
         assert calls == []
 
+    def test_only_integer_offsets_stored(self, monkeypatch):
+        # a caller passing many distinct real a must not grow the store
+        monkeypatch.setattr(numeric, "_BERNOULLI_VALUES", {})
+        for i in range(50):
+            z = hurwitz_zeta(-3, i + 0.5)
+            assert z.value == float(-bernoulli_polynomial(4, Fraction(2 * i + 1, 2)) / 4)
+        assert numeric._BERNOULLI_VALUES == {}
+        hurwitz_zeta(-3, 2)
+        assert list(numeric._BERNOULLI_VALUES) == [(3, 2.0)]
+
 
 NAN = float("nan")
 INF = float("inf")
@@ -209,7 +219,7 @@ class TestDoubleZeta:
             double_zeta(0.5, 1.0)
 
     def test_polynomial_route_on_a_tail_hyperplane(self):
-        # s1 + s2 = -6 is singular for the tail route only: at s2 = -2 the
+        # s1 + s2 = -6 is singular off s2 = -n only: at s2 = -2 the
         # value is that of s1 -> zeta_2(s1, -2) =
         # -(2 zeta(s1 - 3) + 3 zeta(s1 - 2) + zeta(s1 - 1)) / 6
         assert abs(double_zeta(-4, -2).value + 11 / 15120) < 1e-18
@@ -219,6 +229,24 @@ class TestDoubleZeta:
     def test_reach_guard(self):
         with pytest.raises(ContinuationReachError):
             double_zeta(-20.0, -10.5)
+
+    @pytest.mark.parametrize("s1, n, gamma1, want", [
+        (0.5, 2, 1e-120, 3.464770416289255e-62),
+        (0.5 + 1j, 3, 1e-110, complex(5.122649407932084e+52, 3.377494988003142e+52)),
+        (0.5, 2, 1e-160, 3.464770416289255e-82),
+    ])
+    def test_integer_s2_with_a_tiny_weight(self, s1, n, gamma1, want):
+        # beta^(n + 1) underflows, and beta^(n + 1 - p) at the later orders
+        # must not be stepped down from it; the literals are -g1^-s1/(n+1)
+        # sum_i binomial(n+1, i) B_(n+1-i)(1) beta^i zeta(s1 - i), summed apart
+        z = double_zeta(s1, -n, gamma1, 1)
+        assert z.method == "euler_maclaurin"
+        assert abs(z.value - want) <= z.err_estimate
+
+    def test_integer_s2_has_no_head_cap(self):
+        # a weight ratio far below the head cap is summed at s2 = -n
+        z = double_zeta(3.5, -2, 1e-3, 1)
+        assert abs(z.value + 7111548.529212696) <= z.err_estimate
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):
@@ -313,9 +341,9 @@ class TestSingularityDistance:
         assert singularity_distance(3, 4).distance > 1
 
     def test_locus_follows_the_route(self):
-        # at s2 = -2 the polynomial route's last pole is at s1 + s2 = -1
+        # at s2 = -2 the last pole of the finite expansion is at s1 + s2 = -1
         assert singularity_distance(-4, -2).distance >= 1 / math.sqrt(2)
-        assert singularity_distance(-3.5, -2.5).distance == 0  # tail route
+        assert singularity_distance(-3.5, -2.5).distance == 0  # s2 off the integers
         assert singularity_distance(3, -2).distance == 0  # pole of zeta(s1 - 2)
 
     @staticmethod
@@ -440,14 +468,31 @@ class TestDesing:
                 assert got.method == "euler_maclaurin"
                 assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("k, l", [(20, 5), (25, 3), (30, 2), (9, 9), (15, 6), (12, 4)])
+    def test_deep_integer_grid_within_estimate(self, k, l):
+        got = desing2(-k, -l)
+        want = float(desing_value_r2_closed(k, l, 1, 1))
+        assert abs(got.value - want) <= got.err_estimate
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(d): the kernel's rounding at "
+                       "Re s near -10 is not in its estimate")
+    def test_single_zeta_rounding_at_integer_s2(self):
+        # the s2 = -4 terms read zeta(s, 1) at Re s from -7.3 to -11.3, off
+        # by up to 2.4e-9 against estimates near 5e-16; the literal is
+        # mpmath at 40 digits
+        got = desing2(-3.3 + 0.2j, -4, 1.5, 0.5)
+        want = complex(-0.3872693024891992, 0.039467310515038524)
+        assert abs(got.value - want) <= got.err_estimate
+
     @pytest.mark.parametrize("s, weights, route", [
         ((3, 4), (1e300, 1e-300), "euler_maclaurin"),
         ((3, 4), (1e-100, 1e-100), "euler_maclaurin"),
-        ((5, -2), (1e-100, 1), "polynomial_reduction"),
+        ((5, -2), (1e-100, 1), "euler_maclaurin"),
     ])
     def test_weight_power_underflow_refused(self, s, weights, route):
         # Python's complex power by an integer divides by a power that
-        # underflowed to zero; both routes refuse it naming the weight ratio
+        # underflowed to zero; the sum refuses it naming the weight ratio,
+        # at s2 = -n too
         assert double_zeta(*s).method == route
         with pytest.raises(ContinuationReachError, match=r"underflows .*weight ratio"):
             double_zeta(*s, *weights)
@@ -580,9 +625,10 @@ class TestHurwitzMemo:
         desing2(*point)
         assert len(calls) <= most
 
-    def test_polynomial_reduction_shares_calls(self, monkeypatch):
-        # s2 = -2, -1, 0 on the three shifts: every term takes the polynomial
-        # route, whose arguments s1 - 1, s1 - 2, s1 - 3 repeat across terms
+    def test_integer_s2_expansion_shares_calls(self, monkeypatch):
+        # s2 = -2, -1, 0 on the three shifts, which keep s1 + s2: every term
+        # is the finite tail expansion with no head, whose single zetas
+        # zeta(s1 + s2 - 1 + p, 1), p <= 2, repeat across terms
         calls = _count_hurwitz(monkeypatch)
         desing2(2.5, -2)
         assert len(calls) == len(set(calls)) == 3
