@@ -247,7 +247,7 @@ def main(argv=None):
         return args.fn(args)
     except ToleranceError as exc:
         return _error(exc, EXIT_TOLERANCE)
-    except (ValueError, ZeroDivisionError) as exc:  # desing1's weight power can raise the latter
+    except ValueError as exc:
         return _error(exc, EXIT_USAGE)
 
 

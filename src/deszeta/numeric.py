@@ -18,8 +18,9 @@ All arithmetic is double precision; tolerances below are set for it.
 
 import bisect
 import cmath
+import collections
 import contextlib
-import contextvars
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -56,23 +57,10 @@ _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta ta
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
 
 
-class EvalResult:
+class EvalResult(collections.namedtuple("EvalResult", "value err_estimate method")):
     """A numeric value, its error estimate and the route that gave it."""
 
-    __slots__ = ("value", "err_estimate", "method")
-
-    def __init__(self, value, err_estimate, method):
-        self.value, self.err_estimate, self.method = value, err_estimate, method
-
-    def __repr__(self):
-        return "EvalResult(value=%r, err_estimate=%r, method=%r)" % (
-            self.value, self.err_estimate, self.method)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.err_estimate, self.method) == \
-            (other.value, other.err_estimate, other.method)
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -82,21 +70,10 @@ class EvalResult:
         }
 
 
-class SingularityReport:
+class SingularityReport(collections.namedtuple("SingularityReport", "hyperplane distance")):
     """The nearest singular hyperplane of a point and its distance."""
 
-    __slots__ = ("hyperplane", "distance")
-
-    def __init__(self, hyperplane, distance):
-        self.hyperplane, self.distance = hyperplane, distance
-
-    def __repr__(self):
-        return "SingularityReport(hyperplane=%r, distance=%r)" % (self.hyperplane, self.distance)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.hyperplane, self.distance) == (other.hyperplane, other.distance)
+    __slots__ = ()
 
 
 class SingularPointError(ValueError):
@@ -127,7 +104,6 @@ class _EMTable(dict):
 
 
 _EM_TABLE = _EMTable()
-_BERNOULLI_VALUES = {}  # {(n, a): float(-B_{n+1}(a)/(n+1))}, the kernel at s = -n, integer a
 
 
 def _em_coefficients(s):
@@ -153,11 +129,7 @@ def _check_inputs(tol, args, weights=()):
             raise ValueError("weights must have positive real part")
 
 
-# {(s, a, tol): EvalResult} of hurwitz_zeta while a desing2 combination is
-# summed, None otherwise; a context variable, so every thread has its own
-_HURWITZ_MEMO = contextvars.ContextVar("deszeta_hurwitz_memo", default=None)
-
-
+@functools.lru_cache(maxsize=256)
 def hurwitz_zeta(s, a, tol=1e-14):
     """Hurwitz zeta continued in s by Euler-Maclaurin summation.
 
@@ -165,26 +137,15 @@ def hurwitz_zeta(s, a, tol=1e-14):
     complex power x^-s per N (x = a + N; each correction's power is the
     last one's times x^-2), the partial sum carried from one N to the next;
     N and the correction order are raised until the first omitted correction
-    is below tol.  At s = -n and real a the value is -B_{n+1}(a)/(n+1),
-    computed once per (n, a) for integer a.  Requires finite s != 1, finite
-    a with Re a > 0, and tol > 0.
+    is below tol.  At s = -n and real a the value is -B_{n+1}(a)/(n+1).
+    Requires finite s != 1, finite a with Re a > 0, and tol > 0.
     Raises ContinuationReachError on overflow and where the corrections
     still fail to converge at the longest partial sum (|Im s| > ~2000).
-    While a desing2 combination is summed, each distinct (s, a, tol) is
-    evaluated once and later calls read the stored result (the value is a
-    pure function of the three).
+    The results of the last 256 distinct (s, a, tol) are cached (the value
+    is a pure function of the three), so the shifted double zetas of a
+    desing2 combination, which share s1 + s2, evaluate each shared value
+    once.
     """
-    memo = _HURWITZ_MEMO.get()
-    if memo is None:
-        return _hurwitz_kernel(s, a, tol)
-    key = (s, a, tol)
-    z = memo.get(key)
-    if z is None:
-        z = memo[key] = _hurwitz_kernel(s, a, tol)
-    return z
-
-
-def _hurwitz_kernel(s, a, tol):
     s = complex(s)
     a = complex(a)
     _check_inputs(tol, (s, a))
@@ -193,27 +154,17 @@ def _hurwitz_kernel(s, a, tol):
     if a.real <= 0:
         raise ValueError("Hurwitz zeta requires Re a > 0")
     try:
-        return _hurwitz_sum(s, a, tol)
+        return _hurwitz_kernel(s, a, tol)
     except OverflowError:
         raise ContinuationReachError("Hurwitz zeta overflows double precision at s=%s" % s) from None
 
 
-def _hurwitz_sum(s, a, tol):
-    if (
-        s.imag == 0
-        and a.imag == 0
-        and s.real == round(s.real)
-        and s.real <= 0
-    ):
+def _hurwitz_kernel(s, a, tol):
+    if s.imag == 0 and a.imag == 0 and s.real == round(s.real) and s.real <= 0:
         # exactly integral non-positive s: the value is a Bernoulli polynomial
-        # in exact rational arithmetic, stored for integer a only (the
-        # package's own a = 1 and M + 1), so any other real a costs no memory
+        # in exact rational arithmetic
         n = int(-s.real)
-        out = _BERNOULLI_VALUES.get((n, a.real))
-        if out is None:
-            out = float(-Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1))
-            if a.real.is_integer():
-                _BERNOULLI_VALUES[n, a.real] = out
+        out = float(-Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1))
         return EvalResult(complex(out), abs(out) * 2e-16 + 1e-300, "bernoulli_polynomial")
 
     if s.real < 0.5:
@@ -506,33 +457,40 @@ def _naming_point(*s):
 
 def desing1(s, gamma=1.0):
     """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
-    zeta(s), entire; -1/gamma at s = 1."""
+    zeta(s), entire; -1/gamma at s = 1.  A weight power gamma^{-s} (or
+    value) beyond double precision raises ContinuationReachError."""
     s = complex(s)
     g = complex(gamma)
     _check_inputs(None, (s,), (g,))
-    if abs(s - 1) < 1e-14:
-        return EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
     with _naming_point(s):
-        z = riemann_zeta(s)
-    c = (1 - s) * g ** (-s)
-    return EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
+        try:
+            if abs(s - 1) < 1e-14:
+                result = EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
+            else:
+                z = riemann_zeta(s)
+                c = (1 - s) * g ** (-s)
+                result = EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
+            # a product that overflowed without a ** leaves inf or nan behind
+            if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError):  # 1 / (an integer power that underflowed)
+            raise ContinuationReachError(
+                "the weight power gamma^-s leaves double precision at |gamma|=%g" % abs(g)
+            ) from None
+    return result
 
 
 def _desing2_combination(s1, s2, g1, g2, tol):
     # the shifts leave s1 + s2 unchanged, so the three double zetas share
-    # most of their Hurwitz arguments: each is computed once, in a memo that
-    # lives for this call only
-    token = _HURWITZ_MEMO.set({})
-    try:
-        total = 0j
-        err = 0.0
-        for c, (a1, a2) in combination(2).terms((s1, s2)):
-            z = double_zeta(a1, a2, g1, g2, tol)
-            total += c * z.value
-            err += abs(c) * z.err_estimate
-        return total, err
-    finally:
-        _HURWITZ_MEMO.reset(token)
+    # most of their Hurwitz arguments, and hurwitz_zeta's cache evaluates
+    # each once
+    total = 0j
+    err = 0.0
+    for c, (a1, a2) in combination(2).terms((s1, s2)):
+        z = double_zeta(a1, a2, g1, g2, tol)
+        total += c * z.value
+        err += abs(c) * z.err_estimate
+    return total, err
 
 
 def _desing2_evaluable(s1, s2):

@@ -54,18 +54,6 @@ class TruncatedSeries:
         if self.box != other.box:
             raise ValueError("series box mismatch")
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            cur = out.get(e)
-            s = v if cur is None else cur + v
-            if s:
-                out[e] = s
-            elif cur is not None:
-                del out[e]
-        return TruncatedSeries(self.box, out)
-
     def __mul__(self, other):
         """The product of one-variable series (ValueError for other boxes),
         truncated to the cap.  Rational and Q(zeta_c) coefficients are

@@ -195,6 +195,19 @@ def test_eval_weight_power_underflow_refused(capsys):
     assert "weight ratio" in err
 
 
+@pytest.mark.parametrize("s, gamma", [("3.5", "1e-200"), ("-400", "1e10"), ("3", "1e-200")],
+                         ids=["overflow", "negative-s-overflow", "integer-s-underflow"])
+def test_eval_single_weight_power_refused(capsys, s, gamma):
+    # gamma^-s beyond double precision: a refusal naming the weight, not a
+    # traceback (OverflowError) or a bare ZeroDivisionError message
+    code, out, err = run(capsys, "eval", "--s", s, "--gamma", gamma)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot reach s=(%s+0j): the weight power" % s)
+    assert "|gamma|=%g" % float(gamma) in err
+
+
 def test_eval_polynomial_route_meets_tol(capsys):
     # s2 = -3: a finite sum of single zetas, summed within tol 1e-6; the
     # literal is the combination summed by mpmath at 30 digits
@@ -251,8 +264,7 @@ def _shift_desing2(monkeypatch):
         result = real(*args, **kwargs)
         # off by 1e-5 at right angles to the real targets, so the checks'
         # own rounding error cannot cancel part of the shift
-        result.value += 1e-5j
-        return result
+        return result._replace(value=result.value + 1e-5j)
 
     monkeypatch.setattr(verify, "desing2", shifted)
 

@@ -34,10 +34,13 @@ def test_check_sees_a_third_party_import(tmp_path):
 
 
 def test_import_loads_no_dataclasses():
-    # dataclasses imports inspect, dis, ast and tokenize: a cost on every
-    # start-up of the command line (-S: the site hooks are not the package's)
+    # dataclasses imports inspect, dis, ast and tokenize, and typing is
+    # large too: a cost on every start-up of the command line, so records
+    # are collections.namedtuple, which functools already loads (-S: the
+    # site hooks are not the package's)
     probe = ("import sys; sys.path.insert(0, %r); import deszeta.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(PACKAGE.parent))
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+             % str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"

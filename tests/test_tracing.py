@@ -70,10 +70,10 @@ def test_traced_table_reads_phi_once_and_never_inverts():
     assert counts.get("cyclotomic.phi_lookups", 0) <= 6
 
 
-def test_tracer_reaches_calls_under_the_memo():
-    # desing2(-3, -1) is extrapolated, and the per-combination memo answers
-    # most of its hurwitz_zeta calls without a kernel evaluation; the tracer
-    # must count every call, as a counter installed beneath it does
+def test_tracer_reaches_calls_under_the_cache():
+    # desing2(-3, -1) is extrapolated, and hurwitz_zeta's cache answers most
+    # of its calls without a kernel evaluation; the tracer must count every
+    # call, as a counter installed beneath it does
     proc = _traced(
         "deszeta.desing2(-3, -1)\n"
         "calls, _ = tracing.summarize(tracer)\n"
