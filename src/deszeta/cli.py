@@ -61,6 +61,17 @@ def _check_table(r, nmax, flag):
         raise ValueError("%s must be between 0 and 8" % flag)
 
 
+# the largest cyclotomic order of twisted-bernoulli and multi-bernoulli:
+# Phi_c is built densely, and --c 10000 --max 1 already takes about 0.7 s
+MAX_ORDER = 10000
+
+
+def _check_order(c):
+    """The cap of --c, checked before Phi_c is built."""
+    if c > MAX_ORDER:
+        raise ValueError("--c must be at most %d" % MAX_ORDER)
+
+
 def cmd_bernoulli(args):
     _check_max(args)
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
@@ -74,6 +85,7 @@ def cmd_bernoulli(args):
 
 def cmd_twisted_bernoulli(args):
     _check_max(args)
+    _check_order(args.c)
     xi = RootOfUnity(args.c, args.a)
     rows = [(n, twisted_bernoulli(n, xi)) for n in range(args.max + 1)]
     if args.format == "json":
@@ -90,6 +102,7 @@ def cmd_twisted_bernoulli(args):
 
 def cmd_multi_bernoulli(args):
     _check_table(args.r, args.max, "--max")
+    _check_order(args.c)
     a_list = _parse_list(args.a_list, "--a-list", int)
     gammas = _parse_list(args.gamma, "--gamma", Fraction) if args.gamma else [Fraction(1)] * args.r
     if len(a_list) != args.r or len(gammas) != args.r:

@@ -4,12 +4,17 @@ whose coefficients are twisted/desingularized Bernoulli data.
 The series are sparse maps from exponent tuples, each capped per variable by
 a box, to scalars; scalars may be Fractions, CycloElements, or SPolys in the
 one auxiliary parameter c, kept symbolic so the limit c -> 1 is exact.  The
-generating functions are read one variable at a time (_triangular_product).
+generating functions are read one variable at a time (_triangular_product),
+over Q and Q(zeta_c) in integers from the first factor to the read-out: every
+series of that chain holds integer numerators over one denominator, a
+Q(zeta_c) coefficient as its numerators packed into one integer, and a
+Fraction or CycloElement is built, with one gcd, only for a coefficient that
+is read.
 """
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
 from operator import le
 
 from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _reduce,
@@ -27,11 +32,75 @@ __all__ = [
 ]
 
 
+class _Packed(Mapping):
+    """Coefficients stored as integers over one denominator ``den``, in
+    divided powers: the integer at exponents e is the coefficient times
+    den * prod_j e_j!.  Each is made a scalar, normalized once, when it is
+    read.  Over Q (c is None) an integer is that numerator; over Q(zeta_c)
+    it packs the numerators of 1, zeta, ..., zeta^(slots - 1), not reduced
+    mod Phi_c, in signed slots of ``width`` bits (_pack), so a nonzero
+    integer may still read as zero.
+
+    The maps of one chain share a packing that _pack_chain sized for every
+    value the chain reads, so a product of two of them (``chained``) is
+    taken in integers; the map the chain returns is not chained."""
+
+    __slots__ = ("ints", "c", "den", "width", "slots", "chained")
+
+    def __init__(self, ints, c, den, width, slots, chained):
+        self.ints, self.c, self.den = ints, c, den
+        self.width, self.slots, self.chained = width, slots, chained
+
+    def __getitem__(self, e):
+        return self.read(e, self.ints[e])
+
+    def __iter__(self):
+        return iter(self.ints)
+
+    def __len__(self):
+        return len(self.ints)
+
+    def like(self, ints, chained=True):
+        """Other integers over this denominator and in this packing."""
+        return _Packed(ints, self.c, self.den, self.width, self.slots, chained)
+
+    def read(self, e, x, scale=1):
+        """The integer x stored at e as a scalar times the integer
+        ``scale``, normalized once."""
+        den = self.den * math.prod(map(math.factorial, e))
+        c, slots = self.c, self.slots
+        if c is None:
+            return Fraction(x * scale, den)
+        if slots > c:
+            # x^c = 1 in Q(zeta_c), and the packing is a value at x =
+            # 2^width: mod 2^(c * width) - 1 adds slot i + c onto slot i, and
+            # _chain_width left room for those sums, so the symmetric
+            # residue is the folded packing
+            m = (1 << (c * self.width)) - 1
+            x %= m
+            if x > m >> 1:
+                x -= m
+            slots = c
+        num = _reduce(c, _unpack(x, self.width, slots))
+        if scale != 1:
+            num = [a * scale for a in num]
+        return CycloElement._make(c, num, den)
+
+    def times(self, other, cap):
+        """The product of two chained maps truncated to ``cap``: a binomial
+        convolution in integers."""
+        return _Packed(_convolve(cap, self.ints, other.ints, binomial=True), self.c,
+                       self.den * other.den, self.width, self.slots + other.slots - 1, True)
+
+
 class TruncatedSeries:
     """Sparse multivariate power series truncated to a box: the exponent of
     variable k is at most box[k], and there are len(box) variables.
 
     The box is down-closed, so every coefficient a product keeps is exact.
+    ``coeffs`` maps exponents to scalars; in the integer chain of
+    _triangular_product it is a _Packed map, which makes each scalar when
+    it is read.
     """
 
     __slots__ = ("box", "coeffs")
@@ -46,9 +115,22 @@ class TruncatedSeries:
                 if v and all(map(le, e, self.box)):
                     self.coeffs[tuple(e)] = v
 
-    def coefficient(self, exponents):
-        """Scalar coefficient of the monomial with the given exponents (0 if absent)."""
-        return self.coeffs.get(tuple(exponents), 0)
+    @classmethod
+    def _of(cls, box, coeffs):
+        """The series over ``box`` with the coefficient map ``coeffs``, unchecked."""
+        series = object.__new__(cls)
+        series.box, series.coeffs = box, coeffs
+        return series
+
+    def coefficient(self, exponents, scale=1):
+        """Scalar coefficient of the monomial with the given exponents (0 if
+        absent), times the integer ``scale``."""
+        e, coeffs = tuple(exponents), self.coeffs
+        if isinstance(coeffs, _Packed):
+            x = coeffs.ints.get(e)
+            return 0 if x is None else coeffs.read(e, x, scale)
+        v = coeffs.get(e, 0)
+        return v if scale == 1 else v * scale
 
     def _check(self, other):
         if self.box != other.box:
@@ -56,11 +138,8 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         """The product of one-variable series (ValueError for other boxes),
-        truncated to the cap.  Rational and Q(zeta_c) coefficients are
-        multiplied as integer numerators over one denominator per operand,
-        an element's numerators packed into one integer, so each output
-        coefficient is summed in integers and normalized once; SPoly
-        coefficients use their own + and *."""
+        truncated to the cap.  Two series of the integer chain multiply in
+        integers (_Packed.times); other coefficients use their own + and *."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
@@ -68,26 +147,10 @@ class TruncatedSeries:
         if len(box) != 1:
             raise ValueError("only one-variable series multiply")
         (cap,) = box
-        left, right = _integer_form(self.coeffs), _integer_form(other.coeffs)
-        if left is None or right is None:
-            return TruncatedSeries(box, _convolve(cap, self.coeffs, other.coeffs))
-        (c1, d1, n1), (c2, d2, n2) = left, right
-        if c1 and c2 and c1 != c2:
-            raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c1, c2))
-        c, den = c1 or c2, d1 * d2
-        if not c:
-            out = _convolve(cap, _pack(n1, 0), _pack(n2, 0))
-            return TruncatedSeries(box, {e: Fraction(x, den) for e, x in out.items()})
-        size = max(map(len, chain(n1.values(), n2.values())))  # phi(c)
-        # a slot of a packed product sums at most `size` products per pair,
-        # and at most min(len(n1), len(n2)) pairs meet in one exponent
-        bound = min(len(n1), len(n2)) * size * _largest(n1) * _largest(n2)
-        width = bound.bit_length() + 1
-        out = _convolve(cap, _pack(n1, width), _pack(n2, width))
-        return TruncatedSeries(box, {
-            e: CycloElement._make(c, _reduce(c, _unpack(x, width, 2 * size - 1)), den)
-            for e, x in out.items()
-        })
+        left, right = self.coeffs, other.coeffs
+        if getattr(left, "chained", False) and getattr(right, "chained", False):
+            return TruncatedSeries._of(box, left.times(right, cap))
+        return TruncatedSeries(box, _convolve(cap, left, right))
 
     __rmul__ = __mul__
 
@@ -97,48 +160,90 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.box == other.box and self.coeffs == other.coeffs
+        # a _Packed map may hold a term that reads zero
+        mine, theirs = ({e: v for e, v in s.coeffs.items() if v} for s in (self, other))
+        return self.box == other.box and mine == theirs
 
     def __repr__(self):
         return "TruncatedSeries(box=%s, %d terms)" % (self.box, len(self.coeffs))
 
 
-def _convolve(cap, left, right):
-    """{(i + j,): sum of x * y} over the terms (i,): x of ``left`` and
-    (j,): y of ``right`` with i + j <= cap."""
+def _convolve(cap, left, right, binomial=False):
+    """{(n,): sum of x * y} over the terms (i,): x of ``left`` and (j,): y
+    of ``right`` with n = i + j <= cap, each product weighted by C(n, i)
+    when ``binomial``; the zero sums are dropped."""
     right = sorted(right.items())
     out = {}
     for (i,), x in left.items():
         for (j,), y in right:
-            if i + j > cap:
+            n = i + j
+            if n > cap:
                 break
-            out[i + j] = out[i + j] + x * y if i + j in out else x * y
-    return {(n,): v for n, v in out.items()}
+            xy = x * y * math.comb(n, i) if binomial else x * y
+            out[n] = out[n] + xy if n in out else xy
+    return {(n,): v for n, v in out.items() if v}
 
 
-def _integer_form(coeffs):
-    """(c, den, {e: numerators}): each coefficient as a list of integer
-    numerators over the one denominator den, one numerator for a rational
-    and the phi(c) power-basis numerators for an element of Q(zeta_c).  c is
-    None when every coefficient is rational; the result is None when some
-    coefficient is neither (an SPoly)."""
-    c, parts = None, {}
-    for e, v in coeffs.items():
-        if isinstance(v, CycloElement):
-            if c is not None and c != v.c:
-                raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c, v.c))
-            c = v.c
-            parts[e] = (v.num, v.den)
-        elif isinstance(v, (int, Fraction)):
-            parts[e] = ((v.numerator,), v.denominator)
-        else:
-            return None
-    den = math.lcm(*(d for _, d in parts.values()))
-    return c, den, {e: [a * (den // d) for a in num] for e, (num, d) in parts.items()}
+def _pack_chain(factors, caps, box):
+    """(unit, factors): the coefficient maps of the chain's factors in
+    divided powers, as chained _Packed maps in one packing wide enough for
+    every value that _triangular_product reads, and the constant 1 in it;
+    None when a coefficient is an SPoly."""
+    found = _integer_forms([{e: v * math.factorial(e[0]) for e, v in f.items()}
+                            for f in factors])
+    if found is None:
+        return None
+    c, forms = found
+    width = _chain_width(forms, caps, box, c) if c else 0
+    return (_Packed({(0,): 1}, c, 1, width, 1, True),
+            [_Packed(_pack(nums, width), c, den, width, _slots(nums), True)
+             for den, nums in forms])
 
 
-def _largest(numerators):
-    return max((abs(a) for num in numerators.values() for a in num), default=0)
+def _integer_forms(maps):
+    """(c, [(den, {e: numerators}) per map]): each coefficient as a list of
+    integer numerators over its map's one denominator den, one numerator for
+    a rational and the phi(c) power-basis numerators for an element of
+    Q(zeta_c).  c is None when every coefficient is rational; the result is
+    None when some coefficient is neither (an SPoly)."""
+    c, forms = None, []
+    for coeffs in maps:
+        parts = {}
+        for e, v in coeffs.items():
+            if isinstance(v, CycloElement):
+                if c is not None and c != v.c:
+                    raise OrderMismatchError("mixed cyclotomic orders %d and %d" % (c, v.c))
+                c = v.c
+                parts[e] = (v.num, v.den)
+            elif isinstance(v, (int, Fraction)):
+                parts[e] = ((v.numerator,), v.denominator)
+            else:
+                return None
+        den = math.lcm(*(d for _, d in parts.values()))
+        forms.append((den, {e: [a * (den // d) for a in num] for e, (num, d) in parts.items()}))
+    return c, forms
+
+
+def _chain_width(forms, caps, box, c):
+    """The slot width that holds every value the chain over the factors
+    ``forms`` reads, its slots folded mod x^c - 1.  The slots are bounded
+    per exponent of the series h: a product sums at most min(slots) products
+    per pair of terms, weighted by C(n, i), a re-expansion shifts terms and
+    scales none, and a fold adds up ceil(slots / c) slots."""
+    slots, bound = 1, [1]
+    for (_, nums), cap, edge in zip(forms, caps, box):
+        f = [max(map(abs, nums.get((n,), [0]))) for n in range(cap + 1)]
+        pairs = min(slots, _slots(nums))
+        g = [pairs * sum(math.comb(n, i) * bound[i] * f[n - i]
+                         for i in range(min(n + 1, len(bound))))
+             for n in range(cap + 1)]
+        bound = [max(g[k + m] for k in range(edge + 1)) for m in range(cap - edge + 1)]
+        slots += _slots(nums) - 1
+    return (max(bound) * -(-slots // c)).bit_length() + 1
+
+
+def _slots(numerators):
+    return max(map(len, numerators.values()), default=1)
 
 
 def _pack(numerators, width):
@@ -190,24 +295,52 @@ def _triangular_product(factors, gammas, box):
     h times f_j(gamma_j U_j); since U_j = t_j + U_{j+1}, the coefficient of
     t_j^k in g is the next h, sum_m C(k + m, k) g[k + m] U_{j+1}^m.  After
     the last variable h is a constant, the coefficient sought.
+
+    Over Q and Q(zeta_c) every series of the chain holds integers in one
+    packing (_pack_chain), in divided powers: g = sum_n g_n U^n / n!, so a
+    product is a binomial convolution and the coefficient of t^k in g is
+    the shift sum_m g_{k+m} U^m / m! over k!.  The series of a prefix is
+    held times the product of its factorials, which the last map, over
+    prod_j k_j! at (k_j), takes back.  A coefficient is made a scalar, and
+    normalized once, only when it is read.
     """
     if not len(factors) == len(gammas) == len(box):
         raise ValueError("factors, weights and box must have equal length")
+    if not box:
+        return TruncatedSeries((), {(): 1})  # the empty product
     caps = [sum(box[j:]) for j in range(len(box) + 1)]
-    level = {(): TruncatedSeries(caps[:1], {(0,): 1})}
-    for j, (f, gamma) in enumerate(zip(factors, gammas)):
-        factor = compose_linear(f, gamma, caps[j])
+    maps = [compose_linear(f, gamma, caps[j]).coeffs
+            for j, (f, gamma) in enumerate(zip(factors, gammas))]
+    unit, maps = _pack_chain(maps, caps, box) or ({(0,): 1}, maps)
+    chain = [TruncatedSeries._of((cap,), f) for cap, f in zip(caps, maps)]
+    level = {(): TruncatedSeries._of((caps[0],), unit)}
+    for j, factor in enumerate(chain[:-1]):
         cap = caps[j + 1]
         next_level = {}
         for prefix, h in level.items():
             g = (h * factor).coeffs
             for k in range(box[j] + 1):
-                next_level[prefix + (k,)] = TruncatedSeries((cap,), {
-                    (m,): math.comb(k + m, k) * g[(k + m,)]
-                    for m in range(cap + 1) if (k + m,) in g
-                })
+                next_level[prefix + (k,)] = TruncatedSeries._of((cap,), _reexpand(g, k, cap))
         level = next_level
-    return TruncatedSeries(box, {k: h.coeffs.get((0,), 0) for k, h in level.items()})
+    # the last variable: the coefficient of t^k in g is g_k, a constant
+    table = {}
+    for prefix, h in level.items():
+        g = (h * chain[-1]).coeffs
+        terms = g.ints if isinstance(g, _Packed) else g
+        table.update((prefix + e, x) for e, x in terms.items())
+    if isinstance(g, _Packed):
+        table = g.like(table, chained=False)
+    return TruncatedSeries._of(tuple(box), table)
+
+
+def _reexpand(g, k, cap):
+    """The coefficient of t^k in g(t + U), a series in U capped at ``cap``:
+    sum_m C(k + m, k) g_{k+m} U^m.  In divided powers it is the shift
+    sum_m g_{k+m} U^m / m! over k!, and the chain holds it times k!."""
+    if isinstance(g, _Packed):
+        ints = g.ints
+        return g.like({(m,): ints[(k + m,)] for m in range(cap + 1) if (k + m,) in ints})
+    return {(m,): math.comb(k + m, k) * g[(k + m,)] for m in range(cap + 1) if (k + m,) in g}
 
 
 def build_H_r(xis, gammas, box):

@@ -9,14 +9,20 @@ generating-function oracle read off the exact c -> 1 limit product.
 
 The generating-function routes read whole tables: one triangular product,
 truncated to the box [0, max]^r and read one variable at a time
-(series._triangular_product), holds every index of the box.
+(series._triangular_product), holds every index of the box as integers over
+one denominator, and each value is normalized once, when it is read.  The
+other routes sum in integers too and divide once: the nu-matrix sum over
+one Bernoulli row per weight, with the matrix weights of each index computed
+once, and the closed convolution as integer polynomial products reduced mod
+Phi_c once.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli
+from .cyclotomic import CycloElement, TrivialRootError, _reduce, twisted_bernoulli
 from .exact import bernoulli_number, binomial, check_index, linear_form_product
 from .series import build_E_product, build_H_r
 
@@ -38,10 +44,10 @@ def _read(series, indices, zero, signed):
     ``zero``."""
     out = {}
     for n in indices:
-        scale = Fraction(math.prod(math.factorial(k) for k in n))
+        scale = math.prod(map(math.factorial, n))
         if signed and sum(n) % 2:
             scale = -scale
-        out[n] = (series.coefficient(n) or zero) * scale
+        out[n] = series.coefficient(n, scale) or zero
     return out
 
 
@@ -94,15 +100,26 @@ def double_twisted_closed(k, l, xi1, xi2, gammas):
     check_index(k, l)
     g1, g2 = _weights(gammas, 2)
     order = math.lcm(xi1.c, xi2.c)
-    total = None
-    for j in range(l + 1):
-        term = (
-            twisted_bernoulli(k + j, xi1, order=order)
-            * twisted_bernoulli(l - j, xi2, order=order)
-            * (Fraction(binomial(l, j)) * g1 ** (k + j) * g2 ** (l - j))
-        )
-        total = term if total is None else total + term
-    return total
+    # C(l, j) gamma1^{k+j} gamma2^{l-j} = w_j / (q1^{k+l} q2^l)
+    (p1, q1), (p2, q2) = g1.as_integer_ratio(), g2.as_integer_ratio()
+    terms = [(twisted_bernoulli(k + j, xi1, order=order),
+              twisted_bernoulli(l - j, xi2, order=order),
+              binomial(l, j) * p1 ** (k + j) * q1 ** (l - j) * p2 ** (l - j) * q2 ** j)
+             for j in range(l + 1)]
+    den1 = math.lcm(*(a.den for a, _, _ in terms))
+    den2 = math.lcm(*(b.den for _, b, _ in terms))
+    # the terms as integer polynomial products over one denominator, reduced
+    # mod Phi_c and normalized once
+    total = [0] * (2 * len(terms[0][0].num) - 1)
+    for a, b, w in terms:
+        w *= (den1 // a.den) * (den2 // b.den)
+        for i, x in enumerate(a.num):
+            if x:
+                x *= w
+                for n, y in enumerate(b.num, i):
+                    total[n] += x * y
+    return CycloElement._make(order, _reduce(order, total),
+                              den1 * den2 * q1 ** (k + l) * q2 ** l)
 
 
 def lerch_special_value(n, xis, gammas):
@@ -130,22 +147,35 @@ def desing_value_exact(k, gammas):
     check_index(*k)
     r = len(k)
     gammas = _weights(gammas, r)
-    # column j's form x_0 + ... + x_j is t_{r-1-j} + ... + t_{r-1} in the
-    # reversed variables t_i = x_{r-1-i}
-    starts = [r - 1 - j for j in range(r) for _ in range(k[j])]
-    weight = {e[::-1]: w for e, w in linear_form_product(r, starts).items()}
     # B_{1+n} gamma_j^n = rows[j][n] / dens[j], one denominator per row j
-    bern = [bernoulli_number(1 + n) for n in range(sum(k) + 1)]
     dens, rows = [], []
     for j, g in enumerate(gammas):
         top = sum(k[j:])
-        den = math.lcm(*(b.denominator for b in bern[:top + 1]))
-        rows.append([b.numerator * (den // b.denominator)
-                     * g.numerator ** n * g.denominator ** (top - n)
-                     for n, b in enumerate(bern[:top + 1])])
-        dens.append(den * g.denominator ** top)
-    total = sum(w * math.prod(row[nj] for row, nj in zip(rows, n)) for n, w in weight.items())
+        den, bern = _bernoulli_row(top)
+        p, q = g.as_integer_ratio()
+        rows.append([b * p ** n * q ** (top - n) for n, b in enumerate(bern)])
+        dens.append(den * q ** top)
+    total = sum(w * math.prod(row[nj] for row, nj in zip(rows, n)) for n, w in _nu_weights(k))
     return Fraction((-1) ** sum(k) * total, math.prod(dens))
+
+
+@functools.lru_cache(maxsize=64)
+def _bernoulli_row(top):
+    """(den, numerators): B_1, ..., B_{1+top} over their one denominator."""
+    bern = [bernoulli_number(1 + n) for n in range(top + 1)]
+    den = math.lcm(*(b.denominator for b in bern))
+    return den, tuple(b.numerator * (den // b.denominator) for b in bern)
+
+
+@functools.lru_cache(maxsize=256)
+def _nu_weights(k):
+    """The pairs (n, weight) of the nu-matrices with column sums k: the
+    coefficients of x^n in prod_j (x_1 + ... + x_j)^{k_j}."""
+    r = len(k)
+    # column j's form x_0 + ... + x_j is t_{r-1-j} + ... + t_{r-1} in the
+    # reversed variables t_i = x_{r-1-i}
+    starts = [r - 1 - j for j in range(r) for _ in range(k[j])]
+    return tuple((e[::-1], w) for e, w in linear_form_product(r, starts).items())
 
 
 def desing_value_r2_closed(k, l, gamma1, gamma2):

@@ -427,6 +427,21 @@ def test_table_caps_admit_the_edges(capsys):
     assert len(out.splitlines()) == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("twisted-bernoulli", "--c", "100000", "--a", "1", "--max", "1"),
+    ("multi-bernoulli", "--r", "2", "--c", "1000000000", "--a-list", "1,2", "--max", "1"),
+])
+def test_order_cap_refuses_before_building_phi(capsys, argv):
+    # a dense Phi_c of order 10^9 does not fit in memory: the cap must come
+    # first, so the refused order never reaches the cache of Phi_c
+    from deszeta import cyclotomic
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --c must be at most 10000\n"
+    assert int(argv[argv.index("--c") + 1]) not in cyclotomic._PHI_CACHE
+
+
 def test_kernel_refusal_names_the_requested_point(capsys):
     code, out, err = run(capsys, "eval", "--s", "0.5+3000j,2")
     assert code == 2

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deszeta.exact import SPoly
+from deszeta.exact import SPoly, bernoulli_number
 from deszeta.series import (
     TruncatedSeries,
     build_E_product,
@@ -16,7 +16,8 @@ from deszeta.series import (
     collapse_tilde,
     compose_linear,
 )
-from deszeta.cyclotomic import CycloElement, OrderMismatchError, RootOfUnity, TrivialRootError
+from deszeta.cyclotomic import (CycloElement, OrderMismatchError, RootOfUnity, TrivialRootError,
+                                 twisted_bernoulli)
 from deszeta.values import desing_value_exact
 
 
@@ -294,3 +295,77 @@ def test_deep_E_product_matches_nu_matrices(box, gammas):
     for k in _box_indices(box):
         scale = (-1) ** sum(k) * math.prod(map(math.factorial, k))
         assert series.coefficient(k) * scale == desing_value_exact(k, gammas)
+
+
+# The chain reads the product one variable at a time in integers; the
+# reference below expands every factor f_j(gamma_j (t_j + ... + t_r)) over the
+# whole box by the multinomial theorem and multiplies the factors pair by pair
+# with the scalars' own + and * (schoolbook), one coefficient at a time.
+
+def _reference_product(factors, gammas, box):
+    r = len(box)
+    total = TruncatedSeries(box, {(0,) * r: 1})
+    for j, (f, gamma) in enumerate(zip(factors, gammas)):
+        terms = {}
+        for e in _box_indices(box):
+            if any(e[:j]):
+                continue
+            n = sum(e)
+            multinomial = math.factorial(n) // math.prod(map(math.factorial, e))
+            if f[n]:
+                terms[e] = f[n] * (Fraction(gamma) ** n * multinomial)
+        total = TruncatedSeries(box, schoolbook(total, TruncatedSeries(box, terms)))
+    return total
+
+
+WEIGHTS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# roots (order, a) of orders 2, 3, 4 and 6, so that a product mixes orders
+ROOTS = st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)])
+
+
+@st.composite
+def chain_inputs(draw, roots):
+    r = draw(st.integers(1, 3))
+    box = tuple(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+    gammas = draw(st.lists(WEIGHTS, min_size=r, max_size=r))
+    xis = None if roots is None else [RootOfUnity(*draw(roots)) for _ in range(r)]
+    return box, gammas, xis
+
+
+def _assert_matches(series, reference):
+    assert series == reference
+    for e in _box_indices(series.box):
+        assert series.coefficient(e) == reference.coefficient(e), e
+
+
+@given(chain_inputs(None))
+@settings(max_examples=40, deadline=None)
+def test_E_product_matches_reference_chain(inputs):
+    box, gammas, _ = inputs
+    f = [bernoulli_number(n + 1) / math.factorial(n) for n in range(sum(box) + 1)]
+    _assert_matches(build_E_product(gammas, box),
+                    _reference_product([f] * len(box), gammas, box))
+
+
+@given(chain_inputs(ROOTS))
+@settings(max_examples=40, deadline=None)
+def test_H_r_matches_reference_chain(inputs):
+    box, gammas, xis = inputs
+    order = math.lcm(*(xi.c for xi in xis))
+    factors = [[twisted_bernoulli(n, xi, order=order) / math.factorial(n)
+                for n in range(sum(box) + 1)] for xi in xis]
+    _assert_matches(build_H_r(xis, gammas, box), _reference_product(factors, gammas, box))
+
+
+@pytest.mark.parametrize("roots, order, gammas", [
+    (((3, 1), (6, 5)), 6, (Fraction(-2, 3), Fraction(3, 2))),
+    # the chain keeps the coefficient at (0, 2) as a nonzero integer that
+    # reads zero in Q(zeta_4)
+    (((4, 1), (4, 3)), 4, (1, 1)),
+])
+def test_H_r_matches_reference_chain_at(roots, order, gammas):
+    xis = [RootOfUnity(*root) for root in roots]
+    factors = [[twisted_bernoulli(n, xi, order=order) / math.factorial(n) for n in range(7)]
+               for xi in xis]
+    series = build_H_r(xis, gammas, (3, 3))
+    _assert_matches(series, _reference_product(factors, gammas, (3, 3)))

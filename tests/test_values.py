@@ -48,12 +48,16 @@ def test_single_twisted_matches_recurrence():
         assert got == twisted_bernoulli(n, xi)
 
 
-def test_double_closed_matches_series():
-    xi1 = RootOfUnity(3, 1)
-    xi2 = RootOfUnity(3, 2)
+@pytest.mark.parametrize("root1, root2", [
+    ((3, 1), (3, 2)), ((7, 1), (7, 3)), ((12, 1), (12, 5)), ((30, 1), (30, 7)),
+    ((4, 1), (6, 5)),
+], ids=["c3", "c7", "c12", "c30", "c4-c6"])
+def test_double_closed_matches_series(root1, root2):
+    xi1 = RootOfUnity(*root1)
+    xi2 = RootOfUnity(*root2)
     gammas = (Fraction(1, 2), Fraction(3))
-    for k in range(4):
-        for l in range(4):
+    for k in range(5):
+        for l in range(5):
             series = twisted_multiple_bernoulli((k, l), (xi1, xi2), gammas)
             closed = double_twisted_closed(k, l, xi1, xi2, gammas)
             assert series == closed
