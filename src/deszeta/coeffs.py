@@ -7,9 +7,11 @@ sum a_{l,m} prod_j (s_j)_{l_j} zeta_r((s_j + m_j); (1); (gamma_j)) is entire.
 G is multiplied out over packed monomials: u^l v^m is one integer whose
 balanced base-(2r+1) digits are its 2r exponents, m_1 most significant and
 l_r least, so a product of monomials is one integer addition and integer
-order is the table's (m, l) order.  The subset-sum construction of the same
-table over exact.linear_form_product (tuple keys) is kept as an independent
-cross-check of the product form.
+order is the table's (m, l) order.  CoeffTable keeps those packed monomials:
+its tuple terms are decoded only when read, and to_json_text, the one JSON
+writer, formats each distinct half once from shared digit-group texts.  The
+subset-sum construction of the same table over exact.linear_form_product
+(tuple keys) is kept as an independent cross-check of the product form.
 
 ShiftedCombination.terms is the single evaluator of the combination: both
 ShiftedCombination.evaluate and the numeric desing2 sum over it.
@@ -17,6 +19,7 @@ ShiftedCombination.evaluate and the numeric desing2 sum over it.
 
 import functools
 from itertools import chain, combinations
+from operator import itemgetter
 
 from .exact import SPoly, linear_form_product
 
@@ -31,34 +34,59 @@ __all__ = [
 
 
 class CoeffTable:
-    """Sorted table of (a, l, m) monomials of the expanded combination."""
+    """Table of the monomials a u^l v^m of the expanded combination, a != 0,
+    in (m, l) order.  It keeps them packed (see the module docstring): the
+    sorted monomials and, in step, their integer coefficients.  ``terms``
+    decodes them to (a, l, m) tuples on first read, and to_json_text writes
+    the JSON from the packed form."""
 
-    __slots__ = ("r", "terms")
+    __slots__ = ("r", "_monomials", "_coeffs", "_terms")
 
     def __init__(self, r, terms):
-        # deterministic order: lexicographic in (m, l)
-        self.terms = sorted(
-            ((int(a), tuple(l), tuple(m)) for a, l, m in terms if a),
-            key=lambda t: (t[2], t[1]),
-        )
-        self.r = r
+        """The table of the terms (a, l, m), in any order; ValueError unless
+        every l and m is r exponents of size at most r."""
+        halves, size = _Memo(functools.partial(_packed_half, r)), (2 * r + 1) ** r
+        packed = sorted(((halves[tuple(m)] * size + halves[tuple(l)], int(a))
+                         for a, l, m in terms if a), key=itemgetter(0))
+        self._set(r, [e for e, _ in packed], [a for _, a in packed])
 
     @classmethod
-    def _sorted(cls, r, terms):
-        """A table of terms (a, l, m) already in table order, a != 0."""
-        table = object.__new__(cls)
-        table.r, table.terms = r, terms
-        return table
+    def _packed(cls, r, monomials, coeffs):
+        """The table of sorted packed monomials and their nonzero coefficients."""
+        return object.__new__(cls)._set(r, monomials, coeffs)
+
+    def _set(self, r, monomials, coeffs):
+        self.r, self._monomials, self._coeffs, self._terms = r, monomials, coeffs, None
+        return self
+
+    @property
+    def terms(self):
+        """The (a, l, m) tuples, decoded on first read; equal exponent
+        vectors share one tuple."""
+        if self._terms is None:
+            half, offset = self._halves()
+            digits = _Memo(lambda x: _exponents(x, 2 * self.r + 1, self.r))
+            self._terms = [(a, digits[l], digits[m]) for a, (m, l) in zip(
+                self._coeffs, (divmod(e + offset, half) for e in self._monomials))]
+        return self._terms
+
+    def _halves(self):
+        """(base^r, offset): divmod(e + offset, base^r) splits a packed
+        monomial e into its halves m and l, each in offset form, where the
+        digit d of the base stands for the exponent d - r."""
+        base = 2 * self.r + 1
+        return base ** self.r, base ** (2 * self.r) // 2
 
     def __eq__(self, other):
         return (
             isinstance(other, CoeffTable)
             and self.r == other.r
-            and self.terms == other.terms
+            and self._monomials == other._monomials
+            and self._coeffs == other._coeffs
         )
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._monomials)
 
     def to_json(self):
         return {
@@ -69,20 +97,19 @@ class CoeffTable:
         }
 
     def to_json_text(self):
-        """The text of json.dumps(self.to_json()), written without building
-        the dicts: each distinct exponent vector is formatted once."""
-        vectors = {}
-
-        def vector(e):
-            text = vectors.get(e)
-            if text is None:
-                text = vectors[e] = "[%s]" % ", ".join(map(str, e))
-            return text
-
-        return '{"r": %d, "terms": [%s]}' % (self.r, ", ".join(
-            '{"a": %d, "l": %s, "m": %s}' % (a, vector(l), vector(m))
-            for a, l, m in self.terms
-        ))
+        """The text of json.dumps(self.to_json()), written from the packed
+        monomials with no tuple table: the text of each distinct half is
+        built once, from the texts of its high and low digit groups
+        (_group_text), and the body is one % format."""
+        (half, offset), base, n = self._halves(), 2 * self.r + 1, self.r // 2
+        high, low, size = _group_text(base, self.r - n), _group_text(base, n), base ** n
+        texts = _Memo(lambda x: "[%s]" % (high[x // size] + low[x % size])[:-2])
+        args = []
+        for a, e in zip(self._coeffs, self._monomials):
+            m, l = divmod(e + offset, half)
+            args += (a, texts[l], texts[m])
+        body = ", ".join(['{"a": %d, "l": %s, "m": %s}'] * len(self)) % tuple(args)
+        return '{"r": %d, "terms": [%s]}' % (self.r, body)
 
     @classmethod
     def from_json(cls, obj):
@@ -116,33 +143,49 @@ def expand_G(r):
                 e = e1 + e2
                 out[e] = get(e, 0) + a1 * a2
         poly = {e: a for e, a in out.items() if a}
-    # integer order is (m, l) order; each distinct half is decoded once
-    half = base ** r
-    offset = half // 2
-    digits = _Digits(base, r)
-    terms = []
-    for e in sorted(poly):
-        m, l = divmod(e + offset, half)
-        terms.append((poly[e], digits[l - offset], digits[m]))
-    return CoeffTable._sorted(r, terms)
+    monomials = sorted(poly)  # integer order is (m, l) order
+    return CoeffTable._packed(r, monomials, [poly[e] for e in monomials])
 
 
-class _Digits(dict):
-    """{x: the n balanced base-`base` digits of x, most significant first},
-    each decoded on first use, so equal exponent vectors share one tuple."""
+class _Memo(dict):
+    """{x: make(x)}, each value made on first use."""
 
-    def __init__(self, base, n):
+    def __init__(self, make):
         super().__init__()
-        self.base, self.n = base, n
+        self.make = make
 
     def __missing__(self, x):
-        key, base, top = x, self.base, self.base // 2
-        digits = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            x, d = divmod(x + top, base)
-            digits[i] = d - top
-        value = self[key] = tuple(digits)
+        value = self[x] = self.make(x)
         return value
+
+
+def _packed_half(r, x):
+    """The balanced base-(2r + 1) value of the r exponents x, the first most
+    significant; ValueError unless each is of size at most r."""
+    if len(x) != r or max(map(abs, x)) > r:
+        raise ValueError("exponents must be %d integers of size at most %d" % (r, r))
+    value = 0
+    for d in x:
+        value = value * (2 * r + 1) + d
+    return value
+
+
+def _exponents(x, base, n):
+    """The n exponents of x in offset form, where the base-``base`` digit d
+    stands for d - base // 2, most significant first."""
+    top, digits = base // 2, [0] * n
+    for i in range(n - 1, -1, -1):
+        x, d = divmod(x, base)
+        digits[i] = d - top
+    return tuple(digits)
+
+
+@functools.cache
+def _group_text(base, n):
+    """{x: the exponents of the n-digit group x in offset form as the text
+    "e_1, ..., e_n, "}: one table per base and n, each text built on first
+    use."""
+    return _Memo(lambda x: "".join(["%d, " % d for d in _exponents(x, base, n)]))
 
 
 def _subsets(items):
@@ -174,8 +217,11 @@ def expand_H(r):
 
 
 def weight_check(table):
-    """True iff every term of the table has v-exponents summing to zero."""
-    return all(sum(m) == 0 for _, _, m in table.terms)
+    """True iff every term of the table has v-exponents summing to zero;
+    each distinct shift m is decoded once, from the packed monomials."""
+    half, offset = table._halves()
+    shifts = {(e + offset) // half for e in table._monomials}
+    return all(sum(_exponents(m, 2 * table.r + 1, table.r)) == 0 for m in shifts)
 
 
 class ShiftedCombination:

@@ -2,10 +2,14 @@
 
 Elements are integer numerators over one denominator in the power basis
 1, zeta, ..., zeta^(phi(c)-1), reduced without division by the monic integer
-Phi_c, so equality is structural; inverses come from the Galois norm, and
-1/(1 - xi) for a root of unity xi from a closed form.  All c-th roots of
-unity (primitive or not) live inside the single field Q(zeta_c), which is
-what the root-of-unity summation identities need.
+Phi_c, so equality is structural; long numerator lists multiply as one
+big-integer product of their packed (Kronecker) forms.  Inverses come from
+the Galois norm, and 1/(1 - xi) for a root of unity xi from a closed form.
+All c-th roots of unity (primitive or not) live inside the single field
+Q(zeta_c), which is what the root-of-unity summation identities need.  The
+twisted Bernoulli numbers of a root are kept as one row per (root, order),
+which the package's callers read whole (twisted_bernoulli_row);
+twisted_bernoulli reads one index.
 """
 
 import math
@@ -21,6 +25,7 @@ __all__ = [
     "TrivialRootError",
     "cyclotomic_polynomial",
     "twisted_bernoulli",
+    "twisted_bernoulli_row",
     "frobenius_euler",
     "negative_polylog",
     "root_sum_twisted",
@@ -80,14 +85,64 @@ def _reduce(c, num):
     return num[:deg] + [0] * (deg - len(num))
 
 
+# measured crossovers: lists this long multiply faster as one packed
+# (Kronecker) product, and this many slots pack and unpack faster as bytes
+_PACKED_PRODUCT_FROM = 12
+_BYTES_FROM = 64
+
+
 def _product(c, x, y):
-    """Integer numerators x * y reduced mod Phi_c."""
-    prod = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y, i):
-                prod[j] += a * b
+    """Integer numerators x * y reduced mod Phi_c: schoolbook for short
+    lists, and for long ones one big-integer product of the packed lists in
+    slots wide enough for every coefficient of the product."""
+    if min(len(x), len(y)) < _PACKED_PRODUCT_FROM:
+        prod = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    prod[j] += a * b
+    else:
+        bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
+        width = bound.bit_length() // 8 * 8 + 8
+        prod = _unpack(_pack(x, width) * _pack(y, width), width, len(x) + len(y) - 1)
     return _reduce(c, prod)
+
+
+def _pack(num, width):
+    """The integers ``num`` as one integer, entry i in the signed slot of
+    ``width`` bits (a multiple of 8) at bit width * i; a product of two
+    packed integers is the packed convolution of their lists while no slot
+    overflows.  Linear time from _BYTES_FROM slots on."""
+    if len(num) < _BYTES_FROM:
+        return sum(a << (width * i) for i, a in enumerate(num))
+    size, half = width // 8, 1 << (width - 1)
+    data = b"".join([(a + half).to_bytes(size, "little") for a in num])
+    return int.from_bytes(data, "little") - _bias(width, len(num))
+
+
+def _unpack(x, width, slots):
+    """The ``slots`` signed slot values of a packed integer (_pack).  Linear
+    time from _BYTES_FROM slots on; below, each slot is shifted off."""
+    half = 1 << (width - 1)
+    if slots < _BYTES_FROM:
+        mask, out = (1 << width) - 1, []
+        for _ in range(slots):
+            low = x & mask
+            if low >= half:
+                low -= 1 << width
+            out.append(low)
+            x = (x - low) >> width
+        return out
+    size = width // 8
+    data = (x + _bias(width, slots)).to_bytes(size * slots, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, size * slots, size)]
+
+
+def _bias(width, slots):
+    """2^(width - 1) in each of ``slots`` slots: added to a packed integer,
+    it makes every slot value non-negative."""
+    return ((1 << (width * slots)) - 1) // ((1 << width) - 1) << (width - 1)
 
 
 class RootOfUnity:
@@ -320,14 +375,15 @@ def _inverse_one_minus(xi, order=None):
 
 
 _TB_LOCK = threading.Lock()
-_TB_CACHE = {}
+_TB_CACHE = {}  # (xi.c, xi.a, order) -> the row [B_0(xi), B_1(xi), ...], grown on demand
 
 
 def twisted_bernoulli(n, xi, order=None):
     """Twisted Bernoulli number of 1/(1 - xi e^t) for a nontrivial root xi.
 
     Computed inside Q(zeta_order) (default: the root's own order) by the
-    recurrence obtained from (1 - xi e^t) * H(t; xi) = 1.
+    recurrence obtained from (1 - xi e^t) * H(t; xi) = 1, and kept in the
+    root's row (twisted_bernoulli_row).
     """
     _require_nontrivial(xi)
     check_index(n)
@@ -348,6 +404,16 @@ def twisted_bernoulli(n, xi, order=None):
                     acc = [x + f * y for x, y in zip(acc, b.num)]
                 table.append(ratio * CycloElement._make(order, acc, den))
         return table[n]
+
+
+def twisted_bernoulli_row(xi, top, order=None):
+    """[B_0(xi), ..., B_top(xi)] of twisted_bernoulli, copied from the
+    cached row, which is read without the lock once it is long enough."""
+    row = _TB_CACHE.get((xi.c, xi.a, order or xi.c))
+    if row is None or len(row) <= top:
+        twisted_bernoulli(top, xi, order)  # validates, and grows the row
+        row = _TB_CACHE[(xi.c, xi.a, order or xi.c)]
+    return row[:top + 1]
 
 
 def frobenius_euler(n, lam):
@@ -387,14 +453,16 @@ def negative_polylog(k, xi):
 def root_sum_twisted(n, c):
     """Sum of twisted Bernoulli numbers over all nontrivial c-th roots.
 
-    The result is provably rational; a non-rational outcome signals an
-    arithmetic bug and raises.
+    The numerators are added over one lcm and normalized once.  The result
+    is provably rational; a non-rational outcome signals an arithmetic bug
+    and raises.
     """
     if c < 2:
         raise ValueError("order must be at least 2")
-    total = CycloElement.from_rational(c, 0)
-    for a in range(1, c):
-        total = total + twisted_bernoulli(n, RootOfUnity(c, a))
-    if not total.is_rational:
+    check_index(n)
+    values = [twisted_bernoulli_row(RootOfUnity(c, a), n)[n] for a in range(1, c)]
+    den = math.lcm(*(b.den for b in values))
+    total = [sum(x) for x in zip(*([a * (den // b.den) for a in b.num] for b in values))]
+    if any(total[1:]):
         raise ArithmeticError("root sum failed to collapse to a rational")
-    return total.as_rational()
+    return Fraction(total[0], den)

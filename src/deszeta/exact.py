@@ -83,18 +83,24 @@ def binomial(n, k):
 def linear_form_product(r, starts):
     """Expansion of prod_{j in starts} (t_j + ... + t_{r-1}) in the r
     variables t_0..t_{r-1} (a start may repeat): map exponent -> integer
-    coefficient."""
-    out = {(0,) * r: 1}
+    coefficient.
+
+    Exponents are summed packed, t_k as the digit of 2^(bits * (r-1-k)),
+    with digits wide enough for any exponent, and decoded once."""
+    bits = len(starts).bit_length()
+    units = [1 << bits * (r - 1 - k) for k in range(r)]
+    out = {0: 1}
     for j in starts:
-        nxt = {}
+        nxt, steps = {}, units[j:]
+        get = nxt.get
         for e, b in out.items():
-            for k in range(j, r):
-                e2 = list(e)
-                e2[k] += 1
-                key = tuple(e2)
-                nxt[key] = nxt.get(key, 0) + b
+            for u in steps:
+                x = e + u
+                nxt[x] = get(x, 0) + b
         out = nxt
-    return out
+    mask = (1 << bits) - 1
+    digits = [[e >> bits * (r - 1 - k) & mask for e in out] for k in range(r)]
+    return dict(zip(zip(*digits), out.values()))
 
 
 def pochhammer(s, k):
@@ -227,7 +233,8 @@ def check_index(*indices):
 
 def format_rational(q):
     """Serialize a rational as "p/q", omitting the denominator when it is 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

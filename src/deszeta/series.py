@@ -17,8 +17,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from operator import le
 
-from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _reduce,
-                         twisted_bernoulli)
+from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _pack, _reduce,
+                         _unpack, twisted_bernoulli_row)
 from .exact import SPoly, bernoulli_number
 
 __all__ = [
@@ -75,9 +75,12 @@ class _Packed(Mapping):
             # x^c = 1 in Q(zeta_c), and the packing is a value at x =
             # 2^width: mod 2^(c * width) - 1 adds slot i + c onto slot i, and
             # _chain_width left room for those sums, so the symmetric
-            # residue is the folded packing
-            m = (1 << (c * self.width)) - 1
-            x %= m
+            # residue is the folded packing.  The residue is taken by adding
+            # the high bits onto the low ones, in linear time (% divides).
+            bits = c * self.width
+            m = (1 << bits) - 1
+            while x >> bits:
+                x = (x & m) + (x >> bits)
             if x > m >> 1:
                 x -= m
             slots = c
@@ -196,7 +199,8 @@ def _pack_chain(factors, caps, box):
     c, forms = found
     width = _chain_width(forms, caps, box, c) if c else 0
     return (_Packed({(0,): 1}, c, 1, width, 1, True),
-            [_Packed(_pack(nums, width), c, den, width, _slots(nums), True)
+            [_Packed({e: _pack(num, width) for e, num in nums.items()}, c, den, width,
+                     _slots(nums), True)
              for den, nums in forms])
 
 
@@ -239,32 +243,12 @@ def _chain_width(forms, caps, box, c):
              for n in range(cap + 1)]
         bound = [max(g[k + m] for k in range(edge + 1)) for m in range(cap - edge + 1)]
         slots += _slots(nums) - 1
-    return (max(bound) * -(-slots // c)).bit_length() + 1
+    # whole bytes, for cyclotomic._pack
+    return (max(bound) * -(-slots // c)).bit_length() // 8 * 8 + 8
 
 
 def _slots(numerators):
     return max(map(len, numerators.values()), default=1)
-
-
-def _pack(numerators, width):
-    """Each numerator list as one integer, entry i in the signed slot of
-    ``width`` bits at bit width * i; a product of two packed integers is the
-    packed convolution of their lists while no slot overflows."""
-    return {e: sum(a << (width * i) for i, a in enumerate(num))
-            for e, num in numerators.items()}
-
-
-def _unpack(x, width, slots):
-    """The ``slots`` signed slot values of a packed integer."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    out = []
-    for _ in range(slots):
-        low = x & mask
-        if low >= half:
-            low -= 1 << width
-        out.append(low)
-        x = (x - low) >> width
-    return out
 
 
 def series_mul(a, b):
@@ -355,8 +339,9 @@ def build_H_r(xis, gammas, box):
         if not xi.nontrivial:
             raise TrivialRootError("all roots must differ from 1")
     order = math.lcm(*(xi.c for xi in xis))
-    factors = [[twisted_bernoulli(n, xi, order=order) / Fraction(math.factorial(n))
-                for n in range(sum(box) + 1)] for xi in xis]
+    factors = [[b / Fraction(math.factorial(n))
+                for n, b in enumerate(twisted_bernoulli_row(xi, sum(box), order))]
+               for xi in xis]
     return _triangular_product(factors, gammas, box)
 
 

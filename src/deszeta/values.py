@@ -12,9 +12,9 @@ truncated to the box [0, max]^r and read one variable at a time
 (series._triangular_product), holds every index of the box as integers over
 one denominator, and each value is normalized once, when it is read.  The
 other routes sum in integers too and divide once: the nu-matrix sum over
-one Bernoulli row per weight, with the matrix weights of each index computed
-once, and the closed convolution as integer polynomial products reduced mod
-Phi_c once.
+one row B_{1+n} gamma^n per weight, cached like the matrix weights of each
+index, and the closed convolution as integer polynomial products, read from
+the two roots' twisted Bernoulli rows and reduced mod Phi_c once.
 """
 
 import functools
@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cyclotomic import CycloElement, TrivialRootError, _reduce, twisted_bernoulli
+from .cyclotomic import CycloElement, TrivialRootError, _reduce, twisted_bernoulli_row
 from .exact import bernoulli_number, binomial, check_index, linear_form_product
 from .series import build_E_product, build_H_r
 
@@ -58,7 +58,7 @@ def _weights(gammas, r):
         raise ValueError("r must be positive")
     if len(gammas) != r:
         raise ValueError("index and weights must have equal length")
-    gammas = [Fraction(g) for g in gammas]
+    gammas = [g if isinstance(g, Fraction) else Fraction(g) for g in gammas]
     if any(g == 0 for g in gammas):
         raise ValueError("weights must be nonzero")
     return gammas
@@ -102,8 +102,9 @@ def double_twisted_closed(k, l, xi1, xi2, gammas):
     order = math.lcm(xi1.c, xi2.c)
     # C(l, j) gamma1^{k+j} gamma2^{l-j} = w_j / (q1^{k+l} q2^l)
     (p1, q1), (p2, q2) = g1.as_integer_ratio(), g2.as_integer_ratio()
-    terms = [(twisted_bernoulli(k + j, xi1, order=order),
-              twisted_bernoulli(l - j, xi2, order=order),
+    row1 = twisted_bernoulli_row(xi1, k + l, order)
+    row2 = twisted_bernoulli_row(xi2, l, order)
+    terms = [(row1[k + j], row2[l - j],
               binomial(l, j) * p1 ** (k + j) * q1 ** (l - j) * p2 ** (l - j) * q2 ** j)
              for j in range(l + 1)]
     den1 = math.lcm(*(a.den for a, _, _ in terms))
@@ -148,23 +149,22 @@ def desing_value_exact(k, gammas):
     r = len(k)
     gammas = _weights(gammas, r)
     # B_{1+n} gamma_j^n = rows[j][n] / dens[j], one denominator per row j
-    dens, rows = [], []
-    for j, g in enumerate(gammas):
-        top = sum(k[j:])
-        den, bern = _bernoulli_row(top)
-        p, q = g.as_integer_ratio()
-        rows.append([b * p ** n * q ** (top - n) for n, b in enumerate(bern)])
-        dens.append(den * q ** top)
+    dens, rows = zip(*(_weight_row(*g.as_integer_ratio(), sum(k[j:]))
+                       for j, g in enumerate(gammas)))
     total = sum(w * math.prod(row[nj] for row, nj in zip(rows, n)) for n, w in _nu_weights(k))
     return Fraction((-1) ** sum(k) * total, math.prod(dens))
 
 
-@functools.lru_cache(maxsize=64)
-def _bernoulli_row(top):
-    """(den, numerators): B_1, ..., B_{1+top} over their one denominator."""
-    bern = [bernoulli_number(1 + n) for n in range(top + 1)]
-    den = math.lcm(*(b.denominator for b in bern))
-    return den, tuple(b.numerator * (den // b.denominator) for b in bern)
+@functools.lru_cache(maxsize=256)
+def _weight_row(p, q, top):
+    """(den, numerators): B_{1+n} (p/q)^n for n = 0, ..., top over their
+    one denominator; the Bernoulli row itself at p = q = 1."""
+    if p == q == 1:
+        bern = [bernoulli_number(1 + n) for n in range(top + 1)]
+        den = math.lcm(*(b.denominator for b in bern))
+        return den, tuple(b.numerator * (den // b.denominator) for b in bern)
+    den, bern = _weight_row(1, 1, top)
+    return den * q ** top, tuple(b * p ** n * q ** (top - n) for n, b in enumerate(bern))
 
 
 @functools.lru_cache(maxsize=256)

@@ -51,10 +51,11 @@ def test_json_round_trip():
         assert CoeffTable.from_json(t.to_json()) == t
 
 
-@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("r", range(1, 8))
 def test_json_text_is_the_dumped_table(r):
     t = expand_G(r)
     assert t.to_json_text() == json.dumps(t.to_json())
+    assert CoeffTable.from_json(t.to_json()) == t
 
 
 def test_invalid_depth():

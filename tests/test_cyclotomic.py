@@ -18,6 +18,7 @@ from deszeta.cyclotomic import (
     frobenius_euler,
     negative_polylog,
     twisted_bernoulli,
+    twisted_bernoulli_row,
 )
 
 
@@ -285,3 +286,71 @@ def test_twisted_bernoulli_cache_hit_skips_inverse(monkeypatch):
     assert twisted_bernoulli(6, xi) == first
     assert twisted_bernoulli(2, xi) == twisted_bernoulli(2, xi)
     assert calls == []
+
+
+def schoolbook_mod_phi(c, x, y):
+    """x * y mod the monic Phi_c, term by term: the reference for the
+    packed product of long numerator lists."""
+    modulus = cyclotomic_polynomial(c)
+    deg = len(modulus) - 1
+    low = [(j, a) for j, a in enumerate(modulus[:-1]) if a]
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    for i in range(len(prod) - 1, deg - 1, -1):
+        top = prod.pop()
+        for j, a in low:
+            prod[i - deg + j] -= top * a
+    return prod + [0] * (deg - len(prod))
+
+
+@st.composite
+def numerator_pairs(draw):
+    """An order c in 2..60 or 210 or 1000 and two signed numerator lists of
+    at most phi(c) entries, up to 2^256 in size, often sparse."""
+    c = draw(st.one_of(st.integers(2, 60), st.sampled_from([210, 1000])))
+    size = st.one_of(st.just(0), st.integers(-2**256, 2**256), st.integers(-9, 9))
+    lists = st.lists(size, min_size=1, max_size=phi(c))
+    return c, draw(lists), draw(lists)
+
+
+@given(numerator_pairs())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_schoolbook(pair):
+    c, x, y = pair
+    assert cyclotomic._product(c, x, y) == schoolbook_mod_phi(c, x, y)
+
+
+def test_product_at_order_10000():
+    # phi = 4000 numerators on each side: one packed product of 4000 slots
+    rng = random.Random(10000)
+    x = [0] * 4000
+    for i in rng.sample(range(4000), 12):
+        x[i] = rng.randint(-2**256, 2**256)
+    y = [rng.randint(-2**64, 2**64) for _ in range(4000)]
+    y[-1] = 2**256 - 1
+    assert cyclotomic._product(10000, x, y) == schoolbook_mod_phi(10000, x, y)
+
+
+def embedded(el, order):
+    """An element of Q(zeta_c) as an element of Q(zeta_order), zeta_c ->
+    zeta_order^(order/c)."""
+    step, coeffs = order // el.c, [Fraction(0)] * order
+    for j, a in enumerate(el.coeffs):
+        coeffs[j * step] = a
+    return CycloElement(order, coeffs)
+
+
+@pytest.mark.parametrize("c", [*range(2, 13), 30])
+def test_twisted_rows_match_polylog_oracle(c):
+    # for n >= 1 the n-th entry of a root's row is the negative polylog at
+    # the root, in the root's own field and embedded in Q(zeta_2c)
+    for a in range(1, c):
+        xi = RootOfUnity(c, a)
+        own, wide = twisted_bernoulli_row(xi, 10), twisted_bernoulli_row(xi, 10, 2 * c)
+        for n in range(1, 11):
+            want = negative_polylog(n, xi)
+            assert own[n] == want
+            assert wide[n] == embedded(want, 2 * c)

@@ -1,6 +1,7 @@
 """Bernoulli numbers, polynomials, and combinatorial helpers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,3 +109,15 @@ def test_rational_format():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     with pytest.raises(ValueError):
         parse_rational("not a number")
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1), max_size=6))))
+def test_linear_form_product_matches_enumeration(case):
+    # every choice of one variable t_k (k >= j) from each factor, counted
+    r, starts = case
+    want = {}
+    for choice in product(*(range(j, r) for j in starts)):
+        e = tuple(choice.count(k) for k in range(r))
+        want[e] = want.get(e, 0) + 1
+    assert linear_form_product(r, starts) == want

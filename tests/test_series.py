@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deszeta import series
 from deszeta.exact import SPoly, bernoulli_number
 from deszeta.series import (
     TruncatedSeries,
@@ -369,3 +370,15 @@ def test_H_r_matches_reference_chain_at(roots, order, gammas):
                for xi in xis]
     series = build_H_r(xis, gammas, (3, 3))
     _assert_matches(series, _reference_product(factors, gammas, (3, 3)))
+
+
+@pytest.mark.parametrize("slots", [10, 10**4])
+@pytest.mark.parametrize("width", [8, 64])
+def test_pack_round_trip(width, slots):
+    # the extreme signed slot values and zeros; 10^4 slots take the linear
+    # (bytes) path, 10 the shifting loop
+    top = 2 ** (width - 1) - 1
+    nums = [(0, top, -top, 1, -1)[i % 5] for i in range(slots)]
+    x = series._pack(nums, width)
+    assert x == sum(a << (width * i) for i, a in enumerate(nums))
+    assert series._unpack(x, width, slots) == nums

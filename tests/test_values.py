@@ -119,6 +119,14 @@ def test_nu_matrix_route_uses_no_series_product(monkeypatch):
     assert desing_value_exact((1, 3, 2), gammas) == Fraction(-21037, 80640)
 
 
+def test_weights_in_any_rational_form_give_one_value():
+    k = (2, 1, 3)
+    want = desing_value_exact(k, (Fraction(2), Fraction(3, 2), Fraction(-1, 3)))
+    assert desing_value_exact(k, (2, "3/2", "-1/3")) == want
+    assert desing_value_exact(k, ("2", Fraction(3, 2), Fraction("-1/3"))) == want
+    assert desing_value_exact(k, (2, Fraction(3, 2), "-1/3")) == want
+
+
 def test_oracle_route_agrees():
     for gammas in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1, 3))):
         for k in range(4):
