@@ -142,7 +142,7 @@ def _unpack(x, width, slots):
 def _bias(width, slots):
     """2^(width - 1) in each of ``slots`` slots: added to a packed integer,
     it makes every slot value non-negative."""
-    return ((1 << (width * slots)) - 1) // ((1 << width) - 1) << (width - 1)
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * slots, "little")
 
 
 class RootOfUnity:
@@ -288,10 +288,11 @@ class CycloElement:
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.c)
         c, rest = self.c, [1]
+        terms = [(j, a) for j, a in enumerate(self.num) if a]
         for k in range(2, c):
             if math.gcd(k, c) == 1:
                 conj = [0] * c
-                for j, a in enumerate(self.num):
+                for j, a in terms:
                     conj[j * k % c] += a
                 rest = _product(c, rest, _reduce(c, conj))
         norm = _product(c, self.num, rest)[0]  # rational, so only the constant term
@@ -410,7 +411,7 @@ def twisted_bernoulli_row(xi, top, order=None):
     """[B_0(xi), ..., B_top(xi)] of twisted_bernoulli, copied from the
     cached row, which is read without the lock once it is long enough."""
     row = _TB_CACHE.get((xi.c, xi.a, order or xi.c))
-    if row is None or len(row) <= top:
+    if row is None or not 0 <= top < len(row):
         twisted_bernoulli(top, xi, order)  # validates, and grows the row
         row = _TB_CACHE[(xi.c, xi.a, order or xi.c)]
     return row[:top + 1]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from deszeta import series
-from deszeta.cyclotomic import RootOfUnity, frobenius_euler, negative_polylog, twisted_bernoulli
+from deszeta.cyclotomic import (RootOfUnity, frobenius_euler, negative_polylog, twisted_bernoulli,
+                                 twisted_bernoulli_row)
 from deszeta.values import (
     desing_value_exact,
     desing_value_oracle,
@@ -26,6 +27,7 @@ XI = RootOfUnity(3, 1)
     lambda: frobenius_euler(-1, XI),
     lambda: frobenius_euler(-2, Fraction(-1)),
     lambda: twisted_bernoulli(-1, XI),
+    lambda: (twisted_bernoulli_row(XI, 2), twisted_bernoulli_row(XI, -2)),  # a cached row too
     lambda: desing_value_r2_closed(-1, 2, 1, 1),
     lambda: desing_value_r2_closed(2, -1, 1, 1),
     lambda: double_twisted_closed(2, -1, XI, XI, (1, 1)),
