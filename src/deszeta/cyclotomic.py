@@ -8,8 +8,8 @@ the Galois norm, and 1/(1 - xi) for a root of unity xi from a closed form.
 All c-th roots of unity (primitive or not) live inside the single field
 Q(zeta_c), which is what the root-of-unity summation identities need.  The
 twisted Bernoulli numbers of a root are kept as one row per (root, order),
-which the package's callers read whole (twisted_bernoulli_row);
-twisted_bernoulli reads one index.
+which the table builders read whole (twisted_bernoulli_row);
+twisted_bernoulli reads one index, as root_sum_twisted does.
 """
 
 import math
@@ -94,7 +94,8 @@ _BYTES_FROM = 64
 def _product(c, x, y):
     """Integer numerators x * y reduced mod Phi_c: schoolbook for short
     lists, and for long ones one big-integer product of the packed lists in
-    slots wide enough for every coefficient of the product."""
+    slots wide enough for every input and every coefficient of the product
+    (a zero list bounds the product by 0, not its other factor)."""
     if min(len(x), len(y)) < _PACKED_PRODUCT_FROM:
         prod = [0] * (len(x) + len(y) - 1)
         for i, a in enumerate(x):
@@ -102,7 +103,8 @@ def _product(c, x, y):
                 for j, b in enumerate(y, i):
                     prod[j] += a * b
     else:
-        bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
+        top_x, top_y = max(map(abs, x)), max(map(abs, y))
+        bound = max(top_x * top_y * min(len(x), len(y)), top_x, top_y)
         width = bound.bit_length() // 8 * 8 + 8
         prod = _unpack(_pack(x, width) * _pack(y, width), width, len(x) + len(y) - 1)
     return _reduce(c, prod)
@@ -461,7 +463,7 @@ def root_sum_twisted(n, c):
     if c < 2:
         raise ValueError("order must be at least 2")
     check_index(n)
-    values = [twisted_bernoulli_row(RootOfUnity(c, a), n)[n] for a in range(1, c)]
+    values = [twisted_bernoulli(n, RootOfUnity(c, a)) for a in range(1, c)]
     den = math.lcm(*(b.den for b in values))
     total = [sum(x) for x in zip(*([a * (den // b.den) for a in b.num] for b in values))]
     if any(total[1:]):

@@ -323,6 +323,19 @@ def test_product_matches_schoolbook(pair):
     assert cyclotomic._product(c, x, y) == schoolbook_mod_phi(c, x, y)
 
 
+@pytest.mark.parametrize("c", [210, 1000])
+def test_product_by_zero_is_zero(c):
+    # a zero list bounds the product by 0; the slots must still hold the
+    # other factor's numerators, here past one byte
+    x = [(-1) ** i * (2**8 + i) for i in range(phi(c))]
+    zero = [0] * phi(c)
+    assert cyclotomic._product(c, x, zero) == [0] * phi(c)
+    assert cyclotomic._product(c, zero, x) == [0] * phi(c)
+    big = CycloElement.root_power(c, 1) * 200
+    assert big * CycloElement.from_rational(c, 0) == CycloElement.from_rational(c, 0)
+    assert big * (big - big) == CycloElement.from_rational(c, 0)
+
+
 def test_product_at_order_10000():
     # phi = 4000 numerators on each side: one packed product of 4000 slots
     rng = random.Random(10000)
