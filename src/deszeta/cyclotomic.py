@@ -1,10 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_c) and twisted Bernoulli numbers.
 
 Elements are integer numerators over one denominator in the power basis
-1, zeta, ..., zeta^(phi(c)-1), reduced without division by the monic integer
-Phi_c, so equality is structural; long numerator lists multiply as one
-big-integer product of their packed (Kronecker) forms.  Inverses come from
-the Galois norm, and 1/(1 - xi) for a root of unity xi from a closed form.
+1, zeta, ..., zeta^(phi(c)-1), reduced here alone (x^c = 1, then the monic
+integer Phi_c, without division), so equality is structural; long lists
+multiply as one big-integer product of their packed (Kronecker) forms.
+Inverses come from the Galois norm, 1/(1 - xi) for a root xi in closed form.
 All c-th roots of unity (primitive or not) live inside the single field
 Q(zeta_c), which is what the root-of-unity summation identities need.  The
 twisted Bernoulli numbers of a root are kept as one row per (root, order),
@@ -61,28 +61,41 @@ def _cyclotomic_locked(c):
         num = [-1] + [0] * (c - 1) + [1]  # x^c - 1
         for d in range(1, c):
             if c % d == 0:
-                deg = len(_cyclotomic_locked(d)[0]) - 1
-                rem = _reduce(d, num)  # leaves the quotient by Phi_d in num[deg:]
-                assert not any(rem), "cyclotomic division must be exact"
+                deg = _divide(num, _cyclotomic_locked(d))
+                assert not any(num[:deg]), "cyclotomic division must be exact"
                 num = num[deg:]
         _PHI_CACHE[c] = (num, tuple((j, a) for j, a in enumerate(num[:-1]) if a))
     return _PHI_CACHE[c]
 
 
-def _reduce(c, num):
-    """Integer list ``num`` mod the monic Phi_c, as phi(c) ints; x^phi(c) =
-    -sum a_j x^j folds each top term down without division.  ``num`` is
-    overwritten: from index phi(c) on it holds the quotient by Phi_c."""
-    if c not in _PHI_CACHE:
-        cyclotomic_polynomial(c)  # fills the cache
-    phi, low = _PHI_CACHE[c]
+def _divide(num, cached):
+    """Divide the integer list ``num`` in place by the monic Phi_d of its
+    cache entry, returning deg = phi(d): x^deg = -sum a_j x^j folds each top
+    term down, leaving the remainder in num[:deg], the quotient in num[deg:]."""
+    phi, low = cached
     deg = len(phi) - 1
     for i in range(len(num) - 1, deg - 1, -1):
         top = num[i]
         if top:
             for j, a in low:
                 num[i - deg + j] -= top * a
-    return num[:deg] + [0] * (deg - len(num))
+    return deg
+
+
+def _reduce(c, num):
+    """Integer list ``num`` mod Phi_c, as phi(c) ints (``num`` itself if it
+    has phi(c)): x^c = 1 adds each entry i >= c onto entry i mod c, and the
+    at most c - phi(c) top terms left are divided by Phi_c (_divide)."""
+    if c not in _PHI_CACHE:
+        cyclotomic_polynomial(c)  # fills the cache
+    deg = len(_PHI_CACHE[c][0]) - 1
+    if len(num) == deg:
+        return num
+    out = num[:c]
+    for i in range(c, len(num)):
+        out[i % c] += num[i]
+    _divide(out, _PHI_CACHE[c])
+    return out[:deg] + [0] * (deg - len(out))
 
 
 # measured crossovers: lists this long multiply faster as one packed
@@ -208,10 +221,11 @@ class CycloElement:
     def __init__(self, c, coeffs):
         coeffs = [Fraction(x) for x in coeffs]
         den = math.lcm(*(a.denominator for a in coeffs))
-        self._set(c, _reduce(c, [a.numerator * (den // a.denominator) for a in coeffs]), den)
+        self._set(c, [a.numerator * (den // a.denominator) for a in coeffs], den)
 
     def _set(self, c, num, den):
-        """Store num/den (den > 0, num reduced mod Phi_c) divided by the gcd."""
+        """Store num/den (den > 0) reduced mod Phi_c and divided by the gcd."""
+        num = _reduce(c, num)
         g = math.gcd(den, *num)
         self.c, self.den = c, den // g
         self.num = tuple(num) if g == 1 else tuple([a // g for a in num])
@@ -234,7 +248,7 @@ class CycloElement:
     @classmethod
     def root_power(cls, c, a):
         """zeta_c^a as a field element."""
-        return cls._make(c, _reduce(c, [0] * (a % c) + [1]), 1)
+        return cls._make(c, [0] * (a % c) + [1], 1)
 
     @classmethod
     def from_rational(cls, c, q):
@@ -374,7 +388,7 @@ def _inverse_one_minus(xi, order=None):
     num = [0] * order
     for k in range(1, xi.c):
         num[k * step % order] -= k
-    return CycloElement._make(order, _reduce(order, num), xi.c)
+    return CycloElement._make(order, num, xi.c)
 
 
 _TB_LOCK = threading.Lock()

@@ -17,8 +17,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from operator import le
 
-from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _pack, _reduce,
-                         _unpack, twisted_bernoulli_row)
+from .cyclotomic import (CycloElement, OrderMismatchError, TrivialRootError, _pack, _unpack,
+                         twisted_bernoulli_row)
 from .exact import SPoly, bernoulli_number
 
 __all__ = [
@@ -68,26 +68,12 @@ class _Packed(Mapping):
         """The integer x stored at e as a scalar times the integer
         ``scale``, normalized once."""
         den = self.den * math.prod(map(math.factorial, e))
-        c, slots = self.c, self.slots
-        if c is None:
+        if self.c is None:
             return Fraction(x * scale, den)
-        if slots > c:
-            # x^c = 1 in Q(zeta_c), and the packing is a value at x =
-            # 2^width: mod 2^(c * width) - 1 adds slot i + c onto slot i, and
-            # _chain_width left room for those sums, so the symmetric
-            # residue is the folded packing.  The residue is taken by adding
-            # the high bits onto the low ones, in linear time (% divides).
-            bits = c * self.width
-            m = (1 << bits) - 1
-            while x >> bits:
-                x = (x & m) + (x >> bits)
-            if x > m >> 1:
-                x -= m
-            slots = c
-        num = _reduce(c, _unpack(x, self.width, slots))
+        num = _unpack(x, self.width, self.slots)
         if scale != 1:
             num = [a * scale for a in num]
-        return CycloElement._make(c, num, den)
+        return CycloElement._make(self.c, num, den)
 
     def times(self, other, cap):
         """The product of two chained maps truncated to ``cap``: a binomial
@@ -197,7 +183,7 @@ def _pack_chain(factors, caps, box):
     if found is None:
         return None
     c, forms = found
-    width = _chain_width(forms, caps, box, c) if c else 0
+    width = _chain_width(forms, caps, box) if c else 0
     return (_Packed({(0,): 1}, c, 1, width, 1, True),
             [_Packed({e: _pack(num, width) for e, num in nums.items()}, c, den, width,
                      _slots(nums), True)
@@ -228,12 +214,11 @@ def _integer_forms(maps):
     return c, forms
 
 
-def _chain_width(forms, caps, box, c):
+def _chain_width(forms, caps, box):
     """The slot width that holds every value the chain over the factors
-    ``forms`` reads, its slots folded mod x^c - 1.  The slots are bounded
-    per exponent of the series h: a product sums at most min(slots) products
-    per pair of terms, weighted by C(n, i), a re-expansion shifts terms and
-    scales none, and a fold adds up ceil(slots / c) slots."""
+    ``forms`` reads.  The slots are bounded per exponent of the series h: a
+    product sums at most min(slots) products per pair of terms, weighted by
+    C(n, i), and a re-expansion shifts terms and scales none."""
     slots, bound = 1, [1]
     for (_, nums), cap, edge in zip(forms, caps, box):
         f = [max(map(abs, nums.get((n,), [0]))) for n in range(cap + 1)]
@@ -244,7 +229,7 @@ def _chain_width(forms, caps, box, c):
         bound = [max(g[k + m] for k in range(edge + 1)) for m in range(cap - edge + 1)]
         slots += _slots(nums) - 1
     # whole bytes, for cyclotomic._pack
-    return (max(bound) * -(-slots // c)).bit_length() // 8 * 8 + 8
+    return max(bound).bit_length() // 8 * 8 + 8
 
 
 def _slots(numerators):

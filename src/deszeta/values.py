@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cyclotomic import CycloElement, TrivialRootError, _reduce, twisted_bernoulli_row
+from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli_row
 from .exact import bernoulli_number, binomial, check_index, linear_form_product
 from .series import build_E_product, build_H_r
 
@@ -119,8 +119,7 @@ def double_twisted_closed(k, l, xi1, xi2, gammas):
                 x *= w
                 for n, y in enumerate(b.num, i):
                     total[n] += x * y
-    return CycloElement._make(order, _reduce(order, total),
-                              den1 * den2 * q1 ** (k + l) * q2 ** l)
+    return CycloElement._make(order, total, den1 * den2 * q1 ** (k + l) * q2 ** l)
 
 
 def lerch_special_value(n, xis, gammas):

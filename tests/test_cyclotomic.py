@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,28 @@ def test_product_at_order_10000():
     y = [rng.randint(-2**64, 2**64) for _ in range(4000)]
     y[-1] = 2**256 - 1
     assert cyclotomic._product(10000, x, y) == schoolbook_mod_phi(10000, x, y)
+
+
+def test_product_at_prime_order_9973():
+    # Phi_p = 1 + x + ... + x^(p-1), so mod Phi_p a product is its cyclic
+    # convolution mod x^p - 1 less its top coefficient: an O(p) reference
+    # for the packed product of 9972 slots, whose 9971 top terms fold by
+    # x^p = 1 before Phi_p divides the one left
+    p = 9973
+    rng = random.Random(p)
+    x = [0] * (p - 1)
+    for i in rng.sample(range(p - 1), 12):
+        x[i] = rng.choice([-1, 1]) * rng.randint(1, 2**8)
+    y = [rng.randint(-2**8, 2**8) for _ in range(p - 1)]
+    cyclic = [0] * p
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                cyclic[(i + j) % p] += a * b
+    start = time.perf_counter()
+    got = cyclotomic._product(p, x, y)
+    assert time.perf_counter() - start < 2
+    assert got == [a - cyclic[-1] for a in cyclic[:-1]]
 
 
 def embedded(el, order):

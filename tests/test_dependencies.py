@@ -57,3 +57,15 @@ def test_import_builds_no_tables():
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.split() == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "cyclotomic.py"}),
+                         ids=lambda p: p.name)
+def test_only_cyclotomic_reduces_mod_phi(path):
+    # one reduction mod Phi_c, owned by cyclotomic: CycloElement._make
+    # reduces any integer list it is given, so no other module folds
+    # x^c = 1 or divides by Phi_c on its own
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = {getattr(node, attr, None) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name")}
+    assert "_reduce" not in names, "%s uses cyclotomic._reduce" % path.name
