@@ -62,8 +62,9 @@ def _check_table(r, nmax, flag):
 
 
 # the largest cyclotomic order of twisted-bernoulli and multi-bernoulli:
-# Phi_c is built densely; twisted-bernoulli --max 1 takes about 0.2 s at
-# c = 10000 and at the prime 9973, but about 11 s at c = 9974 (README)
+# Phi_c is built in milliseconds; twisted-bernoulli --max 1 takes about 0.2 s
+# at c = 10000 and at the prime 9973, but about 5 s at c = 9974, where many
+# top terms are divided by the dense Phi_c (README)
 MAX_ORDER = 10000
 
 

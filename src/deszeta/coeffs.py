@@ -14,14 +14,17 @@ subset-sum construction of the same table over exact.linear_form_product
 (tuple keys) is kept as an independent cross-check of the product form.
 
 ShiftedCombination.terms is the single evaluator of the combination: both
-ShiftedCombination.evaluate and the numeric desing2 sum over it.
+ShiftedCombination.evaluate and the numeric desing2 sum over it.  It reads
+each coefficient about the nearest integer point n from an integer Taylor
+table built once per combination, so a point costs a few integer products
+and one floating-point sum, and no SPoly arithmetic.
 """
 
 import functools
-from itertools import chain, combinations
-from operator import itemgetter
+from itertools import accumulate, chain, combinations, product, repeat
+from operator import itemgetter, mul, sub
 
-from .exact import SPoly, linear_form_product
+from .exact import SPoly, binomial, linear_form_product
 
 __all__ = [
     "CoeffTable",
@@ -249,7 +252,23 @@ class ShiftedCombination:
                 else:
                     del acc[e]
         self._groups = {m: SPoly(self.r, out[m]) for m in sorted(out) if out[m]}
-        self._last = (None, None)  # (n, [(m, coefficient re-expanded about n)])
+
+    @functools.cached_property
+    def _taylor(self):
+        """(every n^d read, [(m, [(e, a, index of d)])]): the groups' Taylor
+        tables, poly(n + x) = sum_e T_e(n) x^e with T_e(n) = sum of its a n^d,
+        in the order poly.evaluate at (x_j + n_j) adds them.  Built on first
+        use: at large r they cost far more than the groups."""
+        exponents, tables = {}, []
+        for m, poly in self._groups.items():
+            terms = list(poly.terms.items())
+            if len(terms) > 1 and not any(terms[0][0]):
+                terms[:2] = terms[1::-1]  # evaluate adds a leading constant after the next term
+            tables.append((m, [
+                (e, functools.reduce(mul, map(binomial, k, e), c),
+                 exponents.setdefault(tuple(map(sub, k, e)), len(exponents)))
+                for k, c in terms for e in product(*[range(kj, -1, -1) for kj in k])]))
+        return list(exponents), tables
 
     def groups(self):
         """Map shift vector m -> polynomial coefficient in (s_j), in shift
@@ -260,27 +279,41 @@ class ShiftedCombination:
         """Yield (coefficient at s, shifted argument) for each shift, in
         shift order.
 
-        Each coefficient is re-expanded exactly about the nearest integer
-        point n and evaluated at s - n (exact in floating point): expanded
-        about 0, its monomials cancel near the integer points where the
-        shifted terms are singular.  ValueError unless s has r coordinates.
+        Each coefficient is expanded about the nearest integer point n, in
+        integers from its Taylor table (_about), and evaluated at s - n (exact
+        in floating point): expanded about 0, its monomials cancel near the
+        integer points where the shifted terms are singular.  ValueError
+        unless s has r coordinates.
         """
+        if len(s) != self.r:
+            raise ValueError("point needs %d coordinates, got %d" % (self.r, len(s)))
         n = tuple(round(complex(sj).real) for sj in s)
-        offset = [sj - nj for sj, nj in zip(s, n)]
-        for m, poly in self._expanded_about(n):
-            c = complex(poly.evaluate(offset))
-            yield c, tuple(sj + mj for sj, mj in zip(s, m))
+        # [x_j, ..., x_j^r], x_j^p = x_j^(p-1) x_j (no exponent exceeds r)
+        powers = [list(accumulate(repeat(sj - nj, self.r), mul)) for sj, nj in zip(s, n)]
+        for m, coefficients in self._about(n):
+            c = 0
+            for e, a in coefficients.items():
+                for xp, p in zip(powers, e):
+                    if p:
+                        a = a * xp[p - 1]
+                c = c + a
+            yield complex(c), tuple(sj + mj for sj, mj in zip(s, m))
 
-    def _expanded_about(self, n):
-        """The grouped coefficients re-expanded exactly about the integer
-        point n, in shift order.  The last one is kept, so the nodes of the
-        circle desing2 averages over around one point share it."""
-        last_n, expanded = self._last
-        if last_n != n:
-            about_n = [SPoly.variable(len(n), j) + nj for j, nj in enumerate(n)]
-            expanded = [(m, poly.evaluate(about_n)) for m, poly in self._groups.items()]
-            self._last = (n, expanded)
-        return expanded
+    def _about(self, n):
+        """Yield (m, {e: T_e(n)}) per group at the integer point n, summed
+        as poly.evaluate sums it: a monomial whose sum cancels is dropped, and
+        appended when it comes back, so the order matches too."""
+        exponents, tables = self._taylor
+        values = [functools.reduce(mul, map(pow, n, d), 1) for d in exponents]
+        for m, table in tables:
+            coefficients = {}
+            for e, a, i in table:
+                total = coefficients.get(e, 0) + a * values[i]
+                if total:
+                    coefficients[e] = total
+                else:
+                    coefficients.pop(e, None)
+            yield m, coefficients
 
     def evaluate(self, s, zeta_fn):
         """Evaluate the combination at the complex point s; zeta_fn maps a

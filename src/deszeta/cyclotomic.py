@@ -47,8 +47,8 @@ _PHI_CACHE = {}  # c -> (Phi_c as a dense int list, its nonzero lower terms (j, 
 def cyclotomic_polynomial(c):
     """Monic c-th cyclotomic polynomial as a dense list of ints.
 
-    Computed by exact integer division of x^c - 1 by the monic cyclotomic
-    polynomials of the proper divisors of c; results are cached.
+    Built as the Moebius product of the x^d - 1 over the divisors d of c,
+    each factor one pass over the list; results are cached.
     """
     if c < 1:
         raise ValueError("order must be positive")
@@ -57,44 +57,45 @@ def cyclotomic_polynomial(c):
 
 
 def _cyclotomic_locked(c):
+    """Phi_c = prod_(d | c) (x^d - 1)^mu(c/d); the products first, so each division is exact."""
     if c not in _PHI_CACHE:
-        num = [-1] + [0] * (c - 1) + [1]  # x^c - 1
-        for d in range(1, c):
-            if c % d == 0:
-                deg = _divide(num, _cyclotomic_locked(d))
-                assert not any(num[:deg]), "cyclotomic division must be exact"
-                num = num[deg:]
+        primes = [p for p in range(2, c + 1) if c % p == 0 and all(p % q for q in range(2, p))]
+        divisors = [(c, 1)]  # (d, mu(c/d)) for every squarefree c/d
+        for p in primes:
+            divisors += [(d // p, -mu) for d, mu in divisors]
+        num = [1]
+        for d, mu in sorted(divisors, key=lambda x: -x[1]):
+            if mu > 0:  # times x^d - 1
+                num = [b - a for a, b in zip(num + [0] * d, [0] * d + num)]
+            else:  # divided by x^d - 1: q_k = q_(k-d) - num_k from the bottom
+                q = [-a for a in num[:len(num) - d]]
+                for k in range(d, len(q)):
+                    q[k] += q[k - d]
+                assert num[len(q):] == ([0] * d + q)[len(q):], "cyclotomic division must be exact"
+                num = q
         _PHI_CACHE[c] = (num, tuple((j, a) for j, a in enumerate(num[:-1]) if a))
     return _PHI_CACHE[c]
-
-
-def _divide(num, cached):
-    """Divide the integer list ``num`` in place by the monic Phi_d of its
-    cache entry, returning deg = phi(d): x^deg = -sum a_j x^j folds each top
-    term down, leaving the remainder in num[:deg], the quotient in num[deg:]."""
-    phi, low = cached
-    deg = len(phi) - 1
-    for i in range(len(num) - 1, deg - 1, -1):
-        top = num[i]
-        if top:
-            for j, a in low:
-                num[i - deg + j] -= top * a
-    return deg
 
 
 def _reduce(c, num):
     """Integer list ``num`` mod Phi_c, as phi(c) ints (``num`` itself if it
     has phi(c)): x^c = 1 adds each entry i >= c onto entry i mod c, and the
-    at most c - phi(c) top terms left are divided by Phi_c (_divide)."""
+    at most c - phi(c) top terms left are divided by the monic Phi_c, each
+    folded down by x^deg = -sum a_j x^j (deg = phi(c))."""
     if c not in _PHI_CACHE:
         cyclotomic_polynomial(c)  # fills the cache
-    deg = len(_PHI_CACHE[c][0]) - 1
+    phi, low = _PHI_CACHE[c]
+    deg = len(phi) - 1
     if len(num) == deg:
         return num
     out = num[:c]
     for i in range(c, len(num)):
         out[i % c] += num[i]
-    _divide(out, _PHI_CACHE[c])
+    for i in range(len(out) - 1, deg - 1, -1):
+        top = out[i]
+        if top:
+            for j, a in low:
+                out[i - deg + j] -= top * a
     return out[:deg] + [0] * (deg - len(out))
 
 

@@ -218,19 +218,23 @@ def singularity_distance(s1, s2):
     """Distance of (s1, s2) to the singular locus of double_zeta's route:
     s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...}, down to the tail's reach
     _REACH, or at s2 = -n to the last pole 1 - n of its zeta(s1 - i)."""
-    s1 = complex(s1)
-    s2 = complex(s2)
+    distance, level = _nearest_singularity(complex(s1), complex(s2))
+    return SingularityReport("s2=1" if level is None else "s1+s2=%d" % level, distance)
+
+
+def _nearest_singularity(s1, s2):
+    """(distance, v) of singularity_distance, v the level of s1 + s2 = v or None for s2 = 1."""
     n = _is_nonpositive_int(s2)
     bottom = _REACH if n is None else 1 - n
-    best = SingularityReport("s2=1", abs(s2 - 1))
+    best, level = abs(s2 - 1), None
     w = s1 + s2
     # the even level in [bottom, 0] nearest w, the higher one on a tie; 1 again if none
     r = min(0.5, max(bottom, w.real))
     for v in (2, 1, max(bottom, 2 * math.floor((r + 1) / 2))):
         d = abs(w - v) / math.sqrt(2)
-        if d < best.distance:
-            best = SingularityReport("s1+s2=%d" % v, d)
-    return best
+        if d < best:
+            best, level = d, v
+    return best, level
 
 
 def _is_nonpositive_int(z):
@@ -270,9 +274,8 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
-    report = singularity_distance(s1, s2)
-    if report.distance < 1e-9:
-        raise SingularPointError(report)
+    if _nearest_singularity(s1, s2)[0] < 1e-9:
+        raise SingularPointError(singularity_distance(s1, s2))
 
     beta = g1 / g2
     n = _is_nonpositive_int(s2)
@@ -377,7 +380,7 @@ def _head_values(s2, beta, M, tol):
     u times the sum of |a^-s2| applied so far.  Any other beta takes one
     kernel evaluation per m.
     """
-    p, q = Fraction(beta.real).limit_denominator(_SHIFT_MAX).as_integer_ratio()
+    p, q = _weight_ratio(beta.real)
     if beta.imag or q >= M or p > _SHIFT_MAX or abs(beta.real - p / q) > 4 * math.ulp(beta.real):
         for m in range(1, M + 1):
             z = hurwitz_zeta(s2, 1 + beta * m, tol)
@@ -406,6 +409,12 @@ def _head_values(s2, beta, M, tol):
         if sign < 0:
             yield found.pop()
     yield from reversed(found)
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_ratio(beta):
+    """The fraction p/q nearest the real beta with q <= _SHIFT_MAX, once per beta."""
+    return Fraction(beta).limit_denominator(_SHIFT_MAX).as_integer_ratio()
 
 
 def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
@@ -496,7 +505,7 @@ def _desing2_combination(s1, s2, g1, g2, tol):
 def _desing2_evaluable(s1, s2):
     for m1, m2 in combination(2).groups():
         a1, a2 = s1 + m1, s2 + m2
-        if singularity_distance(a1, a2).distance < 1e-6:
+        if _nearest_singularity(a1, a2)[0] < 1e-6:
             return False
         if _is_nonpositive_int(a2) is None and not _within_reach(a1, a2):
             return False

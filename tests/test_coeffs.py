@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -128,6 +129,20 @@ def test_terms_at_integer_point():
         for (c, shifted), (m, poly) in zip(got, groups.items()):
             assert c == poly.evaluate(n)
             assert shifted == tuple(nj + mj for nj, mj in zip(n, m))
+
+
+@pytest.mark.parametrize("r, width", [(1, 30), (2, 30), (3, 6)])
+def test_taylor_table_matches_spoly_expansion(r, width):
+    # the integer coefficients that terms() reads at each integer point n,
+    # and their order, are those of re-expanding each group's SPoly about n
+    comb = combination(r)
+    groups = comb.groups()
+    for n in product(range(-width, width + 1), repeat=r):
+        about_n = [SPoly.variable(r, j) + nj for j, nj in enumerate(n)]
+        for (m, coefficients), (m_poly, poly) in zip(comb._about(n), groups.items()):
+            assert m == m_poly
+            want = poly.evaluate(about_n).terms
+            assert list(coefficients.items()) == list(want.items()), (n, m)
 
 
 def test_group_monomial_order():

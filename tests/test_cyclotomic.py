@@ -42,6 +42,24 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(c)) == phi(c) + 1
 
 
+def test_cyclotomic_polynomial_matches_dense_division():
+    # the Moebius product against x^c - 1 divided by every dense Phi_d, d | c
+    dense = {}
+    for c in range(1, 401):
+        num = [-1] + [0] * (c - 1) + [1]
+        for d in range(1, c):
+            if c % d == 0:
+                phi_d, deg = dense[d], len(dense[d]) - 1
+                for i in range(len(num) - 1, deg - 1, -1):
+                    top = num[i]
+                    for j in range(deg):  # x^deg = -(the lower terms)
+                        num[i - deg + j] -= top * phi_d[j]
+                assert not any(num[:deg])
+                num = num[deg:]
+        dense[c] = num
+        assert cyclotomic_polynomial(c) == num, c
+
+
 def test_root_of_unity_validation():
     assert not RootOfUnity(3, 0).nontrivial
     assert not RootOfUnity(3, 6).nontrivial

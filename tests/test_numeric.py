@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from deszeta import numeric
-from deszeta.exact import bernoulli_polynomial
+from deszeta.exact import SPoly, bernoulli_polynomial
 from deszeta.numeric import (
     ContinuationReachError,
     EvalResult,
@@ -643,3 +643,71 @@ class TestHurwitzMemo:
         assert not any(t.is_alive() for t in threads)
         for i in range(len(points)):
             assert got[i] == [r for r in want[i] for _ in range(3)]
+
+
+# desing2 bit for bit at tol 1e-6 (the benchmark's tol): (value.real,
+# value.imag, err_estimate) as float.hex, and the method, at eight regular and
+# two near points of perfbench/references.json, so that a change meant to keep
+# every output shows each bit it moves in tier-1.  All but regular/5/6 lie
+# at integer centres n where re-expanding a group's coefficient about n
+# cancels a monomial's running sum (n2 = -1 or n1 + n2 = 1), which moves that
+# monomial in the order the coefficient is summed in.
+DESING2_PINS = [
+    ("regular/33/0", 1.6724789768863566 - 0.06726293206346101j,
+     -0.8750034398798308 + 1.0801401039795238j, ("1/2", "2"),
+     ("0x1.6e83a593725bdp+1", "0x1.fb800eff081a0p-4", "0x1.2426242ce6879p-35", "euler_maclaurin")),
+    ("regular/47/7", 4.780235247335606 + 2.8452306685250086j,
+     -4.382952907051766 + 1.1041705926738379j, ("3/4", "2/3"),
+     ("-0x1.9ad5de97e9f56p+1", "0x1.c3c3bbb51ef40p-1", "0x1.2defda7b39224p-38", "euler_maclaurin")),
+    ("regular/188/0", -4.983730319338558 - 1.4512912358032624j,
+     5.7411466077660585 - 1.0198096082698167j, ("1/2", "4/3"),
+     ("0x1.e5d17a11ac000p-15", "0x1.1acdb869e9300p-10", "0x1.0f84a8d78fbacp-23", "euler_maclaurin")),
+    ("regular/44/4", 7.678914572562348 - 1.1188329924831482j,
+     -0.5103041216030197 - 0.22459731631552948j, ("1", "1"),
+     ("0x1.df4f7b3bb7040p+1", "-0x1.fa70917e7d276p-2", "0x1.43ea9b6362f86p-37", "euler_maclaurin")),
+    ("regular/185/3", 7.470864072994866 + 0.0892856372518227j,
+     -5.759952248543323 - 0.9444192731454519j, ("2", "2"),
+     ("0x1.70cc4cfbe01d0p-2", "-0x1.bc1053eb51d00p-5", "0x1.6393ab4fcee10p-33", "euler_maclaurin")),
+    ("regular/71/0", -4.077147058902299 - 1.6612307069442442j,
+     -0.9211903872327651 - 2.273069312432687j, ("2/3", "2"),
+     ("0x1.f3a87ada62ca0p-5", "0x1.ceb5d27a55a4fp-5", "0x1.93117b1a13d48p-19", "euler_maclaurin")),
+    ("regular/187/5", -3.6081792745406456 + 2.469458444726885j,
+     5.407713551589708 + 0.5620287352051321j, ("3/4", "3/4"),
+     ("-0x1.77a3bf6736496p-4", "0x1.84bfaff4e7cfap-5", "0x1.47401a3180d67p-30", "euler_maclaurin")),
+    ("regular/5/6", 1.0467289095495174 + 1.076745987678085j,
+     -3.8076850140883787 + 2.4005310520858902j, ("1", "1"),
+     ("-0x1.a399f17f618a6p+0", "0x1.2412d90aa09a8p-1", "0x1.dd0d27c99dec9p-34", "euler_maclaurin")),
+    ("near/10/7", -3.85913356135791 + 1.6419698741698059j,
+     4.859133564416233 - 1.64196985952984j, ("1/2", "2/3"),
+     ("-0x1.1a7aeec820000p-6", "0x1.eb372c6aaaaabp-12", "0x1.e3c717b9a73cap-38", "extrapolated")),
+    ("near/2/2", 3.417852721173272 - 0.1258835241385198j,
+     -2.4178527261549965 + 0.12588350554855054j, ("1", "1"),
+     ("0x1.23aa6b2059b55p+0", "-0x1.7db584f52baabp-6", "0x1.58824f4cbee75p-35", "extrapolated")),
+]
+
+
+@pytest.mark.parametrize("s1, s2, weights, want", [p[1:] for p in DESING2_PINS],
+                         ids=[p[0] for p in DESING2_PINS])
+def test_desing2_bits_pinned(s1, s2, weights, want):
+    g1, g2 = (complex(Fraction(g)) for g in weights)
+    r = desing2(s1, s2, g1, g2, tol=1e-6)
+    assert (r.value.real.hex(), r.value.imag.hex(), r.err_estimate.hex(), r.method) == want
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (2 / 3, 3 / 2), (1.0, 2 ** 0.5)])
+def test_desing2_does_no_symbolic_work_per_point(monkeypatch, weights):
+    # the combination's tables and the weight ratio are built once; a point
+    # then costs floats and a few integer products, and no singularity report
+    desing2(2.3 + 0.4j, 3.1 - 0.2j, *weights, tol=1e-6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work at a regular point")
+
+    for owner, names in ((SPoly, ("__add__", "__radd__", "__mul__", "__rmul__", "evaluate")),
+                         (Fraction, ("limit_denominator",)), (SingularityReport, ("__new__",))):
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse)
+    got = desing2(-1.4 + 0.7j, 2.6 - 1.1j, *weights, tol=1e-6)
+    monkeypatch.undo()
+    assert got == desing2(-1.4 + 0.7j, 2.6 - 1.1j, *weights, tol=1e-6)
+    assert got.method == "euler_maclaurin"
