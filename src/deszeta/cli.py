@@ -10,6 +10,7 @@ exceptions into an ``error:`` line and an exit code.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -76,6 +77,7 @@ def _check_order(c):
 
 def cmd_bernoulli(args):
     _check_max(args)
+    bernoulli_number(args.max)  # one extension of the table, to exactly --max
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
     if args.format == "json":
         print(json.dumps({"max": args.max, "values": values}))
@@ -185,7 +187,9 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="deszeta",
         description="Twisted Bernoulli numbers and the desingularized "

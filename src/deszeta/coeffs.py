@@ -10,8 +10,8 @@ l_r least, so a product of monomials is one integer addition and integer
 order is the table's (m, l) order.  CoeffTable keeps those packed monomials:
 its tuple terms are decoded only when read, and to_json_text, the one JSON
 writer, formats each distinct half once from shared digit-group texts.  The
-subset-sum construction of the same table over exact.linear_form_product
-(tuple keys) is kept as an independent cross-check of the product form.
+subset-sum construction of the same table (expand_H), summed over the packed
+monomials of exact.linear_form_product, is kept to cross-check the product.
 
 ShiftedCombination.terms is the single evaluator of the combination: both
 ShiftedCombination.evaluate and the numeric desing2 sum over it.  It reads
@@ -22,7 +22,7 @@ and one floating-point sum, and no SPoly arithmetic.
 
 import functools
 from itertools import accumulate, chain, combinations, product, repeat
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .exact import SPoly, binomial, linear_form_product
 
@@ -128,9 +128,7 @@ def expand_G(r):
     fits one balanced digit of base 2r + 1."""
     if r < 1:
         raise ValueError("r must be positive")
-    base = 2 * r + 1
-    u = [base ** (r - 1 - k) for k in range(r)]  # the digit of l_k
-    v = [base ** (2 * r - 1 - k) for k in range(r)]  # the digit of m_k
+    u, v = _units(r)
     poly = {0: 1}
     for j in range(r):
         # 1 - sum_k (u_k v_k) v_j^{-1} (+ sum_k (u_k v_k) v_{j-1}^{-1} for j > 0)
@@ -198,25 +196,31 @@ def _subsets(items):
 def expand_H(r):
     """Subset-sum construction of the same coefficient table, built from the
     signed sums over J and K with the linear-form expansions of
-    exact.linear_form_product; exists to cross-check expand_G."""
+    exact.linear_form_product, summed over packed monomials as expand_G's
+    are; exists to cross-check expand_G."""
     if r < 1:
         raise ValueError("r must be positive")
+    u, v = _units(r)
+    uv = list(map(add, u, v))  # t_k raises both l_k and m_k
     terms = {}
+    get = terms.get
     for J in _subsets(range(r)):
-        bJ = linear_form_product(r, J)
+        bJ = linear_form_product(r, J, uv).items()
         for K in _subsets([j for j in J if j != 0]):
-            K = set(K)
+            # m_j falls by one for j in J, K moving it to m_(j-1)
             sign = (-1) ** (len(J) - len(K))
-            for l, b in bJ.items():
-                m = list(l)
-                for j in J:
-                    if j not in K:
-                        m[j] -= 1
-                for j in K:
-                    m[j - 1] -= 1
-                key = (l, tuple(m))
-                terms[key] = terms.get(key, 0) + sign * b
-    return CoeffTable(r, [(a, l, m) for (l, m), a in terms.items()])
+            shift = sum(v[j] for j in J) + sum(v[j - 1] - v[j] for j in K)
+            for e, b in bJ:
+                e -= shift
+                terms[e] = get(e, 0) + sign * b
+    monomials = sorted(e for e, a in terms.items() if a)
+    return CoeffTable._packed(r, monomials, [terms[e] for e in monomials])
+
+
+def _units(r):
+    """(u, v): the packed monomials u_k and v_k, the digits of l_k and m_k."""
+    base = 2 * r + 1
+    return [base ** (r - 1 - k) for k in range(r)], [base ** (2 * r - 1 - k) for k in range(r)]
 
 
 def weight_check(table):

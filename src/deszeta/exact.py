@@ -1,6 +1,6 @@
-"""Exact rational building blocks: Bernoulli numbers, binomials, Pochhammer
-symbols, the expansion of products of linear forms, and the one exact
-polynomial type SPoly.
+"""Exact rational building blocks: Bernoulli numbers (from the tangent
+numbers, in integers), binomials, Pochhammer symbols, the expansion of
+products of linear forms, and the one exact polynomial type SPoly.
 
 The Bernoulli convention throughout this package is the generating function
 t/(e^t - 1), so B_1 = -1/2.  Switching to the other convention (B_1 = +1/2)
@@ -26,15 +26,12 @@ __all__ = [
 
 
 class _BernoulliCache:
-    """Growable table of Bernoulli numbers B_0, B_1, ... (B_1 = -1/2).
-
-    Values are computed by the defining recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1).  Reads of already-computed
-    entries are lock-free; extension is serialized.
-    """
+    """Growable table of Bernoulli numbers B_0, B_1, ... (B_1 = -1/2).  An
+    extension, serialized, recomputes it to at least twice its length and
+    publishes it as a new list, so reads are lock-free."""
 
     def __init__(self):
-        self._table = [Fraction(1)]
+        self._table = [Fraction(1), Fraction(-1, 2)]
         self._lock = threading.Lock()
 
     def get(self, n):
@@ -44,14 +41,24 @@ class _BernoulliCache:
         if n < len(table):
             return table[n]
         with self._lock:
-            while len(self._table) <= n:
-                m = len(self._table)
-                # sum_{k=0}^{m} C(m+1,k) B_k = 0  =>  solve for B_m
-                acc = sum(
-                    Fraction(math.comb(m + 1, k)) * self._table[k] for k in range(m)
-                )
-                self._table.append(-acc / (m + 1))
+            if n >= len(self._table):
+                self._table = _bernoulli_table(max(n + 1, 2 * len(self._table)))
             return self._table[n]
+
+
+def _bernoulli_table(size):
+    """[B_0, ..., B_(size-1)] from the tangent numbers T_k, computed in
+    integers by the triangle of Brent and Harvey (2013):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0 at odd n > 1."""
+    top = (size - 1) // 2
+    t = [0] + [math.factorial(k) for k in range(top)]  # t[k] = (k-1)!, then T_k
+    for k in range(2, top + 1):
+        for j in range(k, top + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (size - 2)
+    for k in range(1, top + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+    return table
 
 
 _CACHE = _BernoulliCache()
@@ -80,15 +87,16 @@ def binomial(n, k):
     return math.comb(n, k)
 
 
-def linear_form_product(r, starts):
+def linear_form_product(r, starts, units=None):
     """Expansion of prod_{j in starts} (t_j + ... + t_{r-1}) in the r
     variables t_0..t_{r-1} (a start may repeat): map exponent -> integer
     coefficient.
 
     Exponents are summed packed, t_k as the digit of 2^(bits * (r-1-k)),
-    with digits wide enough for any exponent, and decoded once."""
+    with digits wide enough for any exponent, and decoded once; given
+    ``units``, t_k as units[k], and the map is returned packed."""
     bits = len(starts).bit_length()
-    units = [1 << bits * (r - 1 - k) for k in range(r)]
+    packed, units = units is not None, units or [1 << bits * (r - 1 - k) for k in range(r)]
     out = {0: 1}
     for j in starts:
         nxt, steps = {}, units[j:]
@@ -98,6 +106,8 @@ def linear_form_product(r, starts):
                 x = e + u
                 nxt[x] = get(x, 0) + b
         out = nxt
+    if packed:
+        return out
     mask = (1 << bits) - 1
     digits = [[e >> bits * (r - 1 - k) & mask for e in out] for k in range(r)]
     return dict(zip(zip(*digits), out.values()))

@@ -330,11 +330,12 @@ def build_H_r(xis, gammas, box):
     return _triangular_product(factors, gammas, box)
 
 
-def build_tilde_H(gammas, box):
-    """Expansion of the c-symbolic product with factors
-    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, keeping c as an SPoly variable,
-    truncated to ``box``."""
-    f = [SPoly(1, {(0,): 1, (n + 1,): -1})
+def build_tilde_H(gammas, box, c=None):
+    """Expansion of the c-parametrized product with factors
+    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, truncated to ``box``: at an
+    integer c over Q, through the integer chain, and otherwise keeping c as
+    an SPoly variable."""
+    f = [(SPoly(1, {(0,): 1, (n + 1,): -1}) if c is None else 1 - c ** (n + 1))
          * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
          for n in range(sum(box) + 1)]
     return _triangular_product([f] * len(gammas), gammas, box)

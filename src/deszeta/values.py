@@ -21,6 +21,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import getitem
 
 from .cyclotomic import CycloElement, TrivialRootError, twisted_bernoulli_row
 from .exact import bernoulli_number, binomial, check_index, linear_form_product
@@ -150,7 +151,7 @@ def desing_value_exact(k, gammas):
     # B_{1+n} gamma_j^n = rows[j][n] / dens[j], one denominator per row j
     dens, rows = zip(*(_weight_row(*g.as_integer_ratio(), sum(k[j:]))
                        for j, g in enumerate(gammas)))
-    total = sum(w * math.prod(row[nj] for row, nj in zip(rows, n)) for n, w in _nu_weights(k))
+    total = sum(w * math.prod(map(getitem, rows, n)) for n, w in _nu_weights(k))
     return Fraction((-1) ** sum(k) * total, math.prod(dens))
 
 

@@ -515,3 +515,34 @@ def test_entry_point_refusal():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); a usage error's SystemExit
+    gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_calls_sharing_the_parser_are_isolated(capsys, monkeypatch):
+    # the parser is built once per process; a call must not see the flags
+    # or defaults of the call before it
+    from deszeta import cli
+
+    table = ("multi-bernoulli", "--r", "2", "--c", "3", "--a-list", "1,2", "--max", "2")
+    calls = [
+        table[:-2] + ("--gamma", "1/2,3") + table[-2:], table,
+        ("bernoulli", "--max", "4", "--format", "json"), ("bernoulli", "--max", "4"),
+        ("bernoulli", "--max"), ("bernoulli", "--max", "2"),
+        ("eval", "--s", "3,4"), ("coeffs", "--r", "2"),
+    ]
+    shared = [_outcome(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]

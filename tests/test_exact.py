@@ -1,5 +1,8 @@
 """Bernoulli numbers, polynomials, and combinatorial helpers."""
 
+import math
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deszeta.exact import (
+    _BernoulliCache,
     bernoulli_number,
     bernoulli_polynomial,
     binomial,
@@ -50,6 +54,54 @@ def test_defining_recurrence():
     for n in range(1, 31):
         total = sum(binomial(n + 1, k) * bernoulli_number(k) for k in range(n + 1))
         assert total == 0
+
+
+def defining_recurrence(n_max):
+    """B_0..B_n_max solved one at a time from sum_{k=0}^{n} C(n+1, k) B_k = 0."""
+    out = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        out.append(-sum(math.comb(n + 1, k) * b for k, b in enumerate(out)) / (n + 1))
+    return out
+
+
+def test_fresh_cache_grows_in_uneven_steps():
+    # each extension recomputes the table from tangent numbers; growing it
+    # by small, large and backward steps must give the recurrence's values
+    oracle = defining_recurrence(130)
+    cache = _BernoulliCache()
+    assert cache.get(1) == Fraction(-1, 2)
+    for n in (3, 2, 41, 17, 130):
+        assert cache.get(n) == oracle[n]
+        assert [cache.get(k) for k in range(n + 1)] == oracle[:n + 1]
+    assert cache.get(1) == Fraction(-1, 2)
+
+
+def test_threads_extending_one_cache_read_the_same_table():
+    # more threads than cores, each growing the table to its own length
+    # first; an extension that lost another's table would show here
+    oracle = defining_recurrence(120)
+    cache = _BernoulliCache()
+    start = threading.Barrier(4)
+    seen = {}
+
+    def read(first):
+        start.wait()
+        cache.get(first)
+        seen[first] = [cache.get(k) for k in range(121)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(n,)) for n in (120, 7, 64, 33)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(seen) == [7, 33, 64, 120]
+    assert all(values == oracle for values in seen.values())
 
 
 def test_odd_vanishing():

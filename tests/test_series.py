@@ -194,6 +194,21 @@ def test_collapse_refuses_a_coefficient_that_does_not_vanish_to_order_r():
         collapse_tilde(TruncatedSeries((1,), {(0,): one_plus_c}), 1)
 
 
+@pytest.mark.parametrize("c", [2, 3, 5])
+@pytest.mark.parametrize("box", [(4, 4), (3, 3, 3)])
+def test_tilde_H_at_integer_c_is_the_symbolic_product_at_c(box, c):
+    # at an integer c the product is taken over Q through the integer chain;
+    # the SPoly product, evaluated at c coefficient by coefficient, is the
+    # reference
+    gammas = [Fraction(1), Fraction(1, 2), Fraction(3)][:len(box)]
+    symbolic = build_tilde_H(gammas, box)
+    at_c = build_tilde_H(gammas, box, c)
+    assert isinstance(at_c.coeffs, series._Packed)
+    for e in product(*(range(b + 1) for b in box)):
+        want = (symbolic.coefficient(e) or SPoly(1)).evaluate((c,))
+        assert at_c.coefficient(e) == want
+
+
 def test_root_sum_of_product_is_c_specialization():
     # summing the twisted product over all nontrivial root pairs and
     # specializing the symbolic parameter at c must agree
