@@ -75,8 +75,16 @@ def _check_order(c):
         raise ValueError("--c must be at most %d" % MAX_ORDER)
 
 
+# the largest --max of bernoulli: B_2062's numerator has 4300 digits, the
+# most Python prints of an integer, and B_2064's has 4311
+MAX_BERNOULLI = 2063
+
+
 def cmd_bernoulli(args):
     _check_max(args)
+    if args.max > MAX_BERNOULLI:
+        raise ValueError("--max must be at most %d: past it a numerator has more than 4300 "
+                         "digits, Python's limit for printing an integer" % MAX_BERNOULLI)
     bernoulli_number(args.max)  # one extension of the table, to exactly --max
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
     if args.format == "json":

@@ -2,14 +2,14 @@
 whose coefficients are twisted/desingularized Bernoulli data.
 
 The series are sparse maps from exponent tuples, each capped per variable by
-a box, to scalars; scalars may be Fractions, CycloElements, or SPolys in the
-one auxiliary parameter c, kept symbolic so the limit c -> 1 is exact.  The
+a box, to scalars with their own + and * (Fractions, CycloElements, or SPolys
+in the auxiliary parameter c, whose c -> 1 limit collapse_tilde takes).  The
 generating functions are read one variable at a time (_triangular_product),
-over Q and Q(zeta_c) in integers from the first factor to the read-out: every
-series of that chain holds integer numerators over one denominator, a
+over Q or Q(zeta_c) only, in integers from the first factor to the read-out:
+every series of that chain holds integer numerators over one denominator, a
 Q(zeta_c) coefficient as its numerators packed into one integer, and a
 Fraction or CycloElement is built, with one gcd, only for a coefficient that
-is read.
+is read.  The c-parametrized product is taken at a rational c, over Q.
 """
 
 import math
@@ -121,18 +121,16 @@ class TruncatedSeries:
         v = coeffs.get(e, 0)
         return v if scale == 1 else v * scale
 
-    def _check(self, other):
-        if self.box != other.box:
-            raise ValueError("series box mismatch")
-
     def __mul__(self, other):
         """The product of one-variable series (ValueError for other boxes),
         truncated to the cap.  Two series of the integer chain multiply in
-        integers (_Packed.times); other coefficients use their own + and *."""
+        integers (_Packed.times); the series a caller builds multiply with
+        their coefficients' own + and *."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check(other)
         box = self.box
+        if box != other.box:
+            raise ValueError("series box mismatch")
         if len(box) != 1:
             raise ValueError("only one-variable series multiply")
         (cap,) = box
@@ -142,9 +140,6 @@ class TruncatedSeries:
         return TruncatedSeries(box, _convolve(cap, left, right))
 
     __rmul__ = __mul__
-
-    def map_coeffs(self, fn):
-        return TruncatedSeries(self.box, {e: fn(v) for e, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -176,13 +171,9 @@ def _convolve(cap, left, right, binomial=False):
 def _pack_chain(factors, caps, box):
     """(unit, factors): the coefficient maps of the chain's factors in
     divided powers, as chained _Packed maps in one packing wide enough for
-    every value that _triangular_product reads, and the constant 1 in it;
-    None when a coefficient is an SPoly."""
-    found = _integer_forms([{e: v * math.factorial(e[0]) for e, v in f.items()}
-                            for f in factors])
-    if found is None:
-        return None
-    c, forms = found
+    every value that _triangular_product reads, and the constant 1 in it."""
+    c, forms = _integer_forms([{e: v * math.factorial(e[0]) for e, v in f.items()}
+                               for f in factors])
     width = _chain_width(forms, caps, box) if c else 0
     return (_Packed({(0,): 1}, c, 1, width, 1, True),
             [_Packed({e: _pack(num, width) for e, num in nums.items()}, c, den, width,
@@ -194,8 +185,8 @@ def _integer_forms(maps):
     """(c, [(den, {e: numerators}) per map]): each coefficient as a list of
     integer numerators over its map's one denominator den, one numerator for
     a rational and the phi(c) power-basis numerators for an element of
-    Q(zeta_c).  c is None when every coefficient is rational; the result is
-    None when some coefficient is neither (an SPoly)."""
+    Q(zeta_c).  c is None when every coefficient is rational; a coefficient
+    that is neither raises TypeError."""
     c, forms = None, []
     for coeffs in maps:
         parts = {}
@@ -208,7 +199,8 @@ def _integer_forms(maps):
             elif isinstance(v, (int, Fraction)):
                 parts[e] = ((v.numerator,), v.denominator)
             else:
-                return None
+                raise TypeError("the chain takes rationals and CycloElements, not %s"
+                                % type(v).__name__)
         den = math.lcm(*(d for _, d in parts.values()))
         forms.append((den, {e: [a * (den // d) for a in num] for e, (num, d) in parts.items()}))
     return c, forms
@@ -237,7 +229,8 @@ def _slots(numerators):
 
 
 def series_mul(a, b):
-    """Product of two truncated series over the same scalar ring."""
+    """Product of two truncated series over the same scalar ring.  Kept by
+    name for the benchmark's tracer (perfbench/tracing.py SPANS)."""
     return a * b
 
 
@@ -245,7 +238,7 @@ def compose_linear(f_coeffs, gamma, cap):
     """The univariate series f(gamma U) in U, truncated to degree ``cap``.
 
     f_coeffs[n] is the coefficient of y^n, zero beyond the list; gamma is
-    taken as an exact rational.
+    taken as an exact rational.  The benchmark's tracer spans it by name.
     """
     gamma = Fraction(gamma)
     return TruncatedSeries((cap,), {
@@ -280,7 +273,7 @@ def _triangular_product(factors, gammas, box):
     caps = [sum(box[j:]) for j in range(len(box) + 1)]
     maps = [compose_linear(f, gamma, caps[j]).coeffs
             for j, (f, gamma) in enumerate(zip(factors, gammas))]
-    unit, maps = _pack_chain(maps, caps, box) or ({(0,): 1}, maps)
+    unit, maps = _pack_chain(maps, caps, box)
     chain = [TruncatedSeries._of((cap,), f) for cap, f in zip(caps, maps)]
     level = {(): TruncatedSeries._of((caps[0],), unit)}
     for j, factor in enumerate(chain[:-1]):
@@ -295,21 +288,16 @@ def _triangular_product(factors, gammas, box):
     table = {}
     for prefix, h in level.items():
         g = (h * chain[-1]).coeffs
-        terms = g.ints if isinstance(g, _Packed) else g
-        table.update((prefix + e, x) for e, x in terms.items())
-    if isinstance(g, _Packed):
-        table = g.like(table, chained=False)
-    return TruncatedSeries._of(tuple(box), table)
+        table.update((prefix + e, x) for e, x in g.ints.items())
+    return TruncatedSeries._of(tuple(box), g.like(table, chained=False))
 
 
 def _reexpand(g, k, cap):
     """The coefficient of t^k in g(t + U), a series in U capped at ``cap``:
     sum_m C(k + m, k) g_{k+m} U^m.  In divided powers it is the shift
     sum_m g_{k+m} U^m / m! over k!, and the chain holds it times k!."""
-    if isinstance(g, _Packed):
-        ints = g.ints
-        return g.like({(m,): ints[(k + m,)] for m in range(cap + 1) if (k + m,) in ints})
-    return {(m,): math.comb(k + m, k) * g[(k + m,)] for m in range(cap + 1) if (k + m,) in g}
+    ints = g.ints
+    return g.like({(m,): ints[(k + m,)] for m in range(cap + 1) if (k + m,) in ints})
 
 
 def build_H_r(xis, gammas, box):
@@ -330,13 +318,12 @@ def build_H_r(xis, gammas, box):
     return _triangular_product(factors, gammas, box)
 
 
-def build_tilde_H(gammas, box, c=None):
+def build_tilde_H(gammas, box, c):
     """Expansion of the c-parametrized product with factors
-    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, truncated to ``box``: at an
-    integer c over Q, through the integer chain, and otherwise keeping c as
-    an SPoly variable."""
-    f = [(SPoly(1, {(0,): 1, (n + 1,): -1}) if c is None else 1 - c ** (n + 1))
-         * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
+    sum_{m>=1} (1 - c^m) B_m y^{m-1} / m!, truncated to ``box``, at a
+    rational c, through the integer chain over Q.  At an integer c it is the
+    sum of build_H_r over all nontrivial root tuples of order c (exact-05)."""
+    f = [(1 - c ** (n + 1)) * (bernoulli_number(n + 1) / Fraction(math.factorial(n + 1)))
          for n in range(sum(box) + 1)]
     return _triangular_product([f] * len(gammas), gammas, box)
 
@@ -357,7 +344,8 @@ def collapse_tilde(series, r):
 
     Each coefficient is re-expanded in x = c - 1 and must vanish to order
     r there (ArithmeticError otherwise); (-1)^r times its x^r coefficient
-    is the plain Fraction left in the limit.
+    is the plain Fraction left in the limit.  Only callers build SPoly
+    series; the name stays for the benchmark's tracer (perfbench/tracing.py).
     """
     sign = Fraction((-1) ** r)
     about_1 = [SPoly.variable(1, 0) + 1]
@@ -368,4 +356,4 @@ def collapse_tilde(series, r):
             raise ArithmeticError("coefficient does not vanish to order %d at c = 1" % r)
         return sign * in_x.terms.get((r,), 0)
 
-    return series.map_coeffs(limit)
+    return TruncatedSeries(series.box, {e: limit(v) for e, v in series.coeffs.items()})

@@ -113,25 +113,25 @@ def check_double_convolution():
     return float(bad), bad == 0
 
 
-def check_root_pair_sum():
-    """Summing the depth-2 twisted Bernoulli number over all nontrivial root
-    pairs equals the c-parameterized Bernoulli product expansion, taken over
-    Q through the integer chain at c in {2, 3}, for k, l <= 4."""
-    gammas = (Fraction(1), Fraction(1))
+def check_root_pair_sum(gammas=(Fraction(1), Fraction(1)), nmax=4):
+    """Summing the depth-r twisted Bernoulli number, r = len(gammas), over all
+    nontrivial root r-tuples equals the c-parameterized Bernoulli product,
+    taken over Q through the integer chain at c in {2, 3}, for indices up to
+    nmax (r = 2 in the suite, r = 3 in the tests)."""
+    r = len(gammas)
     bad = 0
     for c in (2, 3):
         roots = [RootOfUnity(c, a) for a in range(1, c)]
         tables = [
-            twisted_multiple_bernoulli_table(4, pair, gammas)
-            for pair in product(roots, repeat=2)
+            twisted_multiple_bernoulli_table(nmax, xis, gammas)
+            for xis in product(roots, repeat=r)
         ]
-        tilde = build_tilde_H(gammas, (4, 4), c)
-        for k in range(5):
-            for l in range(5):
-                total = sum((t[k, l] for t in tables[1:]), tables[0][k, l])
-                want = tilde.coefficient((k, l), math.factorial(k) * math.factorial(l))
-                if total.as_rational() != want:
-                    bad += 1
+        tilde = build_tilde_H(gammas, (nmax,) * r, c)
+        for e in product(range(nmax + 1), repeat=r):
+            total = sum((t[e] for t in tables[1:]), tables[0][e])
+            want = tilde.coefficient(e, math.prod(map(math.factorial, e)))
+            if total.as_rational() != want:
+                bad += 1
     return float(bad), bad == 0
 
 

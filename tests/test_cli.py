@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from deszeta import verify
+from deszeta import cli, verify
 from deszeta.cli import main
+from deszeta.exact import bernoulli_number, format_rational
 
 
 def run(capsys, *argv):
@@ -42,6 +43,25 @@ def test_bernoulli_negative_max(capsys):
     code, _, err = run(capsys, "bernoulli", "--max", "-1")
     assert code == 2
     assert "error" in err
+
+
+def test_bernoulli_refuses_max_past_the_print_limit(capsys, monkeypatch):
+    # refused before any Bernoulli number is computed
+    def refuse(n):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "bernoulli_number", refuse)
+    code, out, err = run(capsys, "bernoulli", "--max", str(cli.MAX_BERNOULLI + 1))
+    assert code == 2 and out == ""
+    assert "--max" in err and "4300 digits" in err
+
+
+def test_bernoulli_cap_is_the_print_limit():
+    # B_2062, the last nonzero value under the cap, prints with a numerator
+    # of exactly 4300 digits; B_2064's numerator has more, and does not print
+    assert cli.MAX_BERNOULLI == 2063
+    assert abs(bernoulli_number(2064).numerator) >= 10 ** 4300  # grows the table once
+    assert len(format_rational(bernoulli_number(2062)).split("/")[0]) == 4300
 
 
 def test_unknown_flag_rejected(capsys):

@@ -221,6 +221,24 @@ def test_element_division_by_zero():
         CycloElement(5, [0]).inverse()
 
 
+@pytest.mark.parametrize("c", [5, 12, 30])
+def test_element_division_and_negative_powers(c):
+    rng = random.Random(c)
+    x, y = (CycloElement(c, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(phi(c))]) for _ in range(2))
+    assert x and y
+    q = Fraction(-7, 3)
+    assert x / y == x * y.inverse()
+    assert q / x == x.inverse() * q
+    for k in (1, 2, 5):
+        assert x ** -k * x ** k == 1
+    zero = CycloElement.from_rational(c, 0)
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        q / zero
+
+
 def test_element_json_round_trip():
     el = CycloElement(5, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 4)])
     assert CycloElement.from_json(el.to_json()) == el

@@ -17,6 +17,7 @@ from deszeta.series import (
     collapse_tilde,
     compose_linear,
 )
+from deszeta.verify import check_root_pair_sum
 from deszeta.cyclotomic import (CycloElement, OrderMismatchError, RootOfUnity, TrivialRootError,
                                  twisted_bernoulli)
 from deszeta.values import desing_value_exact
@@ -162,19 +163,6 @@ def test_build_H_r_rejects_trivial_roots():
         build_H_r([RootOfUnity(3, 0)], [Fraction(1)], (2,))
 
 
-def test_collapse_matches_E_product():
-    # the exact c -> 1 limit of the c-parameterized product equals the
-    # product built directly from the limit factors
-    for box, gammas in (((5,), [Fraction(1)]),
-                        ((3, 4), [Fraction(1), Fraction(1, 2)]),
-                        ((2, 3, 2), [Fraction(2), Fraction(1), Fraction(1, 3)])):
-        r = len(gammas)
-        tilde = build_tilde_H(gammas, box)
-        limit = collapse_tilde(tilde, r)
-        direct = build_E_product(gammas, box)
-        assert limit == direct
-
-
 def test_spoly_takes_rational_scalars_on_either_side():
     c = SPoly.variable(1, 0)
     half = Fraction(1, 2)
@@ -182,50 +170,6 @@ def test_spoly_takes_rational_scalars_on_either_side():
     assert c * half == half * c == SPoly(1, {(1,): half})
     assert (c * half + half).evaluate((3,)) == 2
     assert (c + half) - half == c
-
-
-def test_collapse_refuses_a_coefficient_that_does_not_vanish_to_order_r():
-    # (c - 1)^2 divides every coefficient of a depth-2 product, but not
-    # (c - 1)^3; and 1 + c does not vanish at c = 1 at all
-    with pytest.raises(ArithmeticError):
-        collapse_tilde(build_tilde_H([Fraction(1), Fraction(1)], (3, 3)), 3)
-    one_plus_c = SPoly(1, {(0,): 1, (1,): 1})
-    with pytest.raises(ArithmeticError):
-        collapse_tilde(TruncatedSeries((1,), {(0,): one_plus_c}), 1)
-
-
-@pytest.mark.parametrize("c", [2, 3, 5])
-@pytest.mark.parametrize("box", [(4, 4), (3, 3, 3)])
-def test_tilde_H_at_integer_c_is_the_symbolic_product_at_c(box, c):
-    # at an integer c the product is taken over Q through the integer chain;
-    # the SPoly product, evaluated at c coefficient by coefficient, is the
-    # reference
-    gammas = [Fraction(1), Fraction(1, 2), Fraction(3)][:len(box)]
-    symbolic = build_tilde_H(gammas, box)
-    at_c = build_tilde_H(gammas, box, c)
-    assert isinstance(at_c.coeffs, series._Packed)
-    for e in product(*(range(b + 1) for b in box)):
-        want = (symbolic.coefficient(e) or SPoly(1)).evaluate((c,))
-        assert at_c.coefficient(e) == want
-
-
-def test_root_sum_of_product_is_c_specialization():
-    # summing the twisted product over all nontrivial root pairs and
-    # specializing the symbolic parameter at c must agree
-    c = 3
-    gammas = [Fraction(1), Fraction(2)]
-    tilde = build_tilde_H(gammas, (3, 4))
-    total = {}
-    for a1 in range(1, c):
-        for a2 in range(1, c):
-            h = build_H_r([RootOfUnity(c, a1), RootOfUnity(c, a2)], gammas, (3, 4))
-            for e, coeff in h.coeffs.items():
-                total[e] = total.get(e, 0) + coeff
-    for e, coeff in total.items():
-        if not coeff:
-            continue
-        want = tilde.coefficient(e)
-        assert coeff.as_rational() == (want or SPoly(1)).evaluate((c,))
 
 
 def test_box_truncation_drops_outside_terms():
@@ -385,6 +329,93 @@ def test_H_r_matches_reference_chain_at(roots, order, gammas):
                for xi in xis]
     series = build_H_r(xis, gammas, (3, 3))
     _assert_matches(series, _reference_product(factors, gammas, (3, 3)))
+
+
+# The c-parametrized product with factors sum_m (1 - c^m) B_m y^(m-1) / m!:
+# the reference above, fed those factors as SPolys in c, gives it
+# symbolically, through no code of the chain.  The chain takes it at a
+# rational c, and collapse_tilde takes the symbolic form's c -> 1 limit.
+
+def _symbolic_tilde_H(gammas, box):
+    f = [SPoly(1, {(0,): 1, (n + 1,): -1}) * (bernoulli_number(n + 1) / math.factorial(n + 1))
+         for n in range(sum(box) + 1)]
+    return _reference_product([f] * len(box), gammas, box)
+
+
+def test_collapse_matches_E_product():
+    # the exact c -> 1 limit of the c-parameterized product equals the
+    # product built directly from the limit factors
+    for box, gammas in (((5,), [Fraction(1)]),
+                        ((3, 4), [Fraction(1), Fraction(1, 2)]),
+                        ((2, 3, 2), [Fraction(2), Fraction(1), Fraction(1, 3)])):
+        r = len(gammas)
+        limit = collapse_tilde(_symbolic_tilde_H(gammas, box), r)
+        assert limit == build_E_product(gammas, box)
+
+
+def test_collapse_refuses_a_coefficient_that_does_not_vanish_to_order_r():
+    # (c - 1)^2 divides every coefficient of a depth-2 product, but not
+    # (c - 1)^3; and 1 + c does not vanish at c = 1 at all
+    with pytest.raises(ArithmeticError):
+        collapse_tilde(_symbolic_tilde_H([Fraction(1), Fraction(1)], (3, 3)), 3)
+    one_plus_c = SPoly(1, {(0,): 1, (1,): 1})
+    with pytest.raises(ArithmeticError):
+        collapse_tilde(TruncatedSeries((1,), {(0,): one_plus_c}), 1)
+
+
+@pytest.mark.parametrize("c", [2, 3, 5])
+@pytest.mark.parametrize("box", [(4, 4), (3, 3, 3)])
+def test_tilde_H_at_integer_c_is_the_symbolic_product_at_c(box, c):
+    # at an integer c the chain takes the product over Q; the symbolic
+    # reference, evaluated at c coefficient by coefficient, must agree
+    gammas = [Fraction(1), Fraction(1, 2), Fraction(3)][:len(box)]
+    symbolic = _symbolic_tilde_H(gammas, box)
+    at_c = build_tilde_H(gammas, box, c)
+    assert isinstance(at_c.coeffs, series._Packed)
+    for e in _box_indices(box):
+        want = (symbolic.coefficient(e) or SPoly(1)).evaluate((c,))
+        assert at_c.coefficient(e) == want
+
+
+def test_root_sum_of_product_is_c_specialization():
+    # summing the twisted product over all nontrivial root pairs and
+    # specializing the symbolic parameter at c must agree
+    c = 3
+    gammas = [Fraction(1), Fraction(2)]
+    tilde = _symbolic_tilde_H(gammas, (3, 4))
+    total = {}
+    for a1 in range(1, c):
+        for a2 in range(1, c):
+            h = build_H_r([RootOfUnity(c, a1), RootOfUnity(c, a2)], gammas, (3, 4))
+            for e, coeff in h.coeffs.items():
+                total[e] = total.get(e, 0) + coeff
+    for e, coeff in total.items():
+        if not coeff:
+            continue
+        want = tilde.coefficient(e)
+        assert coeff.as_rational() == (want or SPoly(1)).evaluate((c,))
+
+
+@pytest.mark.parametrize("gammas", [(1, 1, 1), (Fraction(1, 2), 3, 1)])
+def test_root_sum_theorem_at_depth_3(gammas):
+    # exact-05 at r = 3: the twisted tables summed over all nontrivial root
+    # triples of order 2 and 3 against the chain's product at c = 2 and 3.
+    # verify's exact suite runs it at r = 2 only, to keep its time.
+    assert check_root_pair_sum(tuple(map(Fraction, gammas)), 3) == (0.0, True)
+
+
+def test_chain_refuses_an_spoly_factor():
+    c = SPoly.variable(1, 0)
+    with pytest.raises(TypeError):
+        series._triangular_product([[Fraction(1), c]], [Fraction(1)], (1,))
+    with pytest.raises(TypeError):
+        build_tilde_H([Fraction(1)], (2,), c)
+
+
+def test_chain_refuses_mixed_cyclotomic_orders():
+    factors = [[CycloElement.root_power(5, 1)], [CycloElement.root_power(7, 3)]]
+    with pytest.raises(OrderMismatchError):
+        series._triangular_product(factors, [Fraction(1), Fraction(1)], (1, 1))
 
 
 @pytest.mark.parametrize("slots", [10, 10**4])
