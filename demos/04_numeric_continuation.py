@@ -1,13 +1,15 @@
 """Numeric evaluation of the desingularized double zeta.
 
 Regular points sum the three-term combination directly, each double zeta
-as a Hurwitz head plus the Bernoulli expansion of its tail.  So do the
-points with s2 = -l, l >= 2: there that expansion is exact for every term
-of the outer sum, so it needs no head and is a finite sum of single zetas,
-on the singular hyperplanes s1 + s2 = -k - l too.  The other points on the
-singular hyperplanes of the individual terms are recovered from the
-combination being entire: its value there is its mean over six nodes on a
-small circle around the point.  The script compares against closed-form
+as a Hurwitz head plus the Bernoulli expansion of its tail.  On the line
+s2 = -l that expansion is exact for every term of the outer sum, so it
+needs no head, and the three terms' expansions combine order by order
+into one finite sum of single zetas with no pole left: at l <= 1 too,
+where a shifted term is singular, and on the singular hyperplanes
+s1 + s2 = -k - l.  The other points on the singular hyperplanes of the
+individual terms, such as s2 = 1, are recovered from the combination
+being entire: its value there is its mean over six nodes on a small
+circle around the point.  The script compares against closed-form
 targets and against the exact rational values at non-positive integers.
 """
 
@@ -30,9 +32,9 @@ for (s1, s2), want, label in targets:
 print()
 
 print("The non-positive integer grid: the continued value must land on the")
-print("exact rational from the convolution formula.  With l >= 2 the terms are")
-print("sums of single zetas and are summed exactly; with l <= 1 a shifted term")
-print("is singular there and the value is the mean over a circle around it.")
+print("exact rational from the convolution formula.  On s2 = -l the three terms")
+print("combine into one finite sum of single zetas, summed exactly, also at")
+print("l <= 1, where a shifted term is singular.")
 for k in range(4):
     for l in range(4):
         exact = desing_value_r2_closed(k, l, 1, 1)
@@ -43,8 +45,8 @@ for k in range(4):
 print()
 
 print("Error estimates travel with every result:")
-for label, point in (("regular point", (3, 4)), ("exact grid", (-2, -2)),
-                     ("singular grid", (-2, -1))):
+for label, point in (("regular point", (3, 4)), ("exact grid", (-2, -1)),
+                     ("on s2 = 1", (-2, 1))):
     r = desing2(*point)
     print("  %-13s %-9s value %+.14f, err %.1e, %s"
           % (label, "(%d, %d):" % point, r.value.real, r.err_estimate, r.method))

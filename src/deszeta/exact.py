@@ -27,11 +27,13 @@ __all__ = [
 
 class _BernoulliCache:
     """Growable table of Bernoulli numbers B_0, B_1, ... (B_1 = -1/2).  An
-    extension, serialized, recomputes it to at least twice its length and
-    publishes it as a new list, so reads are lock-free."""
+    extension, serialized, computes only the new entries, resuming the
+    tangent-number triangle from its last column, and publishes the table as
+    a new list, so reads are lock-free."""
 
     def __init__(self):
         self._table = [Fraction(1), Fraction(-1, 2)]
+        self._edge = []  # the triangle's last column after each of its passes
         self._lock = threading.Lock()
 
     def get(self, n):
@@ -42,23 +44,33 @@ class _BernoulliCache:
             return table[n]
         with self._lock:
             if n >= len(self._table):
-                self._table = _bernoulli_table(max(n + 1, 2 * len(self._table)))
+                self._table, self._edge = _bernoulli_extend(self._table, self._edge, n + 1)
             return self._table[n]
 
 
-def _bernoulli_table(size):
-    """[B_0, ..., B_(size-1)] from the tangent numbers T_k, computed in
-    integers by the triangle of Brent and Harvey (2013):
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0 at odd n > 1."""
-    top = (size - 1) // 2
-    t = [0] + [math.factorial(k) for k in range(top)]  # t[k] = (k-1)!, then T_k
-    for k in range(2, top + 1):
-        for j in range(k, top + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (size - 2)
-    for k in range(1, top + 1):
-        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
-    return table
+def _bernoulli_extend(table, edge, size):
+    """(table grown to size entries, the new edge).  The tangent numbers T_k
+    come in integers from the triangle of Brent and Harvey (2013): pass 1
+    sets column j to (j-1)!, and pass k = 2, 3, ... sets column j >= k to
+    (j-k) (column j-1) + (j-k+2) (column j), so T_top ends in column top.
+    edge holds column top after each pass, which is all the new columns read
+    of the old ones.  B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_n = 0
+    at odd n > 1."""
+    top, new_top = len(edge), (size - 1) // 2
+    table = table + [Fraction(0)] * (size - len(table))
+    if new_top == top:
+        return table, edge
+    t = [math.factorial(j - 1) for j in range(top + 1, new_top + 1)]  # column j at t[j-top-1]
+    new_edge = [t[-1]]
+    for k in range(2, new_top + 1):
+        left = edge[k - 1] if k <= top else 0  # column j - 1 after pass k; j = k needs none
+        for i in range(max(0, k - top - 1), len(t)):
+            j = top + 1 + i
+            left = t[i] = (j - k) * left + (j - k + 2) * t[i]
+        new_edge.append(t[-1])
+    for k, tk in enumerate(t, top + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tk, 4 ** k * (4 ** k - 1))
+    return table, new_edge
 
 
 _CACHE = _BernoulliCache()

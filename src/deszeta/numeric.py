@@ -7,11 +7,11 @@ the inner Hurwitz zeta in powers of beta m (beta = gamma1/gamma2), which
 turns the tail into a finite combination of single Hurwitz values
 zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n the same expansion is finite and
 exact (the inner zeta is a Bernoulli polynomial), so it is summed with no
-head, over single zetas zeta(s1 - n - 1 + p).  At points on (or
-near) the singular hyperplanes of the terms' routes, the entire
-desingularized combination is recovered as its mean over a small circle
-of six nodes around the point (Cauchy's integral formula, summed by the
-trapezoid rule).
+head, over single zetas zeta(s1 - n - 1 + p), and desing2's three terms
+there combine into one such sum.  At other points on (or near) the
+singular hyperplanes of the terms' routes, the entire combination is
+recovered as its mean over a small circle of six nodes around the point
+(Cauchy's integral formula, summed by the trapezoid rule).
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -277,12 +277,17 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     if _nearest_singularity(s1, s2)[0] < 1e-9:
         raise SingularPointError(singularity_distance(s1, s2))
 
-    beta = g1 / g2
     n = _is_nonpositive_int(s2)
     if n is None and not _within_reach(s1, s2):
         raise ContinuationReachError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
+    return _in_double_precision(s2, g1, g2, _double_zeta_tail,
+                                s1, s2, n, g1, g2, g1 / g2, tol, min(tol * 1e-2, 1e-15))
+
+
+def _in_double_precision(s2, g1, g2, route, *args):
+    """route(*args); a sum or weight power beyond double precision raises ContinuationReachError."""
     try:
-        result = _double_zeta_tail(s1, s2, n, g1, g2, beta, tol, min(tol * 1e-2, 1e-15))
+        result = route(*args)
         # a product that overflowed without a ** leaves inf or nan behind
         if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
             raise OverflowError
@@ -290,12 +295,12 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     except OverflowError:
         raise ContinuationReachError(
             "double-zeta head or tail overflows double precision at Re s2=%g with weight ratio "
-            "|gamma1/gamma2|=%g" % (s2.real, abs(beta))
+            "|gamma1/gamma2|=%g" % (s2.real, abs(g1 / g2))
         ) from None
     except ZeroDivisionError:  # a complex power by an integer: 1 / (a power that underflowed)
         raise ContinuationReachError(
             "a weight power underflows double precision at |gamma1|=%g, |gamma2|=%g "
-            "(weight ratio |gamma1/gamma2|=%g)" % (abs(g1), abs(g2), abs(beta))
+            "(weight ratio |gamma1/gamma2|=%g)" % (abs(g1), abs(g2), abs(g1 / g2))
         ) from None
 
 
@@ -421,17 +426,19 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
     """Brute-force double sum in the absolutely convergent region.
 
     Independent oracle: inner sums are truncated with an integral-bracket
-    midpoint tail, never touching the Euler-Maclaurin machinery.
+    midpoint tail, never touching the Euler-Maclaurin machinery.  The outer
+    sum stops once the integral bound on its dropped tail, the estimate, is
+    below 1e-13 of the sum.
     """
-    m_max, n_tail = 2000, 400  # outer terms summed, inner terms before the bracket
+    m_max, n_tail = 2000, 400  # most outer terms summed, inner terms before the bracket
     s1 = complex(s1)
     s2 = complex(s2)
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     if s2.real <= 1 or (s1 + s2).real <= 2:
         raise ValueError("direct summation requires the convergent region")
+    w = (s1 + s2).real - 1  # outer terms decay like m^-w, w > 1: an integral bounds their tail
     total = 0j
-    last = 0.0
     for m in range(1, m_max + 1):
         inner = 0j
         base = m * g1
@@ -444,11 +451,9 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
         inner += (upper + lower) / 2
         term = base ** (-s1) * inner
         total += term
-        last = abs(term)
-    # outer terms decay like m^{-w} with w = Re(s1+s2) - 1 > 1; bound the
-    # dropped tail by the integral comparison
-    w = (s1 + s2).real - 1
-    err = last * m_max / (w - 1)
+        err = abs(term) * m / (w - 1)
+        if err <= 1e-13 * abs(total):
+            break
     return EvalResult(total, err, "direct_sum")
 
 
@@ -503,27 +508,22 @@ def _desing2_combination(s1, s2, g1, g2, tol):
 
 
 def _desing2_evaluable(s1, s2):
-    for m1, m2 in combination(2).groups():
-        a1, a2 = s1 + m1, s2 + m2
-        if _nearest_singularity(a1, a2)[0] < 1e-6:
-            return False
-        if _is_nonpositive_int(a2) is None and not _within_reach(a1, a2):
-            return False
-    return True
+    return all(_nearest_singularity(s1 + m1, s2 + m2)[0] >= 1e-6 and _within_reach(s1 + m1, s2 + m2)
+               for m1, m2 in combination(2).groups())
 
 
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
-    Off the singular hyperplanes of the individual terms the combination is
-    summed directly.  On or near them the combination, which is entire, is
+    On the line s2 = -n the combination is one finite sum (_desing2_tail);
+    off the singular hyperplanes of the individual terms it is summed directly.  On or near them the combination, which is entire, is
     averaged over _CIRCLE_NODES = 6 nodes s + w (1, 1/golden_ratio), w on
     the circle of radius 1/1024 about 0 (method "extrapolated"); the error
     estimate is the distance to the mean over every other node, and leaves
     out the nodes' own estimates.  A node beyond the tail's reach raises
     ToleranceError.
     tol is passed to every double zeta, where it also sets how far the tail
-    expansion is carried.
+    expansion is carried; on the line it sets the kernel's tol as there.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -535,6 +535,9 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
 
 
 def _desing2_at(s1, s2, g1, g2, tol):
+    n = _is_nonpositive_int(s2)
+    if n is not None:
+        return _in_double_precision(s2, g1, g2, _desing2_tail, s1, n, g1, g2, tol)
     if _desing2_evaluable(s1, s2):
         total, err = _desing2_combination(s1, s2, g1, g2, tol)
         return EvalResult(total, err, "euler_maclaurin")
@@ -552,3 +555,28 @@ def _desing2_at(s1, s2, g1, g2, tol):
     value = sum(totals) / _CIRCLE_NODES
     half = sum(totals[::2]) / (_CIRCLE_NODES // 2)
     return EvalResult(value, abs(value - half), "extrapolated")
+
+
+def _desing2_tail(s1, n, g1, g2, tol):
+    """desing2 at s2 = -n: ROADMAP item 11's tail with no head (M = 0).  The
+    shifts keep s1 + s2, so the terms' tails combine order by order into
+    pref sum_p p coef_p(s2) beta^(1-s2-p) (1 - w_p) zeta(w_p, M + 1) over
+    p = 1, 2, 4, ..., n + 1, w_p = s1 + s2 - 1 + p; (1 - w) zeta(w, a) is -1
+    at w = 1.  The estimate: the kernel's, scaled, plus u = 2^-53 times the
+    sum of |partial sums| (Higham 3.3) and of 8 |term| (its products)."""
+    s2, M = complex(-n), 0
+    pref = g1 ** (-s1) * g2 ** (-s2)
+    total, err, rounding = 0j, 0.0, 0.0
+    for p, c in zip((1, *range(2, n + 2, 2)), itertools.chain((-0.5,), _em_coefficients(s2))):
+        coeff = p * c * (g1 / g2) ** (1 - s2 - p)
+        w = s1 + s2 - 1 + p
+        if w == 1:
+            value, value_err = -1.0, 0.0
+        else:
+            z = hurwitz_zeta(w, M + 1, min(tol * 1e-2, 1e-15))
+            value, value_err = (1 - w) * z.value, abs(1 - w) * z.err_estimate
+        term = coeff * value
+        total += term
+        err += abs(coeff) * value_err
+        rounding += abs(total) + 8 * abs(term)
+    return EvalResult(pref * total, abs(pref) * (err + rounding * 2.0**-53), "euler_maclaurin")

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -65,8 +66,9 @@ def defining_recurrence(n_max):
 
 
 def test_fresh_cache_grows_in_uneven_steps():
-    # each extension recomputes the table from tangent numbers; growing it
-    # by small, large and backward steps must give the recurrence's values
+    # each extension resumes the tangent-number triangle from its last
+    # column; growing the table by small, large and backward steps must give
+    # the recurrence's values
     oracle = defining_recurrence(130)
     cache = _BernoulliCache()
     assert cache.get(1) == Fraction(-1, 2)
@@ -74,6 +76,27 @@ def test_fresh_cache_grows_in_uneven_steps():
         assert cache.get(n) == oracle[n]
         assert [cache.get(k) for k in range(n + 1)] == oracle[:n + 1]
     assert cache.get(1) == Fraction(-1, 2)
+
+
+def _fill_seconds(*indices):
+    """Seconds a fresh cache takes to read the given indices in turn."""
+    cache = _BernoulliCache()
+    start = time.perf_counter()
+    for n in indices:
+        cache.get(n)
+    return time.perf_counter() - start
+
+
+def test_one_index_past_the_table_computes_only_the_new_entries():
+    # the second read adds one column to the triangle: reading 600 and then
+    # 602 costs about as much as reading 602 alone
+    single = min(_fill_seconds(602) for _ in range(3))
+    pair = min(_fill_seconds(600, 602) for _ in range(3))
+    assert pair <= 2 * single
+
+
+def test_one_at_a_time_fill_is_cheap():
+    assert min(_fill_seconds(*range(41)) for _ in range(5)) < 1e-3
 
 
 def test_threads_extending_one_cache_read_the_same_table():

@@ -71,11 +71,12 @@ def test_traced_table_reads_phi_once_and_never_inverts():
 
 
 def test_tracer_reaches_calls_under_the_cache():
-    # desing2(-3, -1) is extrapolated, and hurwitz_zeta's cache answers most
-    # of its calls without a kernel evaluation; the tracer must count every
-    # call, as a counter installed beneath it does
+    # the three double zetas of desing2(3, 4) share s1 + s2, and
+    # hurwitz_zeta's cache answers their shared calls without a kernel
+    # evaluation; the tracer must count every call, as a counter installed
+    # beneath it does
     proc = _traced(
-        "deszeta.desing2(-3, -1)\n"
+        "deszeta.desing2(3, 4)\n"
         "calls, _ = tracing.summarize(tracer)\n"
         "print(json.dumps([calls, counted]))\n",
         before=(
