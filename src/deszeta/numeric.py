@@ -5,10 +5,10 @@ Hurwitz-zeta kernel.  The double zeta is reduced to an outer sum of Hurwitz
 values; its tail is accelerated by substituting the asymptotic expansion of
 the inner Hurwitz zeta in powers of beta m (beta = gamma1/gamma2), which
 turns the tail into a finite combination of single Hurwitz values
-zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n the same expansion is finite and
-exact (the inner zeta is a Bernoulli polynomial), so it is summed with no
-head, over single zetas zeta(s1 - n - 1 + p), and desing2's three terms
-there combine into one such sum.  At other points on (or near) the
+zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n exactly the same expansion is
+finite and exact (the inner zeta is a Bernoulli polynomial), so it is summed
+with no head, over single zetas zeta(s1 - n - 1 + p), and desing2's three
+terms there combine into one such sum.  At other points on (or near) the
 singular hyperplanes of the terms' routes, the entire combination is
 recovered as its mean over a small circle of six nodes around the point
 (Cauchy's integral formula, summed by the trapezoid rule).
@@ -23,6 +23,7 @@ import contextlib
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 from .coeffs import combination
@@ -217,7 +218,7 @@ def riemann_zeta(s):
 def singularity_distance(s1, s2):
     """Distance of (s1, s2) to the singular locus of double_zeta's route:
     s2 = 1 and s1 + s2 in {2, 1, 0, -2, -4, ...}, down to the tail's reach
-    _REACH, or at s2 = -n to the last pole 1 - n of its zeta(s1 - i)."""
+    _REACH, or at s2 exactly -n to the last pole 1 - n of its zeta(s1 - i)."""
     distance, level = _nearest_singularity(complex(s1), complex(s2))
     return SingularityReport("s2=1" if level is None else "s1+s2=%d" % level, distance)
 
@@ -238,8 +239,8 @@ def _nearest_singularity(s1, s2):
 
 
 def _is_nonpositive_int(z):
-    n = round(complex(z).real)
-    return -n if n <= 0 and abs(z - n) < 1e-12 else None
+    n = round(z.real)
+    return -n if n <= 0 and z == n else None
 
 
 def _within_reach(s1, s2):
@@ -257,8 +258,8 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     the first order whose remainder, bounded over every m beyond the head,
     is below _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz
     values).  The head takes one kernel evaluation per residue class of a
-    rational weight ratio, one per term otherwise.  At s2 = -n the tail's
-    expansion is exact for every m: there is no head, and the value is a
+    rational weight ratio, one per term otherwise.  At s2 exactly -n the
+    tail's expansion is exact for every m: there is no head, and the value is a
     finite sum of single zetas, finite off that line's own poles.  On the
     singular hyperplanes (singularity_distance) the point raises
     SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
@@ -277,11 +278,9 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     if _nearest_singularity(s1, s2)[0] < 1e-9:
         raise SingularPointError(singularity_distance(s1, s2))
 
-    n = _is_nonpositive_int(s2)
-    if n is None and not _within_reach(s1, s2):
+    if _is_nonpositive_int(s2) is None and not _within_reach(s1, s2):
         raise ContinuationReachError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
-    return _in_double_precision(s2, g1, g2, _double_zeta_tail,
-                                s1, s2, n, g1, g2, g1 / g2, tol, min(tol * 1e-2, 1e-15))
+    return _in_double_precision(s2, g1, g2, _double_zeta_tail, s1, s2, g1, g2, tol)
 
 
 def _in_double_precision(s2, g1, g2, route, *args):
@@ -304,7 +303,7 @@ def _in_double_precision(s2, g1, g2, route, *args):
         ) from None
 
 
-def _double_zeta_tail(s1, s2, n, g1, g2, beta, tol, kernel_tol):
+def _double_zeta_tail(s1, s2, g1, g2, tol):
     """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
     class of a rational weight ratio, per m otherwise) plus the tail m > M.
 
@@ -318,11 +317,11 @@ def _double_zeta_tail(s1, s2, n, g1, g2, beta, tol, kernel_tol):
     summed over every m > M, is at most _TAIL_BUDGET * tol; at k = K+1 the
     bound is added whatever its size.  The factor |w|/Re w is the
     Euler-Maclaurin remainder bound on the real axis x > 0; for a complex
-    weight ratio beta it is not proven.  At s2 = -n (n not None) the
-    expansion is evaluated at s2 = -n exactly: it equals
-    -B_{n+1}(1+x)/(n+1) for every x > 0, so there is no head (M = 0) and
-    it stops at p = n + 1, beyond which every c_k is zero.  Every Hurwitz
-    value is asked for at kernel_tol."""
+    weight ratio beta it is not proven.  At s2 exactly -n the expansion
+    equals -B_{n+1}(1+x)/(n+1) for every x > 0, so there is no head
+    (M = 0) and it stops at p = n + 1, beyond which every c_k is zero.
+    Every Hurwitz value is asked for at min(tol / 100, 1e-15)."""
+    n, beta, kernel_tol = _is_nonpositive_int(s2), g1 / g2, min(tol * 1e-2, 1e-15)
     if n is None:
         # Head length: the asymptotic expansion of the inner zeta must be
         # valid at x = beta m for every m > M, |beta| M >= (|s2| + 2K + 2)
@@ -382,15 +381,13 @@ def _head_values(s2, beta, M, tol):
     forward from its smallest where Re s2 < 1 (the values grow with a
     there, so nothing cancels), backward from its largest otherwise.  The
     sums carry TwoSum compensation; the estimate is the class start's plus
-    u times the sum of |a^-s2| applied so far.  Any other beta takes one
-    kernel evaluation per m.
+    u times the sum of |a^-s2| applied so far.  Any other beta runs the
+    same loop with q = M + 1: every m is its own class, one kernel
+    evaluation each.
     """
     p, q = _weight_ratio(beta.real)
     if beta.imag or q >= M or p > _SHIFT_MAX or abs(beta.real - p / q) > 4 * math.ulp(beta.real):
-        for m in range(1, M + 1):
-            z = hurwitz_zeta(s2, 1 + beta * m, tol)
-            yield m, z.value, z.err_estimate
-        return
+        q = M + 1
     sign = -1 if s2.real < 1 else 1  # forward subtracts the powers, backward adds them
     classes = [None] * q  # (offset, value, compensation, error) per class
     found = []  # backward values, held from m = M down
@@ -427,8 +424,10 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
 
     Independent oracle: inner sums are truncated with an integral-bracket
     midpoint tail, never touching the Euler-Maclaurin machinery.  The outer
-    sum stops once the integral bound on its dropped tail, the estimate, is
-    below 1e-13 of the sum.
+    sum stops once the integral bound on its dropped tail is below 1e-13 of
+    the sum.  The tail past N lies in [int_{N+1} f + f(N+1)/2, int_{N+1/2} f],
+    below the midpoint, for convex decreasing f (real s2 and weights): the
+    estimate adds the distance to the far end times |(m gamma1)^-s1|.
     """
     m_max, n_tail = 2000, 400  # most outer terms summed, inner terms before the bracket
     s1 = complex(s1)
@@ -438,7 +437,7 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
     if s2.real <= 1 or (s1 + s2).real <= 2:
         raise ValueError("direct summation requires the convergent region")
     w = (s1 + s2).real - 1  # outer terms decay like m^-w, w > 1: an integral bounds their tail
-    total = 0j
+    total, brackets = 0j, 0.0  # the sum, and its brackets' weighted error bounds
     for m in range(1, m_max + 1):
         inner = 0j
         base = m * g1
@@ -449,12 +448,14 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
         upper = edge ** (1 - s2) / ((s2 - 1) * g2)
         lower = (edge + g2) ** (1 - s2) / ((s2 - 1) * g2)
         inner += (upper + lower) / 2
-        term = base ** (-s1) * inner
+        weight = base ** (-s1)
+        term = weight * inner
         total += term
+        brackets += abs(weight * (upper - lower - lower * (s2 - 1) * g2 / (edge + g2))) / 2
         err = abs(term) * m / (w - 1)
         if err <= 1e-13 * abs(total):
             break
-    return EvalResult(total, err, "direct_sum")
+    return EvalResult(total, err + brackets, "direct_sum")
 
 
 @contextlib.contextmanager
@@ -471,19 +472,20 @@ def _naming_point(*s):
 
 def desing1(s, gamma=1.0):
     """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
-    zeta(s), entire; -1/gamma at s = 1.  A weight power gamma^{-s} (or
-    value) beyond double precision raises ContinuationReachError."""
+    zeta(s), entire; -1/gamma, its value to double precision, where 1/(s - 1)
+    overflows.  A weight power gamma^{-s} (or value) beyond double precision
+    raises ContinuationReachError."""
     s = complex(s)
     g = complex(gamma)
     _check_inputs(None, (s,), (g,))
     with _naming_point(s):
         try:
-            if abs(s - 1) < 1e-14:
+            if abs(s - 1) < 1 / sys.float_info.max:
                 result = EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
             else:
-                z = riemann_zeta(s)
-                c = (1 - s) * g ** (-s)
-                result = EvalResult(c * z.value, abs(c) * z.err_estimate, z.method)
+                value, err, method = riemann_zeta(s)
+                w = g ** (-s)  # applied last: (1 - s) w alone can underflow near s = 1
+                result = EvalResult((1 - s) * value * w, abs(1 - s) * err * abs(w), method)
             # a product that overflowed without a ** leaves inf or nan behind
             if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
                 raise OverflowError
@@ -495,35 +497,32 @@ def desing1(s, gamma=1.0):
 
 
 def _desing2_combination(s1, s2, g1, g2, tol):
-    # the shifts leave s1 + s2 unchanged, so the three double zetas share
-    # most of their Hurwitz arguments, and hurwitz_zeta's cache evaluates
-    # each once
-    total = 0j
-    err = 0.0
-    for c, (a1, a2) in combination(2).terms((s1, s2)):
-        z = double_zeta(a1, a2, g1, g2, tol)
+    """The combination, each term summed as double_zeta sums it; None where
+    a shift is within 1e-6 of its locus or beyond the tail's reach.  The
+    shifts keep s1 + s2, so hurwitz_zeta's cache shares their values."""
+    terms = list(combination(2).terms((s1, s2)))
+    if not all(_nearest_singularity(*a)[0] >= 1e-6 and _within_reach(*a) for _, a in terms):
+        return None
+    total, err = 0j, 0.0
+    for c, (a1, a2) in terms:
+        z = _in_double_precision(a2, g1, g2, _double_zeta_tail, a1, a2, g1, g2, tol)
         total += c * z.value
         err += abs(c) * z.err_estimate
-    return total, err
-
-
-def _desing2_evaluable(s1, s2):
-    return all(_nearest_singularity(s1 + m1, s2 + m2)[0] >= 1e-6 and _within_reach(s1 + m1, s2 + m2)
-               for m1, m2 in combination(2).groups())
+    return EvalResult(total, err, "euler_maclaurin")
 
 
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
-    On the line s2 = -n the combination is one finite sum (_desing2_tail);
-    off the singular hyperplanes of the individual terms it is summed directly.  On or near them the combination, which is entire, is
-    averaged over _CIRCLE_NODES = 6 nodes s + w (1, 1/golden_ratio), w on
-    the circle of radius 1/1024 about 0 (method "extrapolated"); the error
-    estimate is the distance to the mean over every other node, and leaves
-    out the nodes' own estimates.  A node beyond the tail's reach raises
-    ToleranceError.
-    tol is passed to every double zeta, where it also sets how far the tail
-    expansion is carried; on the line it sets the kernel's tol as there.
+    Where s2 is exactly -n the combination is one finite sum
+    (_desing2_tail).  Elsewhere, at least 1e-6 from the terms' singular
+    hyperplanes, its three terms are summed directly; nearer, the entire
+    combination is averaged over _CIRCLE_NODES = 6 nodes s + w (1,
+    1/golden_ratio), w on the circle of radius 1/1024 about 0 (method
+    "extrapolated"); that estimate is the distance to the mean over every
+    other node, and leaves out the nodes' own estimates.  A node beyond
+    the tail's reach raises ToleranceError.  tol sets how far each term's
+    tail expansion is carried; on the line it sets the kernel's tol.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -538,20 +537,20 @@ def _desing2_at(s1, s2, g1, g2, tol):
     n = _is_nonpositive_int(s2)
     if n is not None:
         return _in_double_precision(s2, g1, g2, _desing2_tail, s1, n, g1, g2, tol)
-    if _desing2_evaluable(s1, s2):
-        total, err = _desing2_combination(s1, s2, g1, g2, tol)
-        return EvalResult(total, err, "euler_maclaurin")
+    direct = _desing2_combination(s1, s2, g1, g2, tol)
+    if direct is not None:
+        return direct
 
     # the trapezoid rule on a circle converges geometrically to the mean,
     # which is the value at its centre (Cauchy's integral formula)
     totals = []
     for j in range(_CIRCLE_NODES):
         w = _CIRCLE_RADIUS * cmath.exp(2j * math.pi * j / _CIRCLE_NODES)
-        p1, p2 = s1 + w, s2 + w / _GOLDEN
-        if not _desing2_evaluable(p1, p2):
+        node = _desing2_combination(s1 + w, s2 + w / _GOLDEN, g1, g2, tol)
+        if node is None:
             # the nodes keep about the radius from every hyperplane near the point
             raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
-        totals.append(_desing2_combination(p1, p2, g1, g2, tol)[0])
+        totals.append(node.value)
     value = sum(totals) / _CIRCLE_NODES
     half = sum(totals[::2]) / (_CIRCLE_NODES // 2)
     return EvalResult(value, abs(value - half), "extrapolated")

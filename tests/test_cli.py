@@ -566,3 +566,25 @@ def test_calls_sharing_the_parser_are_isolated(capsys, monkeypatch):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
     assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+
+
+def test_desing_values_gamma_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "desing-values", "--r", "2", "--kmax", "2", "--gamma", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --gamma must have r entries\n"
+
+
+def test_desing_values_json(capsys):
+    from fractions import Fraction
+
+    from deszeta.values import desing_value_table
+
+    code, out, _ = run(capsys, "desing-values", "--r", "2", "--kmax", "2", "--gamma", "1/2,3",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    gammas = [Fraction(1, 2), Fraction(3)]
+    assert data["r"] == 2 and data["gamma"] == ["1/2", "3"]
+    assert [(tuple(row["k"]), Fraction(row["value"])) for row in data["values"]] \
+        == list(desing_value_table(2, gammas).items())

@@ -751,3 +751,92 @@ def test_desing2_does_no_symbolic_work_per_point(monkeypatch, weights):
     monkeypatch.undo()
     assert got == desing2(-1.4 + 0.7j, 2.6 - 1.1j, *weights, tol=1e-6)
     assert got.method == "euler_maclaurin"
+
+
+@pytest.mark.parametrize("s1, s2, weights, method", [
+    (-1.4 + 0.7j, 2.6 - 1.1j, (2 / 3, 3 / 2), "euler_maclaurin"),  # regular: the terms summed
+    (2.5 + 1e-8, -0.5, (1.0, 1.0), "extrapolated"),  # 1e-8 from s1 + s2 = 2: the circle
+    (-20.5, 0.3, (1.0, 1.0), None),  # beyond the tail's reach: refused
+])
+def test_desing2_sums_its_terms_without_double_zeta(monkeypatch, s1, s2, weights, method):
+    # each term goes straight to the double-zeta expansion, checked once per
+    # point or node; the public double_zeta keeps its guards for other callers
+    def outcome():
+        try:
+            return desing2(s1, s2, *weights, tol=1e-6)
+        except ToleranceError as exc:
+            return str(exc)
+
+    want = outcome()
+    assert getattr(want, "method", None) == method
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("desing2 called the public double_zeta")
+
+    monkeypatch.setattr(numeric, "double_zeta", refuse)
+    assert outcome() == want
+
+
+# s2 within 1e-12 of -2 but not on the line: the point is summed as any
+# other, with its own estimate, not given the value at s2 = -2.  The
+# literals are perfbench/reference.py's desing2_mp (mpmath)
+@pytest.mark.parametrize("s2, want", [
+    (-2 + 9e-13, 0.1357996148511079),
+    (complex(-2, 9e-13), 0.1357996148509686 + 1.393315907541491e-13j),
+])
+def test_desing2_next_to_the_line(s2, want):
+    assert numeric._is_nonpositive_int(complex(s2)) is None
+    assert numeric._is_nonpositive_int(complex(-2)) == 2
+    got = desing2(0.5, s2)
+    assert got.method == "euler_maclaurin"
+    assert abs(got.value - want) <= got.err_estimate
+    # the line's own locus (its last pole at s1 + s2 = -1) holds on the line only
+    assert singularity_distance(-4, -2 + 1e-13).hyperplane == "s1+s2=-6"
+
+
+# only s = 1 itself takes the value -1/gamma; the literals are mpmath at 40
+# digits.  At gamma = 1e300, (1 - s) gamma^-s alone is subnormal, so the
+# weight power is applied last.  The estimate still leaves out the kernel's
+# rounding
+@pytest.mark.parametrize("s, gamma, want", [
+    (1 + 5e-15, 1.5, -0.6666666666666672514230294421760160752451),
+    (1 + 1e-15, 1e300, -9.999999999992336734374411924010088452125e-301),
+])
+def test_desing1_next_to_one(s, gamma, want):
+    got = desing1(s, gamma)
+    assert got.method == "euler_maclaurin"
+    assert abs(got.value - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 1e-300])
+def test_desing1_where_one_over_s_minus_one_overflows(gamma):
+    # an offset this small leaves -1/gamma the value to double precision
+    got = desing1(complex(1, 1e-310), gamma)
+    assert got.value == -1 / gamma
+
+
+# (s1, s2, the double zeta): literals from perfbench/reference.py's head/tail
+# split in mpmath at 30 digits (its truncation below 2e-31), printed to 25
+@pytest.mark.parametrize("s1, s2, want", [
+    (3, 4, 0.08515982253483365140680602),
+    (2.2, 2.8, 0.2781085567345360258094485),
+    (3, 2, 0.7115661975505724320969738),
+    (2.5 + 1j, 3 - 0.5j, 0.1907499863332020613251363 + 0.09090806746667150716085204j),
+])
+def test_direct_sum_estimate_bounds_its_error(s1, s2, want):
+    got = double_zeta_direct(s1, s2)
+    assert abs(got.value - want) <= got.err_estimate
+
+
+def test_kernel_refuses_a_power_that_overflows():
+    # at a = 1e-100 the partial sum is empty (N = 0) and each correction's
+    # power of x = a grows by x^-2 = 1e200: the second one is infinite
+    with pytest.raises(ContinuationReachError, match=r"overflows double precision at s=\(0\.3\+0j\)"):
+        hurwitz_zeta(0.3, 1e-100)
+
+
+def test_desing1_refuses_a_product_that_overflows():
+    # gamma^-2 = 1.6e308 is finite, and its product with (1 - s) zeta(2) is not
+    with pytest.raises(ContinuationReachError,
+                       match=r"^cannot reach s=\(2\+0j\): the weight power gamma\^-s"):
+        desing1(2, 8e-155)
