@@ -97,10 +97,10 @@ class ToleranceError(ArithmeticError):
 
 
 class _EMTable(dict):
-    """{k: B_{2k}/(2k)! as a float}, each entry computed on first use."""
+    """{k: (B_{2k}/(2k)! as a float, 2k - 1, 2k)}, order k's constants, made on first use."""
 
     def __missing__(self, k):
-        value = self[k] = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
+        value = self[k] = (float(bernoulli_number(2 * k)) / math.factorial(2 * k), 2 * k - 1, 2 * k)
         return value
 
 
@@ -111,9 +111,9 @@ def _em_coefficients(s):
     """Yield B_{2k}/(2k)! (s)_{2k-1} for k = 1, 2, ..., multiplying the factors
     (s)(s+1)(s+2)... in from the left, one at a time, as the kernel does."""
     poch = s
-    for k in itertools.count(1):
-        yield _EM_TABLE[k] * poch
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+    for b, odd, even in map(_EM_TABLE.__getitem__, itertools.count(1)):
+        yield b * poch
+        poch = poch * (s + odd) * (s + even)
 
 
 def _check_inputs(tol, args, weights=()):
@@ -136,16 +136,16 @@ def hurwitz_zeta(s, a, tol=1e-14):
 
     Partial sum to N, boundary terms, and Bernoulli corrections, from one
     complex power x^-s per N (x = a + N; each correction's power is the
-    last one's times x^-2), the partial sum carried from one N to the next;
-    N and the correction order are raised until the first omitted correction
-    is below tol.  At s = -n and real a the value is -B_{n+1}(a)/(n+1).
-    Requires finite s != 1, finite a with Re a > 0, and tol > 0.
-    Raises ContinuationReachError on overflow and where the corrections
-    still fail to converge at the longest partial sum (|Im s| > ~2000).
-    The results of the last 256 distinct (s, a, tol) are cached (the value
-    is a pure function of the three), so the shifted double zetas of a
-    desing2 combination, which share s1 + s2, evaluate each shared value
-    once.
+    last one's times x^-2, its constants read from _EM_TABLE), the partial
+    sum carried from one N to the next; N and the correction order are
+    raised until the first omitted correction is below tol.  At s = -n and
+    real a the value is -B_{n+1}(a)/(n+1).  Requires finite s != 1, finite
+    a with Re a > 0, and tol > 0.  Raises ContinuationReachError on
+    overflow, on underflow (a tiny a), and where the corrections still
+    fail to converge at the longest partial sum (|Im s| > ~2000).  The
+    last 256 distinct (s, a, tol) are cached (a pure function of the
+    three), so the shifted double zetas of a desing2 combination, which
+    share s1 + s2, evaluate each shared value once.
     """
     s = complex(s)
     a = complex(a)
@@ -158,6 +158,9 @@ def hurwitz_zeta(s, a, tol=1e-14):
         return _hurwitz_kernel(s, a, tol)
     except OverflowError:
         raise ContinuationReachError("Hurwitz zeta overflows double precision at s=%s" % s) from None
+    except ZeroDivisionError:  # 1 / 0 in a complex power by an integer: a power of a tiny offset
+        raise ContinuationReachError(
+            "Hurwitz zeta underflows double precision at s=%s, offset a=%s" % (s, a)) from None
 
 
 def _hurwitz_kernel(s, a, tol):
@@ -176,34 +179,33 @@ def _hurwitz_kernel(s, a, tol):
     else:
         ladder = (16, 32, 64, 128, 256, _HURWITZ_N_MAX)
         ladder = ladder[min(5, bisect.bisect_right(ladder, abs(s) / 2)):]  # N > |s|/2
+    neg, table = -s, _EM_TABLE
     partial = 0  # the partial sum over n < N, carried up the ladder
     for low, N in zip((0, *ladder), ladder):
         for n in range(low, N):
-            partial += (a + n) ** (-s)
+            partial += (a + n) ** neg
         x = a + N
-        xs = x ** (-s)
+        xs = x ** neg
         power = x * xs  # x^(1-s), then x^(1-s-2k) at correction k
         total = partial + power / (s - 1) + 0.5 * xs
         x_2 = x ** -2
         poch = s  # the rising factorial (s)_(2k-1)
         prev = err = math.inf
         for k in range(1, 40):
+            b, odd, even = table[k]
             power *= x_2
-            term = _EM_TABLE[k] * poch * power
+            term = b * poch * power
             mag = abs(term)
             if mag > prev:
                 err = mag  # asymptotic series started diverging
                 break
             total += term
+            if mag < tol or mag < tol * abs(total):  # mag < tol max(1, |total|)
+                return EvalResult(total, mag, "euler_maclaurin")
             prev = mag
-            if mag < tol * max(1.0, abs(total)):
-                err = mag
-                break
-            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+            poch = poch * (s + odd) * (s + even)
         if not cmath.isfinite(power):  # the powers grow with k where |x| < 1
             raise OverflowError
-        if err < tol * max(1.0, abs(total)):
-            return EvalResult(total, err, "euler_maclaurin")
     if math.isinf(err):  # no correction was small, and none grew
         raise ContinuationReachError(
             "Hurwitz zeta does not converge at s=%s with N <= %d" % (s, _HURWITZ_N_MAX))
@@ -303,6 +305,13 @@ def _in_double_precision(s2, g1, g2, route, *args):
         ) from None
 
 
+def _nonzero(power):
+    """power; ZeroDivisionError where a weight power underflowed to 0 (by an integer: nan)."""
+    if power == 0:
+        raise ZeroDivisionError
+    return power
+
+
 def _double_zeta_tail(s1, s2, g1, g2, tol):
     """Hurwitz head m <= M (_head_values: a kernel evaluation per residue
     class of a rational weight ratio, per m otherwise) plus the tail m > M.
@@ -320,7 +329,8 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
     weight ratio beta it is not proven.  At s2 exactly -n the expansion
     equals -B_{n+1}(1+x)/(n+1) for every x > 0, so there is no head
     (M = 0) and it stops at p = n + 1, beyond which every c_k is zero.
-    Every Hurwitz value is asked for at min(tol / 100, 1e-15)."""
+    Every Hurwitz value is asked for at min(tol / 100, 1e-15), and a pref
+    that underflowed to 0 raises ZeroDivisionError at the end (_nonzero)."""
     n, beta, kernel_tol = _is_nonpositive_int(s2), g1 / g2, min(tol * 1e-2, 1e-15)
     if n is None:
         # Head length: the asymptotic expansion of the inner zeta must be
@@ -338,13 +348,13 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         top = 2 * _TAIL_K + 2
     else:
         s2, M, top = complex(-n), 0, n + 1
-    g2_s2 = g2 ** (-s2)
-    pref = g1 ** (-s1) * g2_s2
+    neg1, g2_s2 = -s1, g2 ** (-s2)
+    pref = g1 ** neg1 * g2_s2
 
     head = 0j
     err = 0.0
     for m, value, value_err in _head_values(s2, beta, M, kernel_tol):
-        weight = (m * g1) ** (-s1) * g2_s2
+        weight = (m * g1) ** neg1 * g2_s2
         head += weight * value
         err += abs(weight) * value_err
 
@@ -358,18 +368,18 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         if not cmath.isfinite(power):
             raise OverflowError
         coeff = c * power
+        scale = abs(pref * coeff)
         sigma = base.real + p
         w = s2 + p - 1
         if p > 1 and sigma > 1 and w.real > 0:
-            bound = abs(pref * coeff) * (M + 1) ** -sigma * (1 + (M + 1) / (sigma - 1)) \
-                * abs(w) / w.real
+            bound = scale * (M + 1) ** -sigma * (1 + (M + 1) / (sigma - 1)) * abs(w) / w.real
             if bound <= budget or p > 2 * _TAIL_K:
                 err += bound
                 break
         z = hurwitz_zeta(base + p, M + 1, kernel_tol)
         tail += coeff * z.value
-        err += abs(pref * coeff) * z.err_estimate
-    return EvalResult(head + pref * tail, err, "euler_maclaurin")
+        err += scale * z.err_estimate
+    return EvalResult(head + _nonzero(pref) * tail, err, "euler_maclaurin")
 
 
 def _head_values(s2, beta, M, tol):
@@ -379,27 +389,29 @@ def _head_values(s2, beta, M, tol):
     kernel evaluation per residue class of m mod q; the class's other
     offsets lie p apart and follow by zeta(s, a + 1) = zeta(s, a) - a^-s,
     forward from its smallest where Re s2 < 1 (the values grow with a
-    there, so nothing cancels), backward from its largest otherwise.  The
-    sums carry TwoSum compensation; the estimate is the class start's plus
-    u times the sum of |a^-s2| applied so far.  Any other beta runs the
-    same loop with q = M + 1: every m is its own class, one kernel
-    evaluation each.
+    there, so nothing cancels; each is yielded at once), backward from its
+    largest otherwise (held, then yielded from m = 1).  The sums carry
+    TwoSum compensation; the estimate is the class start's plus u times
+    the sum of |a^-s2| applied so far.  Any other beta runs the same loop
+    with q = M + 1: every m is its own class, one kernel evaluation each.
     """
     p, q = _weight_ratio(beta.real)
     if beta.imag or q >= M or p > _SHIFT_MAX or abs(beta.real - p / q) > 4 * math.ulp(beta.real):
         q = M + 1
     sign = -1 if s2.real < 1 else 1  # forward subtracts the powers, backward adds them
+    neg = -s2
     classes = [None] * q  # (offset, value, compensation, error) per class
     found = []  # backward values, held from m = M down
     for m in range(1, M + 1) if sign < 0 else range(M, 0, -1):
-        if classes[m % q] is None:
-            z = hurwitz_zeta(s2, 1 + beta * m, tol)
-            a, value, comp, err = 1 + beta * m, z.value, 0j, z.err_estimate
+        state = classes[m % q]
+        if state is None:
+            a, comp = 1 + beta * m, 0j
+            value, err, _ = hurwitz_zeta(s2, a, tol)
         else:
-            a, value, comp, err = classes[m % q]
+            a, value, comp, err = state
             low = a if sign < 0 else a - p  # the lowest offset of this step
             for i in range(p):
-                t = sign * (low + i) ** -s2
+                t = sign * (low + i) ** neg
                 total = value + t  # TwoSum: exact in each component
                 back = total - value
                 comp += (value - (total - back)) + (t - back)
@@ -407,9 +419,10 @@ def _head_values(s2, beta, M, tol):
                 err += abs(t) * 2.0**-53  # u, the unit roundoff
             a = low + p if sign < 0 else low
         classes[m % q] = a, value, comp, err
-        found.append((m, value + comp, err))
         if sign < 0:
-            yield found.pop()
+            yield m, value + comp, err
+        else:
+            found.append((m, value + comp, err))
     yield from reversed(found)
 
 
@@ -484,7 +497,7 @@ def desing1(s, gamma=1.0):
                 result = EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
             else:
                 value, err, method = riemann_zeta(s)
-                w = g ** (-s)  # applied last: (1 - s) w alone can underflow near s = 1
+                w = _nonzero(g ** (-s))  # applied last: (1 - s) w alone can underflow near s = 1
                 result = EvalResult((1 - s) * value * w, abs(1 - s) * err * abs(w), method)
             # a product that overflowed without a ** leaves inf or nan behind
             if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
@@ -564,18 +577,20 @@ def _desing2_tail(s1, n, g1, g2, tol):
     at w = 1.  The estimate: the kernel's, scaled, plus u = 2^-53 times the
     sum of |partial sums| (Higham 3.3) and of 8 |term| (its products)."""
     s2, M = complex(-n), 0
+    beta, base, kernel_tol = g1 / g2, s1 + s2 - 1, min(tol * 1e-2, 1e-15)
     pref = g1 ** (-s1) * g2 ** (-s2)
     total, err, rounding = 0j, 0.0, 0.0
     for p, c in zip((1, *range(2, n + 2, 2)), itertools.chain((-0.5,), _em_coefficients(s2))):
-        coeff = p * c * (g1 / g2) ** (1 - s2 - p)
-        w = s1 + s2 - 1 + p
+        coeff = p * c * beta ** (1 - s2 - p)
+        w = base + p
         if w == 1:
             value, value_err = -1.0, 0.0
         else:
-            z = hurwitz_zeta(w, M + 1, min(tol * 1e-2, 1e-15))
+            z = hurwitz_zeta(w, M + 1, kernel_tol)
             value, value_err = (1 - w) * z.value, abs(1 - w) * z.err_estimate
         term = coeff * value
         total += term
         err += abs(coeff) * value_err
         rounding += abs(total) + 8 * abs(term)
-    return EvalResult(pref * total, abs(pref) * (err + rounding * 2.0**-53), "euler_maclaurin")
+    return EvalResult(_nonzero(pref) * total, abs(pref) * (err + rounding * 2.0**-53),
+                      "euler_maclaurin")

@@ -840,3 +840,44 @@ def test_desing1_refuses_a_product_that_overflows():
     with pytest.raises(ContinuationReachError,
                        match=r"^cannot reach s=\(2\+0j\): the weight power gamma\^-s"):
         desing1(2, 8e-155)
+
+
+@pytest.mark.parametrize("s, a", [(0.3, 1e-200), (-0.5, 1e-200), (0.3 + 1j, 1e-300)])
+def test_kernel_refuses_a_power_that_underflows(s, a):
+    # x^-2 is a complex power by an integer, 1 / x^2, and x^2 underflows to
+    # 0 at these offsets (at a = 1e-100 the powers overflow instead, above)
+    want = "Hurwitz zeta underflows double precision at s=%s, offset a=%s" % (complex(s),
+                                                                              complex(a))
+    with pytest.raises(ContinuationReachError) as info:
+        hurwitz_zeta(s, a)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("call, args, reason", [
+    (desing1, (2.5, 1e300), "the weight power gamma^-s leaves double precision at |gamma|=1e+300"),
+    (desing1, (2 + 0.5j, 1e300),
+     "the weight power gamma^-s leaves double precision at |gamma|=1e+300"),
+    (desing2, (2.5, 3.5, 1e300, 1e300), "a weight power underflows double precision at "
+     "|gamma1|=1e+300, |gamma2|=1e+300 (weight ratio |gamma1/gamma2|=1)"),
+    (double_zeta, (2.5, 3.5, 1e300, 1e300), "a weight power underflows double precision at "
+     "|gamma1|=1e+300, |gamma2|=1e+300 (weight ratio |gamma1/gamma2|=1)"),
+])
+def test_weight_power_underflowing_to_zero_refused(call, args, reason):
+    # a non-integer power underflows to 0 silently (the value would read 0
+    # with an estimate of 0); it is refused as an integer one is
+    with pytest.raises(ContinuationReachError) as info:
+        call(*args)
+    assert str(info.value).endswith(reason)
+
+
+@pytest.mark.parametrize("call, args, want", [
+    (desing1, (2, 1e300), "cannot reach s=(2+0j): the weight power gamma^-s leaves double "
+     "precision at |gamma|=1e+300"),
+    (desing2, (2, 3, 1e300, 1e300), "cannot reach s=(2+0j, 3+0j): double-zeta head or tail "
+     "overflows double precision at Re s2=5 with weight ratio |gamma1/gamma2|=1"),
+])
+def test_integer_weight_power_refusal_unchanged(call, args, want):
+    # a power by an integer exponent leaves nan here, which the overflow check refuses
+    with pytest.raises(ContinuationReachError) as info:
+        call(*args)
+    assert str(info.value) == want
