@@ -11,7 +11,6 @@ exceptions into an ``error:`` line and an exit code.
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -35,6 +34,12 @@ _VALUE_FLAGS = ("--s", "--gamma", "--a-list")
 def _error(exc, code):
     print("error: %s" % exc, file=sys.stderr)
     return code
+
+
+def _print_json(obj):
+    import json  # here, not at the top: only the commands that print JSON load it
+
+    print(json.dumps(obj))
 
 
 def _parse_list(text, flag, parse):
@@ -88,7 +93,7 @@ def cmd_bernoulli(args):
     bernoulli_number(args.max)  # one extension of the table, to exactly --max
     values = [format_rational(bernoulli_number(n)) for n in range(args.max + 1)]
     if args.format == "json":
-        print(json.dumps({"max": args.max, "values": values}))
+        _print_json({"max": args.max, "values": values})
     else:
         for v in values:
             print(v)
@@ -101,11 +106,11 @@ def cmd_twisted_bernoulli(args):
     xi = RootOfUnity(args.c, args.a)
     rows = list(enumerate(twisted_bernoulli_row(xi, args.max)))
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "c": args.c,
             "a": xi.a,
             "values": [{"n": n, "element": e.to_json()} for n, e in rows],
-        }))
+        })
     else:
         for n, e in rows:
             print(",".join([str(n)] + [format_rational(x) for x in e.coeffs]))
@@ -122,13 +127,13 @@ def cmd_multi_bernoulli(args):
     xis = [RootOfUnity(args.c, a) for a in a_list]
     rows = twisted_multiple_bernoulli_table(args.max, xis, gammas).items()
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "r": args.r,
             "c": args.c,
             "a": [xi.a for xi in xis],
             "gamma": [format_rational(g) for g in gammas],
             "values": [{"n": list(n), "element": e.to_json()} for n, e in rows],
-        }))
+        })
     else:
         for n, e in rows:
             print(",".join([str(x) for x in n] + [format_rational(x) for x in e.coeffs]))
@@ -142,11 +147,11 @@ def cmd_desing_values(args):
         raise ValueError("--gamma must have r entries")
     rows = desing_value_table(args.kmax, gammas).items()
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "r": args.r,
             "gamma": [format_rational(g) for g in gammas],
             "values": [{"k": list(k), "value": format_rational(v)} for k, v in rows],
-        }))
+        })
     else:
         for k, v in rows:
             print(",".join([str(x) for x in k] + [format_rational(v)]))
@@ -182,7 +187,7 @@ def cmd_eval(args):
         raise ToleranceError(
             "tolerance not met (err_estimate %g, tol %g)" % (result.err_estimate, args.tol)
         )
-    print(json.dumps(result.to_json()))
+    _print_json(result.to_json())
     return EXIT_OK
 
 

@@ -17,7 +17,9 @@ ShiftedCombination.terms is the single evaluator of the combination: both
 ShiftedCombination.evaluate and the numeric desing2 sum over it.  It reads
 each coefficient about the nearest integer point n from an integer Taylor
 table built once per combination, so a point costs a few integer products
-and one floating-point sum, and no SPoly arithmetic.
+and one floating-point sum, and no SPoly arithmetic.  The table's integers
+at n, with the powers each monomial multiplies in, are read once per centre
+n and kept for the last 256 centres (ShiftedCombination._at).
 """
 
 import functools
@@ -259,10 +261,11 @@ class ShiftedCombination:
 
     @functools.cached_property
     def _taylor(self):
-        """(every n^d read, [(m, [(e, a, index of d)])]): the groups' Taylor
-        tables, poly(n + x) = sum_e T_e(n) x^e with T_e(n) = sum of its a n^d,
-        in the order poly.evaluate at (x_j + n_j) adds them.  Built on first
-        use: at large r they cost far more than the groups."""
+        """(every n^d read, [(m, [(e, a, index of d)])], {e: the indices j r +
+        e_j - 1 of its powers x_j^e_j, e_j > 0}): the groups' Taylor tables,
+        poly(n + x) = sum_e T_e(n) x^e with T_e(n) = sum of its a n^d, in the
+        order poly.evaluate at (x_j + n_j) adds them.  Built on first use: at
+        large r they cost far more than the groups."""
         exponents, tables = {}, []
         for m, poly in self._groups.items():
             terms = list(poly.terms.items())
@@ -272,7 +275,9 @@ class ShiftedCombination:
                 (e, functools.reduce(mul, map(binomial, k, e), c),
                  exponents.setdefault(tuple(map(sub, k, e)), len(exponents)))
                 for k, c in terms for e in product(*[range(kj, -1, -1) for kj in k])]))
-        return list(exponents), tables
+        picks = {e: tuple(j * self.r + p - 1 for j, p in enumerate(e) if p)
+                 for _, table in tables for e, _, _ in table}
+        return list(exponents), tables, picks
 
     def groups(self):
         """Map shift vector m -> polynomial coefficient in (s_j), in shift
@@ -284,30 +289,35 @@ class ShiftedCombination:
         shift order.
 
         Each coefficient is expanded about the nearest integer point n, in
-        integers from its Taylor table (_about), and evaluated at s - n (exact
-        in floating point): expanded about 0, its monomials cancel near the
-        integer points where the shifted terms are singular.  ValueError
-        unless s has r coordinates.
+        integers from its Taylor table (_about, kept per centre by _at), and
+        evaluated at s - n (exact in floating point): expanded about 0, its
+        monomials cancel near the integer points where the shifted terms are
+        singular.  ValueError unless s has r coordinates.
         """
         if len(s) != self.r:
             raise ValueError("point needs %d coordinates, got %d" % (self.r, len(s)))
         n = tuple(round(complex(sj).real) for sj in s)
-        # [x_j, ..., x_j^r], x_j^p = x_j^(p-1) x_j (no exponent exceeds r)
-        powers = [list(accumulate(repeat(sj - nj, self.r), mul)) for sj, nj in zip(s, n)]
-        for m, coefficients in self._about(n):
+        # x_1, ..., x_1^r, x_2, ..., x_r^r, x_j^p = x_j^(p-1) x_j (no exponent exceeds r)
+        powers = [x for sj, nj in zip(s, n) for x in accumulate(repeat(sj - nj, self.r), mul)]
+        for m, values, picks in self._at(n):
             c = 0
-            for e, a in coefficients.items():
-                for xp, p in zip(powers, e):
-                    if p:
-                        a = a * xp[p - 1]
+            for a, indices in zip(values, picks):
+                for i in indices:
+                    a = a * powers[i]
                 c = c + a
-            yield complex(c), tuple(sj + mj for sj, mj in zip(s, m))
+            yield complex(c), tuple(map(add, s, m))
+
+    @functools.lru_cache(maxsize=256)
+    def _at(self, n):
+        """[(m, its T_e(n), their power indices)] of _about(n), for the last 256 centres n."""
+        picks = self._taylor[2]
+        return [(m, tuple(c.values()), tuple(map(picks.__getitem__, c))) for m, c in self._about(n)]
 
     def _about(self, n):
         """Yield (m, {e: T_e(n)}) per group at the integer point n, summed
         as poly.evaluate sums it: a monomial whose sum cancels is dropped, and
         appended when it comes back, so the order matches too."""
-        exponents, tables = self._taylor
+        exponents, tables, _ = self._taylor
         values = [functools.reduce(mul, map(pow, n, d), 1) for d in exponents]
         for m, table in tables:
             coefficients = {}

@@ -19,7 +19,6 @@ All arithmetic is double precision; tolerances below are set for it.
 import bisect
 import cmath
 import collections
-import contextlib
 import functools
 import itertools
 import math
@@ -46,16 +45,23 @@ __all__ = [
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
-_TAIL_K = 10  # Euler-Maclaurin orders of the double-zeta tail; sets Re s2 > -21 in _within_reach
+_TAIL_K = 10  # Euler-Maclaurin orders of the double-zeta tail
 _REACH = -14  # the tail reaches Re(s1+s2) above this (and its deepest hyperplane)
+_S2_REACH = -(2 * _TAIL_K + 1)  # and Re s2 above this, where its last remainder bound exists
+_SPAN0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # least |beta| M of the double-zeta head at s2 = 0
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
 _REACH_REFUSAL = "Re(s1+s2)=%%g and Re s2=%%g beyond continuation reach: the tail " \
-    "reaches Re(s1+s2) > %d and Re s2 > %d" % (_REACH, -(2 * _TAIL_K + 1))
+    "reaches Re(s1+s2) > %d and Re s2 > %d" % (_REACH, _S2_REACH)
 _CIRCLE_NODES = 6  # nodes of desing2's circle mean near the singular hyperplanes
 _CIRCLE_RADIUS = 1.0 / 1024  # its radius in the shift w of s + w (1, 1/_GOLDEN)
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
+# the Hurwitz kernel's ladder of partial-sum lengths N as (low, N) rungs, adding n in [low, N):
+# from N = 0 where Re s < 0.5, otherwise from the first N > |s|/2 (one tuple per start)
+_LADDER = (16, 32, 64, 128, 256, _HURWITZ_N_MAX)
+_RUNGS = [tuple(zip((0, *_LADDER[i:]), _LADDER[i:])) for i in range(len(_LADDER))]
+_RUNGS_FROM_0 = tuple(zip((0, 0, 2, 4, 8, *_LADDER), (0, 2, 4, 8, *_LADDER)))
 
 
 class EvalResult(collections.namedtuple("EvalResult", "value err_estimate method")):
@@ -96,22 +102,21 @@ class ToleranceError(ArithmeticError):
     """The requested tolerance could not be met."""
 
 
-class _EMTable(dict):
-    """{k: (B_{2k}/(2k)! as a float, 2k - 1, 2k)}, order k's constants, made on first use."""
-
-    def __missing__(self, k):
-        value = self[k] = (float(bernoulli_number(2 * k)) / math.factorial(2 * k), 2 * k - 1, 2 * k)
-        return value
+_EM_TABLE = {}  # {k: (B_{2k}/(2k)! as a float, 2k - 1, 2k)}, order k's constants
 
 
-_EM_TABLE = _EMTable()
+def _em_order(k):
+    """Make order k's entry of _EM_TABLE, read where a subscription misses."""
+    value = _EM_TABLE[k] = (float(bernoulli_number(2 * k)) / math.factorial(2 * k), 2 * k - 1, 2 * k)
+    return value
 
 
 def _em_coefficients(s):
     """Yield B_{2k}/(2k)! (s)_{2k-1} for k = 1, 2, ..., multiplying the factors
     (s)(s+1)(s+2)... in from the left, one at a time, as the kernel does."""
     poch = s
-    for b, odd, even in map(_EM_TABLE.__getitem__, itertools.count(1)):
+    for k in itertools.count(1):
+        b, odd, even = _EM_TABLE[k] if k in _EM_TABLE else _em_order(k)
         yield b * poch
         poch = poch * (s + odd) * (s + even)
 
@@ -149,7 +154,8 @@ def hurwitz_zeta(s, a, tol=1e-14):
     """
     s = complex(s)
     a = complex(a)
-    _check_inputs(tol, (s, a))
+    if tol is None or not (cmath.isfinite(s) and cmath.isfinite(a) and tol > 0):
+        _check_inputs(tol, (s, a))  # only where a check fails: the same refusals, less per call
     if s == 1:
         raise SingularPointError(SingularityReport("s=1", 0.0))
     if a.real <= 0:
@@ -175,13 +181,12 @@ def _hurwitz_kernel(s, a, tol):
         # For Re s < 0 the partial sum grows like (a+N)^{1-Re s}, so a large
         # N destroys the final cancellation in double precision; start from
         # N = 0 and only grow N if the correction series fails to converge.
-        ladder = (0, 2, 4, 8, 16, 32, 64, 128, 256, _HURWITZ_N_MAX)
+        rungs = _RUNGS_FROM_0
     else:
-        ladder = (16, 32, 64, 128, 256, _HURWITZ_N_MAX)
-        ladder = ladder[min(5, bisect.bisect_right(ladder, abs(s) / 2)):]  # N > |s|/2
+        rungs = _RUNGS[min(5, bisect.bisect_right(_LADDER, abs(s) / 2))]  # N > |s|/2
     neg, table = -s, _EM_TABLE
     partial = 0  # the partial sum over n < N, carried up the ladder
-    for low, N in zip((0, *ladder), ladder):
+    for low, N in rungs:
         for n in range(low, N):
             partial += (a + n) ** neg
         x = a + N
@@ -192,7 +197,10 @@ def _hurwitz_kernel(s, a, tol):
         poch = s  # the rising factorial (s)_(2k-1)
         prev = err = math.inf
         for k in range(1, 40):
-            b, odd, even = table[k]
+            try:
+                b, odd, even = table[k]
+            except KeyError:  # a plain dict, not __missing__: CPython specialises its subscription
+                b, odd, even = _em_order(k)
             power *= x_2
             term = b * poch * power
             mag = abs(term)
@@ -245,13 +253,6 @@ def _is_nonpositive_int(z):
     return -n if n <= 0 and z == n else None
 
 
-def _within_reach(s1, s2):
-    """Whether the tail of double_zeta reaches (s1, s2): Re(s1+s2) above
-    _REACH, and Re s2 > -(2 _TAIL_K + 1), where the remainder bound of its
-    last order exists."""
-    return (s1 + s2).real > _REACH and s2.real > -(2 * _TAIL_K + 1)
-
-
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     """Generalized Euler-Zagier double zeta, analytically continued.
 
@@ -280,7 +281,7 @@ def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
     if _nearest_singularity(s1, s2)[0] < 1e-9:
         raise SingularPointError(singularity_distance(s1, s2))
 
-    if _is_nonpositive_int(s2) is None and not _within_reach(s1, s2):
+    if _is_nonpositive_int(s2) is None and not ((s1 + s2).real > _REACH and s2.real > _S2_REACH):
         raise ContinuationReachError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
     return _in_double_precision(s2, g1, g2, _double_zeta_tail, s1, s2, g1, g2, tol)
 
@@ -338,13 +339,12 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         # / (2 pi) + 1.  Keep M as small as that allows: the rounding-noise
         # floor of the head/tail cancellation grows like a power of M, and
         # it dominates the error at deeply negative weights.
-        span0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # that bound at s2 = 0
-        if abs(beta) * _HEAD_MAX < span0:
+        if abs(beta) * _HEAD_MAX < _SPAN0:  # _SPAN0: that bound at s2 = 0
             raise ContinuationReachError(
                 "double-zeta head longer than %d terms even at s2 = 0: weight "
                 "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
             )
-        M = max(8, int(math.ceil((span0 + abs(s2) / (2 * math.pi)) / abs(beta))))
+        M = max(8, int(math.ceil((_SPAN0 + abs(s2) / (2 * math.pi)) / abs(beta))))
         top = 2 * _TAIL_K + 2
     else:
         s2, M, top = complex(-n), 0, n + 1
@@ -358,13 +358,13 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         head += weight * value
         err += abs(weight) * value_err
 
-    base = s1 + s2 - 1
+    base, one_s2, a = s1 + s2 - 1, 1 - s2, M + 1
     budget = _TAIL_BUDGET * tol
     tail = 0j
     orders = (0, 1, *range(2, top + 1, 2))
     coefs = itertools.chain((1 / (s2 - 1), -0.5), _em_coefficients(s2))
     for p, c in zip(orders, coefs):
-        power = beta ** (1 - s2 - p)  # each order's own power: none passes an underflow
+        power = beta ** (one_s2 - p)  # each order's own power: none passes an underflow
         if not cmath.isfinite(power):
             raise OverflowError
         coeff = c * power
@@ -372,13 +372,13 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         sigma = base.real + p
         w = s2 + p - 1
         if p > 1 and sigma > 1 and w.real > 0:
-            bound = scale * (M + 1) ** -sigma * (1 + (M + 1) / (sigma - 1)) * abs(w) / w.real
+            bound = scale * a ** -sigma * (1 + a / (sigma - 1)) * abs(w) / w.real
             if bound <= budget or p > 2 * _TAIL_K:
                 err += bound
                 break
-        z = hurwitz_zeta(base + p, M + 1, kernel_tol)
-        tail += coeff * z.value
-        err += scale * z.err_estimate
+        value, value_err, _ = hurwitz_zeta(base + p, a, kernel_tol)
+        tail += coeff * value
+        err += scale * value_err
     return EvalResult(head + _nonzero(pref) * tail, err, "euler_maclaurin")
 
 
@@ -471,41 +471,43 @@ def double_zeta_direct(s1, s2, gamma1=1.0, gamma2=1.0):
     return EvalResult(total, err + brackets, "direct_sum")
 
 
-@contextlib.contextmanager
-def _naming_point(*s):
-    """Re-raise a ContinuationReachError from beneath with the point the
-    caller asked for; the kernel's refusal stays in the message and as the
-    cause."""
-    try:
-        yield
-    except ContinuationReachError as exc:
-        point = ", ".join(str(z).strip("()") for z in s)
-        raise ContinuationReachError("cannot reach s=(%s): %s" % (point, exc)) from exc
+def _naming_point(exc, *s):
+    """A ContinuationReachError naming the point s the caller asked for in
+    front of the refusal exc from beneath, which is raised as its cause."""
+    point = ", ".join(str(z).strip("()") for z in s)
+    return ContinuationReachError("cannot reach s=(%s): %s" % (point, exc))
 
 
 def desing1(s, gamma=1.0):
     """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
     zeta(s), entire; -1/gamma, its value to double precision, where 1/(s - 1)
-    overflows.  A weight power gamma^{-s} (or value) beyond double precision
-    raises ContinuationReachError."""
+    overflows.  The estimate is the kernel's, scaled, plus u |value| (8 + |s log
+    gamma|), u = 2^-53, for gamma^{-s} and the two complex products (u |value|
+    for -1/gamma), but not the kernel's rounding at Re s < 0 (ROADMAP 1(d):
+    (-3.3, 1.5) is off by 2.6e-13 at 5e-14).  A weight power gamma^{-s} (or
+    value) beyond double precision raises ContinuationReachError."""
     s = complex(s)
     g = complex(gamma)
     _check_inputs(None, (s,), (g,))
-    with _naming_point(s):
-        try:
-            if abs(s - 1) < 1 / sys.float_info.max:
-                result = EvalResult(-1.0 / g, 0.0, "polynomial_reduction")
-            else:
-                value, err, method = riemann_zeta(s)
-                w = _nonzero(g ** (-s))  # applied last: (1 - s) w alone can underflow near s = 1
-                result = EvalResult((1 - s) * value * w, abs(1 - s) * err * abs(w), method)
-            # a product that overflowed without a ** leaves inf or nan behind
-            if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
-                raise OverflowError
-        except (OverflowError, ZeroDivisionError):  # 1 / (an integer power that underflowed)
-            raise ContinuationReachError(
-                "the weight power gamma^-s leaves double precision at |gamma|=%g" % abs(g)
-            ) from None
+    try:
+        if abs(s - 1) < 1 / sys.float_info.max:
+            value = -1.0 / g
+            result = EvalResult(value, abs(value) * 2.0**-53, "polynomial_reduction")
+        else:
+            value, err, method = riemann_zeta(s)
+            w = _nonzero(g ** (-s))  # applied last: (1 - s) w alone can underflow near s = 1
+            value = (1 - s) * value * w
+            rounding = abs(value) * (8 + abs(s * cmath.log(g))) * 2.0**-53
+            result = EvalResult(value, abs(1 - s) * err * abs(w) + rounding, method)
+        # a product that overflowed without a ** leaves inf or nan behind
+        if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):  # 1 / (an integer power that underflowed)
+        exc = ContinuationReachError(
+            "the weight power gamma^-s leaves double precision at |gamma|=%g" % abs(g))
+        raise _naming_point(exc, s) from exc
+    except ContinuationReachError as exc:
+        raise _naming_point(exc, s) from exc
     return result
 
 
@@ -514,8 +516,10 @@ def _desing2_combination(s1, s2, g1, g2, tol):
     a shift is within 1e-6 of its locus or beyond the tail's reach.  The
     shifts keep s1 + s2, so hurwitz_zeta's cache shares their values."""
     terms = list(combination(2).terms((s1, s2)))
-    if not all(_nearest_singularity(*a)[0] >= 1e-6 and _within_reach(*a) for _, a in terms):
-        return None
+    for _, (a1, a2) in terms:  # within the tail's reach, as in double_zeta, and off the loci
+        if not ((a1 + a2).real > _REACH and a2.real > _S2_REACH
+                and _nearest_singularity(a1, a2)[0] >= 1e-6):
+            return None
     total, err = 0j, 0.0
     for c, (a1, a2) in terms:
         z = _in_double_precision(a2, g1, g2, _double_zeta_tail, a1, a2, g1, g2, tol)
@@ -542,8 +546,10 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     g1 = complex(gamma1)
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
-    with _naming_point(s1, s2):
+    try:
         return _desing2_at(s1, s2, g1, g2, tol)
+    except ContinuationReachError as exc:
+        raise _naming_point(exc, s1, s2) from exc
 
 
 def _desing2_at(s1, s2, g1, g2, tol):
@@ -586,8 +592,8 @@ def _desing2_tail(s1, n, g1, g2, tol):
         if w == 1:
             value, value_err = -1.0, 0.0
         else:
-            z = hurwitz_zeta(w, M + 1, kernel_tol)
-            value, value_err = (1 - w) * z.value, abs(1 - w) * z.err_estimate
+            value, value_err, _ = hurwitz_zeta(w, M + 1, kernel_tol)
+            value, value_err = (1 - w) * value, abs(1 - w) * value_err
         term = coeff * value
         total += term
         err += abs(coeff) * value_err

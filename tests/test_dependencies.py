@@ -36,10 +36,11 @@ def test_check_sees_a_third_party_import(tmp_path):
 def test_import_loads_no_dataclasses():
     # dataclasses imports inspect, dis, ast and tokenize, and typing is
     # large too: a cost on every start-up of the command line, so records
-    # are collections.namedtuple, which functools already loads (-S: the
-    # site hooks are not the package's)
+    # are collections.namedtuple, which functools already loads; json is
+    # imported only by the commands that print it (-S: the site hooks are
+    # not the package's)
     probe = ("import sys; sys.path.insert(0, %r); import deszeta.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+             "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))"
              % str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
@@ -48,17 +49,19 @@ def test_import_loads_no_dataclasses():
 
 def test_import_builds_no_tables():
     # the digit-group texts of the coefficient JSON, the twisted Bernoulli
-    # rows, the weight rows, the Euler-Maclaurin constants per order and the
-    # Hurwitz values are built on first use, not at import, so the start-up
-    # of every command stays free of them
+    # rows, the weight rows, the Euler-Maclaurin constants per order, the
+    # Hurwitz values and the combination's coefficients per centre are built
+    # on first use, not at import, so the start-up of every command stays
+    # free of them
     probe = ("import sys; sys.path.insert(0, %r); import deszeta, deszeta.cli; "
              "from deszeta import coeffs, cyclotomic, numeric, values; "
              "print(coeffs._group_text.cache_info().currsize, len(cyclotomic._TB_CACHE), "
              "values._weight_row.cache_info().currsize, len(numeric._EM_TABLE), "
-             "numeric.hurwitz_zeta.cache_info().currsize)" % str(PACKAGE.parent))
+             "numeric.hurwitz_zeta.cache_info().currsize, "
+             "coeffs.ShiftedCombination._at.cache_info().currsize)" % str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
-    assert out.split() == ["0"] * 5
+    assert out.split() == ["0"] * 6
 
 
 @pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "cyclotomic.py"}),

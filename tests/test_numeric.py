@@ -796,8 +796,7 @@ def test_desing2_next_to_the_line(s2, want):
 
 # only s = 1 itself takes the value -1/gamma; the literals are mpmath at 40
 # digits.  At gamma = 1e300, (1 - s) gamma^-s alone is subnormal, so the
-# weight power is applied last.  The estimate still leaves out the kernel's
-# rounding
+# weight power is applied last
 @pytest.mark.parametrize("s, gamma, want", [
     (1 + 5e-15, 1.5, -0.6666666666666672514230294421760160752451),
     (1 + 1e-15, 1e300, -9.999999999992336734374411924010088452125e-301),
@@ -806,6 +805,22 @@ def test_desing1_next_to_one(s, gamma, want):
     got = desing1(s, gamma)
     assert got.method == "euler_maclaurin"
     assert abs(got.value - want) <= 2 * math.ulp(want)
+
+
+# the estimate covers the rounding of gamma^-s and of the two complex
+# products, and that of -1/gamma at s = 1 (exactly -2/3 there); the
+# literals are mpmath at 40 digits, and the error is taken in fractions
+@pytest.mark.parametrize("s, gamma, want", [
+    (1 + 5e-15, 1.5, ("-0.6666666666666672514230294421760160752451", 0)),
+    (0.5 + 3j, 2, ("-1.021622547647622844123533979611245673503",
+                   "0.5456098327866596158719846734966273334181")),
+    (1, 1.5, (Fraction(-2, 3), 0)),
+])
+def test_desing1_estimate_covers_its_rounding(s, gamma, want):
+    got = desing1(s, gamma)
+    parts = (got.value.real, got.value.imag)
+    err = abs(complex(*(float(Fraction(g) - Fraction(w)) for g, w in zip(parts, want))))
+    assert 0 < err <= got.err_estimate
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 1e-300])
