@@ -6,10 +6,12 @@ s2 = -l that expansion is exact for every term of the outer sum, so it
 needs no head, and the three terms' expansions combine order by order
 into one finite sum of single zetas with no pole left: at l <= 1 too,
 where a shifted term is singular, and on the singular hyperplanes
-s1 + s2 = -k - l.  The other points on the singular hyperplanes of the
-individual terms, such as s2 = 1, are recovered from the combination
-being entire: its value there is its mean over six nodes on a small
-circle around the point.  The script compares against closed-form
+s1 + s2 = -k - l.  On the other singular hyperplanes of the individual
+terms, such as s2 = 1, the expansions combine the same way after one
+head, with every pole cancelled; where that sum cannot meet the
+tolerance, the combination being entire gives a second value, its mean
+over six nodes on a small circle around the point, and the one with the
+smaller error estimate is kept.  The script compares against closed-form
 targets and against the exact rational values at non-positive integers.
 """
 

@@ -8,10 +8,10 @@ turns the tail into a finite combination of single Hurwitz values
 zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n exactly the same expansion is
 finite and exact (the inner zeta is a Bernoulli polynomial), so it is summed
 with no head, over single zetas zeta(s1 - n - 1 + p), and desing2's three
-terms there combine into one such sum.  At other points on (or near) the
-singular hyperplanes of the terms' routes, the entire combination is
-recovered as its mean over a small circle of six nodes around the point
-(Cauchy's integral formula, summed by the trapezoid rule).
+terms there combine into one such sum.  Near the other singular hyperplanes
+of the terms' routes they combine into one head and that tail; where its
+estimate misses tol, the combination's mean over a small circle of six nodes
+(Cauchy's integral formula, summed by the trapezoid rule) is tried too.
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -334,18 +334,7 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
     that underflowed to 0 raises ZeroDivisionError at the end (_nonzero)."""
     n, beta, kernel_tol = _is_nonpositive_int(s2), g1 / g2, min(tol * 1e-2, 1e-15)
     if n is None:
-        # Head length: the asymptotic expansion of the inner zeta must be
-        # valid at x = beta m for every m > M, |beta| M >= (|s2| + 2K + 2)
-        # / (2 pi) + 1.  Keep M as small as that allows: the rounding-noise
-        # floor of the head/tail cancellation grows like a power of M, and
-        # it dominates the error at deeply negative weights.
-        if abs(beta) * _HEAD_MAX < _SPAN0:  # _SPAN0: that bound at s2 = 0
-            raise ContinuationReachError(
-                "double-zeta head longer than %d terms even at s2 = 0: weight "
-                "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta))
-            )
-        M = max(8, int(math.ceil((_SPAN0 + abs(s2) / (2 * math.pi)) / abs(beta))))
-        top = 2 * _TAIL_K + 2
+        M, top = _head_length(abs(s2), beta), 2 * _TAIL_K + 2
     else:
         s2, M, top = complex(-n), 0, n + 1
     neg1, g2_s2 = -s1, g2 ** (-s2)
@@ -380,6 +369,16 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
         tail += coeff * value
         err += scale * value_err
     return EvalResult(head + _nonzero(pref) * tail, err, "euler_maclaurin")
+
+
+def _head_length(size, beta):
+    """The least M at which the expansion of zeta(s2, 1 + beta m), |s2| <= size,
+    holds for every m > M, |beta| M >= (size + 2K + 2) / (2 pi) + 1: the
+    rounding floor of the head/tail cancellation grows like a power of M."""
+    if abs(beta) * _HEAD_MAX < _SPAN0:  # _SPAN0: that bound at s2 = 0
+        raise ContinuationReachError("double-zeta head longer than %d terms even at s2 = 0: weight "
+                                     "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta)))
+    return max(8, int(math.ceil((_SPAN0 + size / (2 * math.pi)) / abs(beta))))
 
 
 def _head_values(s2, beta, M, tol):
@@ -512,14 +511,15 @@ def desing1(s, gamma=1.0):
 
 
 def _desing2_combination(s1, s2, g1, g2, tol):
-    """The combination, each term summed as double_zeta sums it; None where
-    a shift is within 1e-6 of its locus or beyond the tail's reach.  The
-    shifts keep s1 + s2, so hurwitz_zeta's cache shares their values."""
+    """The combination, each term summed as double_zeta sums it; None where a
+    shift is within 1e-6 of its locus, ToleranceError where one is beyond the
+    tail's reach.  The shifts keep s1 + s2, so hurwitz_zeta's cache shares values."""
     terms = list(combination(2).terms((s1, s2)))
-    for _, (a1, a2) in terms:  # within the tail's reach, as in double_zeta, and off the loci
-        if not ((a1 + a2).real > _REACH and a2.real > _S2_REACH
-                and _nearest_singularity(a1, a2)[0] >= 1e-6):
-            return None
+    for _, (a1, a2) in terms:  # within the tail's reach, as in double_zeta
+        if not ((a1 + a2).real > _REACH and a2.real > _S2_REACH):
+            raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
+    if any(_nearest_singularity(a1, a2)[0] < 1e-6 for _, (a1, a2) in terms):
+        return None
     total, err = 0j, 0.0
     for c, (a1, a2) in terms:
         z = _in_double_precision(a2, g1, g2, _double_zeta_tail, a1, a2, g1, g2, tol)
@@ -531,15 +531,16 @@ def _desing2_combination(s1, s2, g1, g2, tol):
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
-    Where s2 is exactly -n the combination is one finite sum
-    (_desing2_tail).  Elsewhere, at least 1e-6 from the terms' singular
-    hyperplanes, its three terms are summed directly; nearer, the entire
-    combination is averaged over _CIRCLE_NODES = 6 nodes s + w (1,
+    At least 1e-6 from the terms' singular hyperplanes its three terms are
+    summed directly; nearer, and on s2 = -n, as one head and one pole-free
+    tail (_desing2_tail).  Where that estimate is above tol, the entire
+    combination is also averaged over _CIRCLE_NODES = 6 nodes s + w (1,
     1/golden_ratio), w on the circle of radius 1/1024 about 0 (method
-    "extrapolated"); that estimate is the distance to the mean over every
-    other node, and leaves out the nodes' own estimates.  A node beyond
-    the tail's reach raises ToleranceError.  tol sets how far each term's
-    tail expansion is carried; on the line it sets the kernel's tol.
+    "extrapolated", its estimate the distance to the mean over every other
+    node, leaving out the nodes' own), and the result with the smaller
+    estimate is returned.  A point beyond the tail's reach raises
+    ToleranceError.  tol sets how far each tail expansion is carried; on
+    the line it sets the kernel's tol.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -555,11 +556,21 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
 def _desing2_at(s1, s2, g1, g2, tol):
     n = _is_nonpositive_int(s2)
     if n is not None:
-        return _in_double_precision(s2, g1, g2, _desing2_tail, s1, n, g1, g2, tol)
+        return _in_double_precision(s2, g1, g2, _desing2_tail, s1, s2, n, g1, g2, tol)
     direct = _desing2_combination(s1, s2, g1, g2, tol)
     if direct is not None:
         return direct
+    near = _in_double_precision(s2, g1, g2, _desing2_tail, s1, s2, None, g1, g2, tol)
+    if near.err_estimate <= tol:
+        return near
+    # the smaller estimate wins: the circle's leaves its nodes' own errors out
+    circle = _desing2_circle(s1, s2, g1, g2, tol)
+    return near if circle is None or near.err_estimate < circle.err_estimate else circle
 
+
+def _desing2_circle(s1, s2, g1, g2, tol):
+    """The combination's mean over desing2's circle; None where a node falls
+    within 1e-6 of a hyperplane (a second one, about the radius away)."""
     # the trapezoid rule on a circle converges geometrically to the mean,
     # which is the value at its centre (Cauchy's integral formula)
     totals = []
@@ -567,32 +578,71 @@ def _desing2_at(s1, s2, g1, g2, tol):
         w = _CIRCLE_RADIUS * cmath.exp(2j * math.pi * j / _CIRCLE_NODES)
         node = _desing2_combination(s1 + w, s2 + w / _GOLDEN, g1, g2, tol)
         if node is None:
-            # the nodes keep about the radius from every hyperplane near the point
-            raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
+            return None
         totals.append(node.value)
     value = sum(totals) / _CIRCLE_NODES
     half = sum(totals[::2]) / (_CIRCLE_NODES // 2)
     return EvalResult(value, abs(value - half), "extrapolated")
 
 
-def _desing2_tail(s1, n, g1, g2, tol):
-    """desing2 at s2 = -n: ROADMAP item 11's tail with no head (M = 0).  The
-    shifts keep s1 + s2, so the terms' tails combine order by order into
-    pref sum_p p coef_p(s2) beta^(1-s2-p) (1 - w_p) zeta(w_p, M + 1) over
-    p = 1, 2, 4, ..., n + 1, w_p = s1 + s2 - 1 + p; (1 - w) zeta(w, a) is -1
-    at w = 1.  The estimate: the kernel's, scaled, plus u = 2^-53 times the
-    sum of |partial sums| (Higham 3.3) and of 8 |term| (its products)."""
-    s2, M = complex(-n), 0
-    beta, base, kernel_tol = g1 / g2, s1 + s2 - 1, min(tol * 1e-2, 1e-15)
+def _desing2_tail(s1, s2, n, g1, g2, tol):
+    """desing2 as ROADMAP item 11's one head and one pole-free tail.  With the
+    combination's terms c_i zeta_2(s1 - m2_i, s2_i), s2_i = s2 + m2_i, d_i =
+    c_i / (s2_i - 1) (minus the others' sum where s2_i = 1: the p = 0 order
+    drops out) and E(s, a) = (s - 1) zeta(s, a), 1 at s = 1, it is pref times
+    sum_{m <= M} m^-s1 sum_i d_i (beta m)^(m2_i) E(s2_i, 1 + beta m) plus the
+    terms' tails, combined order by order as the shifts keep s1 + s2:
+    sum_p p coef_p(s2) beta^(1-s2-p) (1 - w_p) zeta(w_p, M + 1), p = 1, 2, 4,
+    ..., w_p = s1 + s2 - 1 + p, -1 at w_p = 1.  On s2 = -n (n not None) the
+    tail is exact at M = 0 and ends at p = n + 1.  Elsewhere M is
+    _head_length at max |s2_i|, and the tail ends where the sum of |c_i|
+    times each shift's own _double_zeta_tail remainder bound is within its
+    budget; that sum is in the estimate, with the kernel's, scaled, and u =
+    2^-53 times the sum of |partial sums| (Higham 3.3) and of 8 |term| (its
+    products), (8 + |s1 log m|) |term| in the head for m^-s1."""
+    beta = g1 / g2
+    if n is None:
+        terms = list(combination(2).terms((s1, s2)))
+        M, top = _head_length(max(abs(a2) for _, (_, a2) in terms), beta), 2 * _TAIL_K + 2
+        shifted = zip(*(_em_coefficients(a2) for _, (_, a2) in terms))  # coef_p(s2_i), p >= 2
+    else:
+        s2, M, top, shifted = complex(-n), 0, n + 1, itertools.repeat(())
+    base, kernel_tol = s1 + s2 - 1, min(tol * 1e-2, 1e-15)
     pref = g1 ** (-s1) * g2 ** (-s2)
     total, err, rounding = 0j, 0.0, 0.0
-    for p, c in zip((1, *range(2, n + 2, 2)), itertools.chain((-0.5,), _em_coefficients(s2))):
-        coeff = p * c * beta ** (1 - s2 - p)
-        w = base + p
+    if M:
+        n2, shifts = round(s2.real), [round(a2.real - s2.real) for _, (_, a2) in terms]
+        ds2 = [s2 - n2 + (n2 + k - 1) for k in shifts]  # s2_i - 1, exact where it is near 0
+        d = [c / x if x else 0j for (c, _), x in zip(terms, ds2)]
+        d = [di if x else -sum(d) for di, x in zip(d, ds2)]
+        heads = [_head_values(a2, beta, M, kernel_tol) if a2 != 1 else itertools.repeat((0, 1, 0.0))
+                 for _, (_, a2) in terms]
+        for m, *row in zip(range(1, M + 1), *heads):
+            wm, x, noise = m ** -s1, beta * m, 8 + abs(s1) * math.log(m)
+            for di, k, (_, (_, a2)), (_, value, value_err) in zip(d, shifts, terms, row):
+                factor = wm * x ** k * di
+                if a2 != 1:
+                    value, value_err = (a2 - 1) * value, abs(a2 - 1) * value_err
+                term = factor * value
+                total += term
+                err += abs(factor) * value_err
+                rounding += abs(total) + noise * abs(term)
+    a = M + 1
+    coefs = zip(itertools.chain((-0.5,), _em_coefficients(s2)), itertools.chain(((),), shifted))
+    for p, (c, cs) in zip((1, *range(2, top + 1, 2)), coefs):
+        power = beta ** (1 - s2 - p)
+        coeff, w = p * c * power, base + p
+        if cs and w.real > 1 and (s2 + p - 1).real > 0:  # s2 + p - 1: the least shift's
+            size = sum(abs(ci * ck) * abs(a2 + p - 1) / (a2 + p - 1).real
+                       for (ci, (_, a2)), ck in zip(terms, cs))
+            bound = abs(power) * size * a ** -w.real * (1 + a / (w.real - 1))
+            if bound * abs(pref) <= _TAIL_BUDGET * tol or p > 2 * _TAIL_K:
+                err += bound
+                break
         if w == 1:
             value, value_err = -1.0, 0.0
         else:
-            value, value_err, _ = hurwitz_zeta(w, M + 1, kernel_tol)
+            value, value_err, _ = hurwitz_zeta(w, a, kernel_tol)
             value, value_err = (1 - w) * value, abs(1 - w) * value_err
         term = coeff * value
         total += term

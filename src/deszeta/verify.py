@@ -4,7 +4,7 @@ Each check returns (worst_deviation, passed).  The exact suite exercises the
 identities that tie the independent construction routes together; the numeric
 suite exercises the analytic continuation against closed-form targets.
 ``SUITES`` is the one list of checks: the CLI "verify" subcommand runs them,
-and the acceptance gate runs the exact then the numeric ones as criteria 01-11.
+and the acceptance gate runs the exact then the numeric ones as criteria 01-12.
 """
 
 import math
@@ -229,6 +229,19 @@ def check_regular_point():
     return worst, worst < 1e-8
 
 
+def check_across_the_planes():
+    """desing2 at (-k + 1e-9, -l + 1e-9 i), k, l <= 3, against the exact
+    convolution value at (-k, -l), to 1e-6: off the line s2 = -l, each point
+    lies within 1e-9 of singular hyperplanes of the shifted terms."""
+    worst = 0.0
+    for k in range(4):
+        for l in range(4):
+            got = desing2(-k + 1e-9, complex(-l, 1e-9)).value
+            want = float(desing_value_r2_closed(k, l, 1, 1))
+            worst = max(worst, abs(got - want))
+    return worst, worst < 1e-6
+
+
 SUITES = {
     "exact": [
         ("exact-01-frozen-tables", check_frozen_tables),
@@ -244,6 +257,7 @@ SUITES = {
         ("numeric-02-value-table", check_value_table),
         ("numeric-03-cross-engine", check_cross_engine),
         ("numeric-04-regular-point", check_regular_point),
+        ("numeric-05-across-the-planes", check_across_the_planes),
     ],
 }
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven primary criteria, one pass/fail line each.
+"""Acceptance gate: the twelve primary criteria, one pass/fail line each.
 
 Criterion NN is the NN-th check of ``verify.SUITES["exact"] +
 verify.SUITES["numeric"]``, the same checks ``deszeta verify`` runs.  Each
@@ -32,14 +32,14 @@ def nu_matrices_match_oracle():
     )
 
 
-def test_gate_runs_the_eleven_checks():
+def test_gate_runs_the_twelve_checks():
     assert [cid for cid, _ in CHECKS] == [
         "exact-01-frozen-tables", "exact-02-two-constructions",
         "exact-03-root-sum", "exact-04-double-convolution",
         "exact-05-root-pair-sum", "exact-06-desing-routes",
         "exact-07-integer-values", "numeric-01-hurwitz-kernel",
         "numeric-02-value-table", "numeric-03-cross-engine",
-        "numeric-04-regular-point",
+        "numeric-04-regular-point", "numeric-05-across-the-planes",
     ]
 
 

@@ -292,7 +292,8 @@ def _shift_desing2(monkeypatch):
 @pytest.mark.parametrize("suite, breakage, failing, least", [
     ("exact", _break_frozen_table, ["exact-01-frozen-tables"], 1.0),
     ("numeric", _shift_desing2, ["numeric-02-value-table", "numeric-03-cross-engine",
-                                 "numeric-04-regular-point"], 1e-5),
+                                 "numeric-04-regular-point", "numeric-05-across-the-planes"],
+     1e-5),
 ], ids=["exact", "numeric"])
 def test_verify_reports_a_broken_check(capsys, monkeypatch, suite, breakage, failing, least):
     breakage(monkeypatch)

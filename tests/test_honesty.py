@@ -4,8 +4,8 @@ line's --tol gate sees it.  A point is refused (it raises, or its estimate
 is above tol), wrong (accepted with a true error above tol), "over est"
 (accepted, within tol, but with a true error above its estimate) or
 honest.  The "over est" and "wrong" counts per kind may fall, not rise.
-The same loop pins every output bit for bit: one sha256 over each point's
-value and estimate (float.hex) and method, or its refusal text."""
+The same loop pins every output bit for bit: one sha256 per kind over each
+point's value and estimate (float.hex) and method, or its refusal text."""
 
 import collections
 import hashlib
@@ -21,10 +21,14 @@ GRADES = ("honest", "over est", "wrong", "refused")
 # the most "over est" and "wrong" points per kind; lower a bound when a
 # change mends points, and every bound is 0 once each estimate is an
 # upper bound
-BOUNDS = {"regular": (45, 1), "near": (95, 16), "far": (0, 0)}
-# the digest of every output; a change that moves output bits on purpose
-# re-records it and says so in CHANGES.md
-DIGEST = "c1a3e3b6ec4d95127a3049131eb51653b82a3598eafb2b6298626d20dc828c9f"
+BOUNDS = {"regular": (45, 1), "near": (27, 16), "far": (0, 0)}
+# the digest of every output per kind; a change that moves output bits on
+# purpose re-records the kind's digest and says so in CHANGES.md
+DIGESTS = {
+    "regular": "7f6e6861021e6afd8266eadbd577bf255defe65b48e56cbf1ceff5ee06da7fee",
+    "near": "fe8328af8dd49e0c57832a7305194f25962d38325f98b2bbaafa3091248549b2",
+    "far": "4a440fd4710119bd9a59fe42c839a745f9febb713bdae5578f3f835576e675ba",
+}
 
 
 def _grade(point, digest):
@@ -46,10 +50,12 @@ def _grade(point, digest):
 
 
 def test_honesty_ratchet():
-    table, digest = collections.defaultdict(collections.Counter), hashlib.sha256()
+    table = collections.defaultdict(collections.Counter)
+    digests = collections.defaultdict(hashlib.sha256)
     references = json.loads(REFERENCES.read_text(encoding="utf-8"))
     for key, point in references.items():
-        table[key.split("/")[0]][_grade(point, digest)] += 1
+        kind = key.split("/")[0]
+        table[kind][_grade(point, digests[kind])] += 1
     text = "\n".join("%-8s %s" % (kind, ", ".join("%s %d" % (g, table[kind][g]) for g in GRADES))
                      for kind in sorted(table))
     assert sorted(table) == sorted(BOUNDS), text
@@ -57,4 +63,5 @@ def test_honesty_ratchet():
     for kind, (over, wrong) in BOUNDS.items():
         assert table[kind]["over est"] <= over and table[kind]["wrong"] <= wrong, \
             "%s above its bounds (over est %d, wrong %d):\n%s" % (kind, over, wrong, text)
-    assert digest.hexdigest() == DIGEST, "the outputs moved: digest %s" % digest.hexdigest()
+    moved = {kind: d.hexdigest() for kind, d in digests.items() if d.hexdigest() != DIGESTS[kind]}
+    assert not moved, "the outputs moved: digests %s" % moved
