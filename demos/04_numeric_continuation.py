@@ -8,11 +8,16 @@ into one finite sum of single zetas with no pole left: at l <= 1 too,
 where a shifted term is singular, and on the singular hyperplanes
 s1 + s2 = -k - l.  On the other singular hyperplanes of the individual
 terms, such as s2 = 1, the expansions combine the same way after one
-head, with every pole cancelled; where that sum cannot meet the
-tolerance, the combination being entire gives a second value, its mean
-over six nodes on a small circle around the point, and the one with the
-smaller error estimate is kept.  The script compares against closed-form
-targets and against the exact rational values at non-positive integers.
+head, with every pole cancelled.  That sum takes over from the direct one
+within 5e-4 of those hyperplanes, where rounding the shifted arguments
+would cost more than the direct sum's estimate.  Where the sum misses the
+tolerance by at most a factor of 1000, the combination being entire gives
+a second value, its mean over six nodes on a small circle around the
+point, and the one with the smaller error estimate is kept.  Beyond that
+factor the circle has never met the tolerance (its error tracks the one
+sum's true error), so it is not tried, and the point misses the
+tolerance.  The script compares against closed-form targets and against
+the exact rational values at non-positive integers.
 """
 
 from deszeta import desing2, desing_value_r2_closed, riemann_zeta
@@ -52,3 +57,16 @@ for label, point in (("regular point", (3, 4)), ("exact grid", (-2, -1)),
     r = desing2(*point)
     print("  %-13s %-9s value %+.14f, err %.1e, %s"
           % (label, "(%d, %d):" % point, r.value.real, r.err_estimate, r.method))
+print()
+
+print("Within 1e-6 of s1 + s2 = -8 at tol 1e-6: the circle is tried only where the")
+print("one sum's estimate is at most 1000 tol; a point beyond that misses tol.")
+for (s1, s2), weights in (
+        ((-4.503994571372557 - 0.3199782561410334j, -3.496005428806521 + 0.3199782527400359j),
+         (1, 1)),
+        ((-8.562091872273625 + 0.43501478512610176j, 0.5620921904798539 - 0.4350149100354832j),
+         (0.5, 2))):
+    r = desing2(s1, s2, *weights, tol=1e-6)
+    print("  weights %-8s err %.1e, %-15s %s"
+          % ("(%g, %g)" % weights, r.err_estimate, r.method,
+             "meets tol" if r.err_estimate <= 1e-6 else "misses tol: `eval` exits 3"))

@@ -184,9 +184,8 @@ def cmd_eval(args):
         result = desing2(parts[0], parts[1], gammas[0], gammas[1], tol=args.tol)
     # a NaN estimate fails this test, so it cannot pass the gate
     if not result.err_estimate <= args.tol:
-        raise ToleranceError(
-            "tolerance not met (err_estimate %g, tol %g)" % (result.err_estimate, args.tol)
-        )
+        raise ToleranceError("tolerance not met (method %s, err_estimate %g, tol %g)"
+                             % (result.method, result.err_estimate, args.tol))
     _print_json(result.to_json())
     return EXIT_OK
 

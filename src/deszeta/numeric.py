@@ -8,10 +8,11 @@ turns the tail into a finite combination of single Hurwitz values
 zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n exactly the same expansion is
 finite and exact (the inner zeta is a Bernoulli polynomial), so it is summed
 with no head, over single zetas zeta(s1 - n - 1 + p), and desing2's three
-terms there combine into one such sum.  Near the other singular hyperplanes
-of the terms' routes they combine into one head and that tail; where its
-estimate misses tol, the combination's mean over a small circle of six nodes
-(Cauchy's integral formula, summed by the trapezoid rule) is tried too.
+terms there combine into one such sum.  Within 5e-4 of the other singular
+hyperplanes of the terms' routes they combine into one head and that tail;
+where its estimate is in (tol, 1000 tol], the combination's mean over a
+small circle of six nodes (Cauchy's integral formula, summed by the
+trapezoid rule) is tried too.
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -54,6 +55,8 @@ _REACH_REFUSAL = "Re(s1+s2)=%%g and Re s2=%%g beyond continuation reach: the tai
     "reaches Re(s1+s2) > %d and Re s2 > %d" % (_REACH, _S2_REACH)
 _CIRCLE_NODES = 6  # nodes of desing2's circle mean near the singular hyperplanes
 _CIRCLE_RADIUS = 1.0 / 1024  # its radius in the shift w of s + w (1, 1/_GOLDEN)
+_CIRCLE_REACH = 1000  # the circle runs where the one sum's estimate is in (tol, this tol]
+_DIRECT_MARGIN = 5e-4  # least shift-to-locus distance of the direct route, below the nodes' 6e-4
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
@@ -512,13 +515,13 @@ def desing1(s, gamma=1.0):
 
 def _desing2_combination(s1, s2, g1, g2, tol):
     """The combination, each term summed as double_zeta sums it; None where a
-    shift is within 1e-6 of its locus, ToleranceError where one is beyond the
-    tail's reach.  The shifts keep s1 + s2, so hurwitz_zeta's cache shares values."""
+    shift is within _DIRECT_MARGIN of its locus, ToleranceError where one is
+    beyond the tail's reach.  The shifts keep s1 + s2, so hurwitz_zeta's cache shares values."""
     terms = list(combination(2).terms((s1, s2)))
     for _, (a1, a2) in terms:  # within the tail's reach, as in double_zeta
         if not ((a1 + a2).real > _REACH and a2.real > _S2_REACH):
             raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
-    if any(_nearest_singularity(a1, a2)[0] < 1e-6 for _, (a1, a2) in terms):
+    if any(_nearest_singularity(a1, a2)[0] < _DIRECT_MARGIN for _, (a1, a2) in terms):
         return None
     total, err = 0j, 0.0
     for c, (a1, a2) in terms:
@@ -531,16 +534,18 @@ def _desing2_combination(s1, s2, g1, g2, tol):
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     """Desingularized double zeta via the entire three-term combination.
 
-    At least 1e-6 from the terms' singular hyperplanes its three terms are
-    summed directly; nearer, and on s2 = -n, as one head and one pole-free
-    tail (_desing2_tail).  Where that estimate is above tol, the entire
-    combination is also averaged over _CIRCLE_NODES = 6 nodes s + w (1,
-    1/golden_ratio), w on the circle of radius 1/1024 about 0 (method
-    "extrapolated", its estimate the distance to the mean over every other
-    node, leaving out the nodes' own), and the result with the smaller
-    estimate is returned.  A point beyond the tail's reach raises
-    ToleranceError.  tol sets how far each tail expansion is carried; on
-    the line it sets the kernel's tol.
+    At least _DIRECT_MARGIN = 5e-4 from the terms' singular hyperplanes its
+    three terms are summed directly; nearer (the rounding of the shifted
+    arguments would pass that sum's estimate), and on s2 = -n, as one head
+    and one pole-free tail (_desing2_tail).  Where that estimate is in (tol,
+    _CIRCLE_REACH tol], the entire combination is also averaged over
+    _CIRCLE_NODES = 6 nodes s + w (1, 1/golden_ratio), w on the circle of
+    radius 1/1024 about 0 (method "extrapolated", its estimate the distance
+    to the mean over every other node, leaving out the nodes' own), and the
+    result with the smaller estimate is returned.  Beyond that the circle,
+    whose error tracks the one sum's true error, has not met tol.  A point
+    beyond the tail's reach raises ToleranceError.  tol sets how far each
+    tail expansion is carried; on the line it sets the kernel's tol.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -561,7 +566,7 @@ def _desing2_at(s1, s2, g1, g2, tol):
     if direct is not None:
         return direct
     near = _in_double_precision(s2, g1, g2, _desing2_tail, s1, s2, None, g1, g2, tol)
-    if near.err_estimate <= tol:
+    if not tol < near.err_estimate <= _CIRCLE_REACH * tol:
         return near
     # the smaller estimate wins: the circle's leaves its nodes' own errors out
     circle = _desing2_circle(s1, s2, g1, g2, tol)
@@ -570,7 +575,7 @@ def _desing2_at(s1, s2, g1, g2, tol):
 
 def _desing2_circle(s1, s2, g1, g2, tol):
     """The combination's mean over desing2's circle; None where a node falls
-    within 1e-6 of a hyperplane (a second one, about the radius away)."""
+    within _DIRECT_MARGIN of a hyperplane (a second one, about the radius away)."""
     # the trapezoid rule on a circle converges geometrically to the mean,
     # which is the value at its centre (Cauchy's integral formula)
     totals = []

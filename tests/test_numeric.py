@@ -811,6 +811,27 @@ def test_desing2_sums_its_terms_without_double_zeta(monkeypatch, s1, s2, weights
     assert outcome() == want
 
 
+# near/15/0, 1e-9..1e-6 from s1 + s2 = -8 with weights (1/2, 2): the one sum's
+# estimate is 1.4e-2, over _CIRCLE_REACH times tol 1e-6, where the circle has
+# never met tol (perfbench/references.json: wrong at 6 such points, refused at 8)
+GATED = (-8.562091872273625 + 0.43501478512610176j, 0.5620921904798539 - 0.4350149100354832j,
+         0.5 + 0j, 2 + 0j)
+
+
+def test_desing2_skips_the_circle_beyond_its_reach(monkeypatch):
+    calls = []
+    circle = numeric._desing2_circle
+    monkeypatch.setattr(numeric, "_desing2_circle", lambda *args: calls.append(args) or circle(*args))
+    got = desing2(*GATED, tol=1e-6)
+    assert calls == []
+    assert got == numeric._desing2_tail(*GATED[:2], None, *GATED[2:], 1e-6)
+    assert got.method == "euler_maclaurin" and got.err_estimate > numeric._CIRCLE_REACH * 1e-6
+    # within the reach the circle still runs: near/7/5's one sum estimates 5.6e-6
+    desing2(-4.503994571372557 - 0.3199782561410334j, -3.496005428806521 + 0.3199782527400359j,
+            tol=1e-6)
+    assert len(calls) == 1
+
+
 # desing2 on and near the singular hyperplanes of its shifted terms, as one
 # head and one pole-free tail.  The literals are mpmath: at s2 = 1 the closed
 # forms of verify's numeric-02; at the other exact points the mean of
