@@ -1,23 +1,17 @@
 """Numeric evaluation of the desingularized double zeta.
 
-Regular points sum the three-term combination directly, each double zeta
-as a Hurwitz head plus the Bernoulli expansion of its tail.  On the line
-s2 = -l that expansion is exact for every term of the outer sum, so it
-needs no head, and the three terms' expansions combine order by order
-into one finite sum of single zetas with no pole left: at l <= 1 too,
-where a shifted term is singular, and on the singular hyperplanes
-s1 + s2 = -k - l.  On the other singular hyperplanes of the individual
-terms, such as s2 = 1, the expansions combine the same way after one
-head, with every pole cancelled.  That sum takes over from the direct one
-within 5e-4 of those hyperplanes, where rounding the shifted arguments
-would cost more than the direct sum's estimate.  Where the sum misses the
-tolerance by at most a factor of 1000, the combination being entire gives
-a second value, its mean over six nodes on a small circle around the
-point, and the one with the smaller error estimate is kept.  Beyond that
-factor the circle has never met the tolerance (its error tracks the one
-sum's true error), so it is not tried, and the point misses the
-tolerance.  The script compares against closed-form targets and against
-the exact rational values at non-positive integers.
+Each double zeta is a Hurwitz head plus the Bernoulli expansion of its
+tail.  The three shifted terms of the combination keep s1 + s2, so their
+tail expansions combine order by order into one sum after one head, with
+every pole cancelled: the singular hyperplanes of the individual terms,
+such as s2 = 1, need no other route.  On the line s2 = -l that expansion
+is exact for every term of the outer sum, so it needs no head, and the
+sum is finite: at l <= 1 too, where a shifted term is singular, and on
+the singular hyperplanes s1 + s2 = -k - l.  Where the error estimate
+misses the tolerance, the sum is tried once more with another head
+length, and a point whose estimate still misses it is refused.  The
+script compares against closed-form targets and against the exact
+rational values at non-positive integers.
 """
 
 from deszeta import desing2, desing_value_r2_closed, riemann_zeta
@@ -59,8 +53,8 @@ for label, point in (("regular point", (3, 4)), ("exact grid", (-2, -1)),
           % (label, "(%d, %d):" % point, r.value.real, r.err_estimate, r.method))
 print()
 
-print("Within 1e-6 of s1 + s2 = -8 at tol 1e-6: the circle is tried only where the")
-print("one sum's estimate is at most 1000 tol; a point beyond that misses tol.")
+print("Within 1e-6 of s1 + s2 = -8 at tol 1e-6, where head and tail cancel: a")
+print("point whose estimate misses tol at both head lengths is refused.")
 for (s1, s2), weights in (
         ((-4.503994571372557 - 0.3199782561410334j, -3.496005428806521 + 0.3199782527400359j),
          (1, 1)),

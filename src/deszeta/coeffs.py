@@ -13,20 +13,17 @@ writer, formats each distinct half once from shared digit-group texts.  The
 subset-sum construction of the same table (expand_H), summed over the packed
 monomials of exact.linear_form_product, is kept to cross-check the product.
 
-ShiftedCombination.terms is the single evaluator of the combination: both
-ShiftedCombination.evaluate and the numeric desing2 sum over it.  It reads
-each coefficient about the nearest integer point n from an integer Taylor
-table built once per combination, so a point costs a few integer products
-and one floating-point sum, and no SPoly arithmetic.  The table's integers
-at n, with the powers each monomial multiplies in, are read once per centre
-n and kept for the last 256 centres (ShiftedCombination._at).
+ShiftedCombination.terms evaluates the combination's coefficients at a
+point, and ShiftedCombination.quotients each coefficient divided exactly by
+the linear factor s_r + m_r - 1 of its term's pole: the numeric desing2
+reads those quotients, in which nothing cancels near the poles.
 """
 
 import functools
-from itertools import accumulate, chain, combinations, product, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import chain, combinations
+from operator import add, itemgetter
 
-from .exact import SPoly, binomial, linear_form_product
+from .exact import SPoly, linear_form_product
 
 __all__ = [
     "CoeffTable",
@@ -240,10 +237,9 @@ class ShiftedCombination:
         self.table = table
         self.r = table.r
         # the Pochhammer products of all terms sharing a shift, collected
-        # into one polynomial coefficient per shift, in shift order.  A
+        # into one polynomial coefficient per shift, in shift order; a
         # monomial whose sum cancels is dropped at once, as SPoly addition
-        # drops it, so each group's monomials keep the order of summing the
-        # terms' SPolys one by one (desing2 sums them in that order).
+        # drops it, so the monomials keep the order of an SPoly sum
         poch = {}
         out = {}
         for a, l, m in table.terms:
@@ -260,24 +256,24 @@ class ShiftedCombination:
         self._groups = {m: SPoly(self.r, out[m]) for m in sorted(out) if out[m]}
 
     @functools.cached_property
-    def _taylor(self):
-        """(every n^d read, [(m, [(e, a, index of d)])], {e: the indices j r +
-        e_j - 1 of its powers x_j^e_j, e_j > 0}): the groups' Taylor tables,
-        poly(n + x) = sum_e T_e(n) x^e with T_e(n) = sum of its a n^d, in the
-        order poly.evaluate at (x_j + n_j) adds them.  Built on first use: at
-        large r they cost far more than the groups."""
-        exponents, tables = {}, []
+    def _quotients(self):
+        """[(m, [(a, e)])]: each group divided exactly, on first use, by the
+        linear factor s_r + m_r - 1 of its term's pole, as the monomials a s^e
+        of the quotient; ArithmeticError where a division leaves a remainder."""
+        out, j = [], self.r - 1
         for m, poly in self._groups.items():
-            terms = list(poly.terms.items())
-            if len(terms) > 1 and not any(terms[0][0]):
-                terms[:2] = terms[1::-1]  # evaluate adds a leading constant after the next term
-            tables.append((m, [
-                (e, functools.reduce(mul, map(binomial, k, e), c),
-                 exponents.setdefault(tuple(map(sub, k, e)), len(exponents)))
-                for k, c in terms for e in product(*[range(kj, -1, -1) for kj in k])]))
-        picks = {e: tuple(j * self.r + p - 1 for j, p in enumerate(e) if p)
-                 for _, table in tables for e, _, _ in table}
-        return list(exponents), tables, picks
+            rest, quotient = dict(poly.terms), []
+            while rest:  # synthetic division in s_r, from its highest power down
+                e = max(rest, key=itemgetter(j))
+                if not e[j]:
+                    raise ArithmeticError("the group of shift %s leaves a remainder" % (m,))
+                a, lower = rest.pop(e), e[:j] + (e[j] - 1,)
+                quotient.append((a, lower))
+                rest[lower] = rest.get(lower, 0) - a * (m[j] - 1)
+                if not rest[lower]:
+                    del rest[lower]
+            out.append((m, quotient))
+        return out
 
     def groups(self):
         """Map shift vector m -> polynomial coefficient in (s_j), in shift
@@ -285,49 +281,24 @@ class ShiftedCombination:
         return dict(self._groups)
 
     def terms(self, s):
-        """Yield (coefficient at s, shifted argument) for each shift, in
-        shift order.
+        """Yield (coefficient at s, shifted argument) for each shift, in shift
+        order: its quotient times s_r + m_r - 1, accurate near the pole too."""
+        for q, m in self.quotients(s):
+            yield q * (s[-1] + (m[-1] - 1)), tuple(map(add, s, m))
 
-        Each coefficient is expanded about the nearest integer point n, in
-        integers from its Taylor table (_about, kept per centre by _at), and
-        evaluated at s - n (exact in floating point): expanded about 0, its
-        monomials cancel near the integer points where the shifted terms are
-        singular.  ValueError unless s has r coordinates.
-        """
+    def quotients(self, s):
+        """Yield (quotient at s, shift m) for each shift, in shift order, with
+        no SPoly arithmetic; ValueError unless s has r coordinates."""
         if len(s) != self.r:
             raise ValueError("point needs %d coordinates, got %d" % (self.r, len(s)))
-        n = tuple(round(complex(sj).real) for sj in s)
-        # x_1, ..., x_1^r, x_2, ..., x_r^r, x_j^p = x_j^(p-1) x_j (no exponent exceeds r)
-        powers = [x for sj, nj in zip(s, n) for x in accumulate(repeat(sj - nj, self.r), mul)]
-        for m, values, picks in self._at(n):
-            c = 0
-            for a, indices in zip(values, picks):
-                for i in indices:
-                    a = a * powers[i]
-                c = c + a
-            yield complex(c), tuple(map(add, s, m))
-
-    @functools.lru_cache(maxsize=256)
-    def _at(self, n):
-        """[(m, its T_e(n), their power indices)] of _about(n), for the last 256 centres n."""
-        picks = self._taylor[2]
-        return [(m, tuple(c.values()), tuple(map(picks.__getitem__, c))) for m, c in self._about(n)]
-
-    def _about(self, n):
-        """Yield (m, {e: T_e(n)}) per group at the integer point n, summed
-        as poly.evaluate sums it: a monomial whose sum cancels is dropped, and
-        appended when it comes back, so the order matches too."""
-        exponents, tables, _ = self._taylor
-        values = [functools.reduce(mul, map(pow, n, d), 1) for d in exponents]
-        for m, table in tables:
-            coefficients = {}
-            for e, a, i in table:
-                total = coefficients.get(e, 0) + a * values[i]
-                if total:
-                    coefficients[e] = total
-                else:
-                    coefficients.pop(e, None)
-            yield m, coefficients
+        for m, monomials in self._quotients:
+            q = 0
+            for a, e in monomials:
+                for x, p in zip(s, e):
+                    if p:
+                        a = a * x ** p
+                q = q + a
+            yield q, m
 
     def evaluate(self, s, zeta_fn):
         """Evaluate the combination at the complex point s; zeta_fn maps a

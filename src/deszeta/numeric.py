@@ -5,14 +5,12 @@ Hurwitz-zeta kernel.  The double zeta is reduced to an outer sum of Hurwitz
 values; its tail is accelerated by substituting the asymptotic expansion of
 the inner Hurwitz zeta in powers of beta m (beta = gamma1/gamma2), which
 turns the tail into a finite combination of single Hurwitz values
-zeta(s1 + s2 - 1 + p, M + 1).  At s2 = -n exactly the same expansion is
-finite and exact (the inner zeta is a Bernoulli polynomial), so it is summed
-with no head, over single zetas zeta(s1 - n - 1 + p), and desing2's three
-terms there combine into one such sum.  Within 5e-4 of the other singular
-hyperplanes of the terms' routes they combine into one head and that tail;
-where its estimate is in (tol, 1000 tol], the combination's mean over a
-small circle of six nodes (Cauchy's integral formula, summed by the
-trapezoid rule) is tried too.
+zeta(s1 + s2 - 1 + p, M + 1).  desing2's three shifted terms keep s1 + s2,
+so at every point their tails combine order by order into one pole-free
+expansion after one head: one sum, with no pole left on the terms'
+singular hyperplanes.  At s2 = -n the expansion is finite and exact (the
+inner zeta is a Bernoulli polynomial), so it is summed with no head, over
+single zetas zeta(s1 - n - 1 + p).
 
 All arithmetic is double precision; tolerances below are set for it.
 """
@@ -44,19 +42,14 @@ __all__ = [
     "singularity_distance",
 ]
 
-_GOLDEN = (1 + math.sqrt(5)) / 2
-
 _TAIL_K = 10  # Euler-Maclaurin orders of the double-zeta tail
+_ONE_SUM_ORDERS = 20  # most orders p = 1, 2, 4, ... of desing2's tail, its remainder bound the last
 _REACH = -14  # the tail reaches Re(s1+s2) above this (and its deepest hyperplane)
 _S2_REACH = -(2 * _TAIL_K + 1)  # and Re s2 above this, where its last remainder bound exists
 _SPAN0 = (2 * _TAIL_K + 2) / (2 * math.pi) + 1  # least |beta| M of the double-zeta head at s2 = 0
 _HEAD_MAX = 1000  # longest double-zeta head at s2 = 0; weights needing more are refused
 _REACH_REFUSAL = "Re(s1+s2)=%%g and Re s2=%%g beyond continuation reach: the tail " \
     "reaches Re(s1+s2) > %d and Re s2 > %d" % (_REACH, _S2_REACH)
-_CIRCLE_NODES = 6  # nodes of desing2's circle mean near the singular hyperplanes
-_CIRCLE_RADIUS = 1.0 / 1024  # its radius in the shift w of s + w (1, 1/_GOLDEN)
-_CIRCLE_REACH = 1000  # the circle runs where the one sum's estimate is in (tol, this tol]
-_DIRECT_MARGIN = 5e-4  # least shift-to-locus distance of the direct route, below the nodes' 6e-4
 _HURWITZ_N_MAX = 512  # longest Hurwitz partial sum; no convergence by then is refused
 _TAIL_BUDGET = 1e-5  # share of tol that one omitted piece of the double-zeta tail may take
 _SHIFT_MAX = 16  # largest numerator and denominator of a weight ratio whose head is recurred
@@ -144,16 +137,15 @@ def hurwitz_zeta(s, a, tol=1e-14):
 
     Partial sum to N, boundary terms, and Bernoulli corrections, from one
     complex power x^-s per N (x = a + N; each correction's power is the
-    last one's times x^-2, its constants read from _EM_TABLE), the partial
-    sum carried from one N to the next; N and the correction order are
-    raised until the first omitted correction is below tol.  At s = -n and
-    real a the value is -B_{n+1}(a)/(n+1).  Requires finite s != 1, finite
-    a with Re a > 0, and tol > 0.  Raises ContinuationReachError on
-    overflow, on underflow (a tiny a), and where the corrections still
-    fail to converge at the longest partial sum (|Im s| > ~2000).  The
-    last 256 distinct (s, a, tol) are cached (a pure function of the
-    three), so the shifted double zetas of a desing2 combination, which
-    share s1 + s2, evaluate each shared value once.
+    last one's times x^-2, its constants read from _EM_TABLE); N and the
+    correction order are raised until the first omitted correction is below
+    tol, and where Re s < 0.5 the estimate adds the rounding.  An offset
+    with Re a < 1 is taken one step up, zeta(s, a) = a^-s + zeta(s, a + 1).
+    At s = -n and real a the value is -B_{n+1}(a)/(n+1).  Requires finite
+    s != 1, finite a with Re a > 0, and tol > 0.  Raises
+    ContinuationReachError on overflow, on underflow (a power of a tiny a),
+    and where the corrections still fail to converge at the longest partial
+    sum (|Im s| > ~2000).  The last 256 distinct (s, a, tol) are cached.
     """
     s = complex(s)
     a = complex(a)
@@ -179,19 +171,32 @@ def _hurwitz_kernel(s, a, tol):
         n = int(-s.real)
         out = float(-Fraction(bernoulli_polynomial(n + 1, Fraction(a.real)), n + 1))
         return EvalResult(complex(out), abs(out) * 2e-16 + 1e-300, "bernoulli_polynomial")
+    if a.real < 1:  # zeta(s, a) = a^-s + zeta(s, a + 1): no correction's power of a small offset
+        first, rest = a ** -s, _hurwitz_kernel(s, a + 1, tol)
+        value = first + rest.value
+        rounding = abs(first) * (3 + abs(s) * abs(cmath.log(a))) + abs(value)
+        return EvalResult(value, rest.err_estimate + rounding * 2.0**-53, rest.method)
 
-    if s.real < 0.5:
-        # For Re s < 0 the partial sum grows like (a+N)^{1-Re s}, so a large
-        # N destroys the final cancellation in double precision; start from
-        # N = 0 and only grow N if the correction series fails to converge.
-        rungs = _RUNGS_FROM_0
-    else:
-        rungs = _RUNGS[min(5, bisect.bisect_right(_LADDER, abs(s) / 2))]  # N > |s|/2
+    # For Re s < 0 the partial sum grows like (a+N)^{1-Re s}, so a large N
+    # destroys the final cancellation in double precision; start from N = 0
+    # and only grow N if the correction series fails to converge.  There the
+    # estimate adds the rounding (below)
+    careful = s.real < 0.5
+    rungs = _RUNGS_FROM_0 if careful else _RUNGS[min(5, bisect.bisect_right(_LADDER, abs(s) / 2))]
     neg, table = -s, _EM_TABLE
     partial = 0  # the partial sum over n < N, carried up the ladder
+    sums = size = 0.0  # where careful: sum |partial sums| and sum |terms| over n < N
+    done = False
     for low, N in rungs:
-        for n in range(low, N):
-            partial += (a + n) ** neg
+        if careful:
+            for n in range(low, N):
+                t = (a + n) ** neg
+                partial += t
+                size += abs(t)
+                sums += abs(partial)
+        else:
+            for n in range(low, N):
+                partial += (a + n) ** neg
         x = a + N
         xs = x ** neg
         power = x * xs  # x^(1-s), then x^(1-s-2k) at correction k
@@ -199,6 +204,7 @@ def _hurwitz_kernel(s, a, tol):
         x_2 = x ** -2
         poch = s  # the rising factorial (s)_(2k-1)
         prev = err = math.inf
+        mags = 0.0  # the corrections' sum |term|
         for k in range(1, 40):
             try:
                 b, odd, even = table[k]
@@ -211,15 +217,28 @@ def _hurwitz_kernel(s, a, tol):
                 err = mag  # asymptotic series started diverging
                 break
             total += term
-            if mag < tol or mag < tol * abs(total):  # mag < tol max(1, |total|)
-                return EvalResult(total, mag, "euler_maclaurin")
+            mags += mag
+            done = mag < tol or mag < tol * abs(total)  # mag < tol max(1, |total|)
+            if done:
+                err = mag
+                break
             prev = mag
             poch = poch * (s + odd) * (s + even)
-        if not cmath.isfinite(power):  # the powers grow with k where |x| < 1
+        if done:
+            break
+        if not cmath.isfinite(power):  # a power beyond double precision
             raise OverflowError
     if math.isinf(err):  # no correction was small, and none grew
         raise ContinuationReachError(
             "Hurwitz zeta does not converge at s=%s with N <= %d" % (s, _HURWITZ_N_MAX))
+    if careful:
+        # the rounding (Higham 3.3), u = 2^-53 times: sums, of |partial sums|;
+        # size, of |terms|, plus the boundary terms and mags, of the k
+        # corrections, times 2 + |s| |log(a + n)| <= 2 + |s| (log|x| + |Im a| /
+        # Re a); 8 k mags for (s)_(2k-1); |total| + mags for each of k + 2 steps
+        noise = 2 + abs(s) * (math.log(abs(x)) + abs(a.imag) / a.real)
+        err += (sums + (size + abs(x * xs / (s - 1)) + abs(xs) + mags) * noise + 8 * k * mags
+                + (k + 2) * (abs(total) + mags)) * 2.0**-53
     return EvalResult(total, err, "euler_maclaurin")
 
 
@@ -257,24 +276,15 @@ def _is_nonpositive_int(z):
 
 
 def double_zeta(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-10):
-    """Generalized Euler-Zagier double zeta, analytically continued.
-
-    A Hurwitz head of about ((|s2| + 22) / (2 pi) + 1) / |gamma1/gamma2|
-    terms meets the Euler-Maclaurin tail of order K = _TAIL_K, truncated at
-    the first order whose remainder, bounded over every m beyond the head,
-    is below _TAIL_BUDGET * tol (a looser tol asks for fewer Hurwitz
-    values).  The head takes one kernel evaluation per residue class of a
-    rational weight ratio, one per term otherwise.  At s2 exactly -n the
-    tail's expansion is exact for every m: there is no head, and the value is a
-    finite sum of single zetas, finite off that line's own poles.  On the
-    singular hyperplanes (singularity_distance) the point raises
-    SingularPointError.  A weight ratio needing over _HEAD_MAX head terms
-    even at s2 = 0 (a large |s2| alone is summed; s2 = -n has no head), a
-    sum overflowing double precision, a power of the weights underflowing
-    it and a point off s2 = -n beyond the tail's reach (Re(s1+s2) > _REACH
-    and Re s2 > -(2K + 1)), on a deep hyperplane too, raise
-    ContinuationReachError; both are ValueErrors.  The kernel is asked for
-    each Hurwitz value at min(tol / 100, 1e-15).
+    """Generalized Euler-Zagier double zeta, analytically continued: a
+    Hurwitz head of about ((|s2| + 22) / (2 pi) + 1) / |gamma1/gamma2| terms
+    and the Euler-Maclaurin tail (_double_zeta_tail).  On the singular
+    hyperplanes (singularity_distance) the point raises SingularPointError.
+    A weight ratio needing over _HEAD_MAX head terms even at s2 = 0, a sum
+    overflowing double precision, a power of the weights underflowing it and
+    a point off s2 = -n beyond the tail's reach (Re(s1+s2) > _REACH and
+    Re s2 > -(2K + 1)), on a deep hyperplane too, raise
+    ContinuationReachError; both are ValueErrors.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -337,7 +347,7 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
     that underflowed to 0 raises ZeroDivisionError at the end (_nonzero)."""
     n, beta, kernel_tol = _is_nonpositive_int(s2), g1 / g2, min(tol * 1e-2, 1e-15)
     if n is None:
-        M, top = _head_length(abs(s2), beta), 2 * _TAIL_K + 2
+        M, top = max(8, _head_length(abs(s2), beta)), 2 * _TAIL_K + 2
     else:
         s2, M, top = complex(-n), 0, n + 1
     neg1, g2_s2 = -s1, g2 ** (-s2)
@@ -377,11 +387,12 @@ def _double_zeta_tail(s1, s2, g1, g2, tol):
 def _head_length(size, beta):
     """The least M at which the expansion of zeta(s2, 1 + beta m), |s2| <= size,
     holds for every m > M, |beta| M >= (size + 2K + 2) / (2 pi) + 1: the
-    rounding floor of the head/tail cancellation grows like a power of M."""
+    rounding floor of the head/tail cancellation grows like a power of M.
+    double_zeta takes at least 8."""
     if abs(beta) * _HEAD_MAX < _SPAN0:  # _SPAN0: that bound at s2 = 0
         raise ContinuationReachError("double-zeta head longer than %d terms even at s2 = 0: weight "
                                      "ratio |gamma1/gamma2|=%g too small" % (_HEAD_MAX, abs(beta)))
-    return max(8, int(math.ceil((_SPAN0 + size / (2 * math.pi)) / abs(beta))))
+    return math.ceil((_SPAN0 + size / (2 * math.pi)) / abs(beta))
 
 
 def _head_values(s2, beta, M, tol):
@@ -393,15 +404,16 @@ def _head_values(s2, beta, M, tol):
     forward from its smallest where Re s2 < 1 (the values grow with a
     there, so nothing cancels; each is yielded at once), backward from its
     largest otherwise (held, then yielded from m = 1).  The sums carry
-    TwoSum compensation; the estimate is the class start's plus u times
-    the sum of |a^-s2| applied so far.  Any other beta runs the same loop
-    with q = M + 1: every m is its own class, one kernel evaluation each.
+    TwoSum compensation; the estimate is the class start's plus (3 + |s2|
+    log(1 + beta M)) u times the sum of |a^-s2| applied so far, u = 2^-53,
+    for each power's rounding and its addition.  Any other beta runs the same
+    loop with q = M + 1: every m is its own class, one kernel evaluation each.
     """
     p, q = _weight_ratio(beta.real)
     if beta.imag or q >= M or p > _SHIFT_MAX or abs(beta.real - p / q) > 4 * math.ulp(beta.real):
         q = M + 1
     sign = -1 if s2.real < 1 else 1  # forward subtracts the powers, backward adds them
-    neg = -s2
+    neg, noise = -s2, (3 + abs(s2) * math.log(abs(1 + beta * M))) * 2.0**-53
     classes = [None] * q  # (offset, value, compensation, error) per class
     found = []  # backward values, held from m = M down
     for m in range(1, M + 1) if sign < 0 else range(M, 0, -1):
@@ -418,7 +430,7 @@ def _head_values(s2, beta, M, tol):
                 back = total - value
                 comp += (value - (total - back)) + (t - back)
                 value = total
-                err += abs(t) * 2.0**-53  # u, the unit roundoff
+                err += abs(t) * noise
             a = low + p if sign < 0 else low
         classes[m % q] = a, value, comp, err
         if sign < 0:
@@ -483,10 +495,9 @@ def _naming_point(exc, *s):
 def desing1(s, gamma=1.0):
     """Desingularized single zeta with weight gamma: (1 - s) gamma^{-s}
     zeta(s), entire; -1/gamma, its value to double precision, where 1/(s - 1)
-    overflows.  The estimate is the kernel's, scaled, plus u |value| (8 + |s log
-    gamma|), u = 2^-53, for gamma^{-s} and the two complex products (u |value|
-    for -1/gamma), but not the kernel's rounding at Re s < 0 (ROADMAP 1(d):
-    (-3.3, 1.5) is off by 2.6e-13 at 5e-14).  A weight power gamma^{-s} (or
+    overflows.  The estimate is the kernel's, its rounding counted, scaled,
+    plus u |value| (8 + |s log gamma|), u = 2^-53, for gamma^{-s} and the two
+    complex products (u |value| for -1/gamma).  A weight power gamma^{-s} (or
     value) beyond double precision raises ContinuationReachError."""
     s = complex(s)
     g = complex(gamma)
@@ -513,39 +524,16 @@ def desing1(s, gamma=1.0):
     return result
 
 
-def _desing2_combination(s1, s2, g1, g2, tol):
-    """The combination, each term summed as double_zeta sums it; None where a
-    shift is within _DIRECT_MARGIN of its locus, ToleranceError where one is
-    beyond the tail's reach.  The shifts keep s1 + s2, so hurwitz_zeta's cache shares values."""
-    terms = list(combination(2).terms((s1, s2)))
-    for _, (a1, a2) in terms:  # within the tail's reach, as in double_zeta
-        if not ((a1 + a2).real > _REACH and a2.real > _S2_REACH):
-            raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
-    if any(_nearest_singularity(a1, a2)[0] < _DIRECT_MARGIN for _, (a1, a2) in terms):
-        return None
-    total, err = 0j, 0.0
-    for c, (a1, a2) in terms:
-        z = _in_double_precision(a2, g1, g2, _double_zeta_tail, a1, a2, g1, g2, tol)
-        total += c * z.value
-        err += abs(c) * z.err_estimate
-    return EvalResult(total, err, "euler_maclaurin")
-
-
 def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
-    """Desingularized double zeta via the entire three-term combination.
+    """Desingularized double zeta via the entire three-term combination,
+    summed as one head and one pole-free tail at every point (_desing2_tail).
 
-    At least _DIRECT_MARGIN = 5e-4 from the terms' singular hyperplanes its
-    three terms are summed directly; nearer (the rounding of the shifted
-    arguments would pass that sum's estimate), and on s2 = -n, as one head
-    and one pole-free tail (_desing2_tail).  Where that estimate is in (tol,
-    _CIRCLE_REACH tol], the entire combination is also averaged over
-    _CIRCLE_NODES = 6 nodes s + w (1, 1/golden_ratio), w on the circle of
-    radius 1/1024 about 0 (method "extrapolated", its estimate the distance
-    to the mean over every other node, leaving out the nodes' own), and the
-    result with the smaller estimate is returned.  Beyond that the circle,
-    whose error tracks the one sum's true error, has not met tol.  A point
-    beyond the tail's reach raises ToleranceError.  tol sets how far each
-    tail expansion is carried; on the line it sets the kernel's tol.
+    Its head length M is _head_length's at max |s2_i|; a point whose
+    estimate misses tol is summed once more at 1.2 M, where the tail's
+    truncation is most of the estimate, or 0.6 M otherwise, and the result
+    with the smaller estimate is returned.  A point off s2 = -n beyond the
+    tail's reach raises ToleranceError.  tol sets how far the tail is
+    carried and the kernel's tol; on the line s2 = -n the sum is finite.
     """
     s1 = complex(s1)
     s2 = complex(s2)
@@ -553,7 +541,7 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
     g2 = complex(gamma2)
     _check_inputs(tol, (s1, s2), (g1, g2))
     try:
-        return _desing2_at(s1, s2, g1, g2, tol)
+        return _in_double_precision(s2, g1, g2, _desing2_at, s1, s2, g1, g2, tol)
     except ContinuationReachError as exc:
         raise _naming_point(exc, s1, s2) from exc
 
@@ -561,87 +549,78 @@ def desing2(s1, s2, gamma1=1.0, gamma2=1.0, tol=1e-9):
 def _desing2_at(s1, s2, g1, g2, tol):
     n = _is_nonpositive_int(s2)
     if n is not None:
-        return _in_double_precision(s2, g1, g2, _desing2_tail, s1, s2, n, g1, g2, tol)
-    direct = _desing2_combination(s1, s2, g1, g2, tol)
-    if direct is not None:
-        return direct
-    near = _in_double_precision(s2, g1, g2, _desing2_tail, s1, s2, None, g1, g2, tol)
-    if not tol < near.err_estimate <= _CIRCLE_REACH * tol:
-        return near
-    # the smaller estimate wins: the circle's leaves its nodes' own errors out
-    circle = _desing2_circle(s1, s2, g1, g2, tol)
-    return near if circle is None or near.err_estimate < circle.err_estimate else circle
+        return _desing2_tail(s1, s2, n, 0, g1, g2, tol)[0]
+    if not ((s1 + s2).real > _REACH and s2.real > _S2_REACH):  # so are the shifts s2_i >= s2
+        raise ToleranceError(_REACH_REFUSAL % ((s1 + s2).real, s2.real))
+    M = _head_length(max(abs(s2), abs(s2 + 2)), g1 / g2)  # the largest |s2_i|, s2_i = s2 + 0, 1, 2
+    first, truncation = _desing2_tail(s1, s2, None, M, g1, g2, tol)
+    retry = math.ceil((1.2 if 2 * truncation > first.err_estimate else 0.6) * M)
+    if first.err_estimate <= tol or retry == M:
+        return first
+    second = _desing2_tail(s1, s2, None, retry, g1, g2, tol)[0]
+    return second if second.err_estimate < first.err_estimate else first
 
 
-def _desing2_circle(s1, s2, g1, g2, tol):
-    """The combination's mean over desing2's circle; None where a node falls
-    within _DIRECT_MARGIN of a hyperplane (a second one, about the radius away)."""
-    # the trapezoid rule on a circle converges geometrically to the mean,
-    # which is the value at its centre (Cauchy's integral formula)
-    totals = []
-    for j in range(_CIRCLE_NODES):
-        w = _CIRCLE_RADIUS * cmath.exp(2j * math.pi * j / _CIRCLE_NODES)
-        node = _desing2_combination(s1 + w, s2 + w / _GOLDEN, g1, g2, tol)
-        if node is None:
-            return None
-        totals.append(node.value)
-    value = sum(totals) / _CIRCLE_NODES
-    half = sum(totals[::2]) / (_CIRCLE_NODES // 2)
-    return EvalResult(value, abs(value - half), "extrapolated")
-
-
-def _desing2_tail(s1, s2, n, g1, g2, tol):
-    """desing2 as ROADMAP item 11's one head and one pole-free tail.  With the
-    combination's terms c_i zeta_2(s1 - m2_i, s2_i), s2_i = s2 + m2_i, d_i =
-    c_i / (s2_i - 1) (minus the others' sum where s2_i = 1: the p = 0 order
-    drops out) and E(s, a) = (s - 1) zeta(s, a), 1 at s = 1, it is pref times
-    sum_{m <= M} m^-s1 sum_i d_i (beta m)^(m2_i) E(s2_i, 1 + beta m) plus the
-    terms' tails, combined order by order as the shifts keep s1 + s2:
-    sum_p p coef_p(s2) beta^(1-s2-p) (1 - w_p) zeta(w_p, M + 1), p = 1, 2, 4,
-    ..., w_p = s1 + s2 - 1 + p, -1 at w_p = 1.  On s2 = -n (n not None) the
-    tail is exact at M = 0 and ends at p = n + 1.  Elsewhere M is
-    _head_length at max |s2_i|, and the tail ends where the sum of |c_i|
-    times each shift's own _double_zeta_tail remainder bound is within its
-    budget; that sum is in the estimate, with the kernel's, scaled, and u =
-    2^-53 times the sum of |partial sums| (Higham 3.3) and of 8 |term| (its
-    products), (8 + |s1 log m|) |term| in the head for m^-s1."""
+def _desing2_tail(s1, s2, n, M, g1, g2, tol):
+    """(desing2, its tail's truncation bound) as ROADMAP item 11's one head
+    of length M and one pole-free tail.  With the terms c_i zeta_2(s1 - m2_i,
+    s2_i), s2_i = s2 + m2_i, the quotients d_i = c_i / (s2_i - 1) and E(s, a)
+    = (s - 1) zeta(s, a), 1 at s = 1, it is pref times sum_{m <= M} m^-s1
+    sum_i d_i (beta m)^(m2_i) E(s2_i, 1 + beta m) plus the terms' tails,
+    combined order by order: sum_p p coef_p(s2) beta^(1-s2-p) (1 - w_p)
+    zeta(w_p, M + 1), p = 1, 2, 4, ..., w_p = s1 + s2 - 1 + p, -1 at w_p = 1.
+    On s2 = -n (n not None) the tail is exact at M = 0 and ends at p = n + 1;
+    elsewhere where the sum of |c_i| times each shift's _double_zeta_tail
+    remainder bound, which joins the estimate, is within 1e-3 tol, or at the
+    _ONE_SUM_ORDERS-th order.  The estimate adds the kernel's, scaled, and u
+    = 2^-53 times the sums of |partial sums| (Higham 3.3), of 8 |term| and of
+    |m^-s1 row m| (4 + |s1| log m).  Where Re s2_i >= 0.5 the kernel is asked
+    for head values at its tol over their largest weight |pref m^-s1 (beta
+    m)^m2_i c_i|."""
     beta = g1 / g2
     if n is None:
-        terms = list(combination(2).terms((s1, s2)))
-        M, top = _head_length(max(abs(a2) for _, (_, a2) in terms), beta), 2 * _TAIL_K + 2
-        shifted = zip(*(_em_coefficients(a2) for _, (_, a2) in terms))  # coef_p(s2_i), p >= 2
+        # (c_i, d_i, m2_i, s2_i); s2_i - 1 is exact near 0, so E(s2_i) is in s2_i's own rounding
+        shifts = [(d * (s2 + k - 1), d, k, s2 + k)
+                  for d, (_, k) in combination(2).quotients((s1, s2))]
+        top = 2 * _ONE_SUM_ORDERS - 2
+        # coef_p(s2_i) of every shift, p >= 2, for the remainder bound
+        shifted = zip(*(_em_coefficients(a2) for *_, a2 in shifts))
     else:
-        s2, M, top, shifted = complex(-n), 0, n + 1, itertools.repeat(())
+        s2, top, shifted = complex(-n), n + 1, itertools.repeat(())
     base, kernel_tol = s1 + s2 - 1, min(tol * 1e-2, 1e-15)
     pref = g1 ** (-s1) * g2 ** (-s2)
     total, err, rounding = 0j, 0.0, 0.0
     if M:
-        n2, shifts = round(s2.real), [round(a2.real - s2.real) for _, (_, a2) in terms]
-        ds2 = [s2 - n2 + (n2 + k - 1) for k in shifts]  # s2_i - 1, exact where it is near 0
-        d = [c / x if x else 0j for (c, _), x in zip(terms, ds2)]
-        d = [di if x else -sum(d) for di, x in zip(d, ds2)]
-        heads = [_head_values(a2, beta, M, kernel_tol) if a2 != 1 else itertools.repeat((0, 1, 0.0))
-                 for _, (_, a2) in terms]
-        for m, *row in zip(range(1, M + 1), *heads):
-            wm, x, noise = m ** -s1, beta * m, 8 + abs(s1) * math.log(m)
-            for di, k, (_, (_, a2)), (_, value, value_err) in zip(d, shifts, terms, row):
-                factor = wm * x ** k * di
-                if a2 != 1:
-                    value, value_err = (a2 - 1) * value, abs(a2 - 1) * value_err
+        heads = []
+        for c, d, k, a2 in shifts:
+            weight = abs(pref * c) * abs(beta) ** k * max(1, M ** (k - s1.real))
+            if a2.real < 0.5 or not 0 < weight < math.inf:
+                weight = 1.0
+            heads.append((d, k, itertools.repeat((0, 1, 0.0))) if a2 == 1  # E(1, a) = 1
+                         else (c, k, _head_values(a2, beta, M, kernel_tol / weight)))
+        for m, *row in zip(range(1, M + 1), *(values for _, _, values in heads)):
+            x, line, line_err, size = beta * m, 0j, 0.0, 0.0  # the row m, then times m^-s1
+            for (c, k, _), (_, value, value_err) in zip(heads, row):
+                factor = x ** k * c
                 term = factor * value
-                total += term
-                err += abs(factor) * value_err
-                rounding += abs(total) + noise * abs(term)
-    a = M + 1
+                line += term
+                line_err += abs(factor) * value_err
+                size += abs(line) + 8 * abs(term)
+            wm = m ** -s1
+            scale, line = abs(wm), wm * line
+            total += line
+            err += scale * line_err
+            rounding += scale * size + abs(total) + (4 + abs(s1) * math.log(m)) * abs(line)
+    a, bound = M + 1, 0.0
     coefs = zip(itertools.chain((-0.5,), _em_coefficients(s2)), itertools.chain(((),), shifted))
     for p, (c, cs) in zip((1, *range(2, top + 1, 2)), coefs):
         power = beta ** (1 - s2 - p)
         coeff, w = p * c * power, base + p
         if cs and w.real > 1 and (s2 + p - 1).real > 0:  # s2 + p - 1: the least shift's
-            size = sum(abs(ci * ck) * abs(a2 + p - 1) / (a2 + p - 1).real
-                       for (ci, (_, a2)), ck in zip(terms, cs))
+            size = sum([abs(ci * ck) * abs(a2 + p - 1) / (a2 + p - 1).real
+                        for (ci, *_, a2), ck in zip(shifts, cs)])
             bound = abs(power) * size * a ** -w.real * (1 + a / (w.real - 1))
-            if bound * abs(pref) <= _TAIL_BUDGET * tol or p > 2 * _TAIL_K:
+            if bound * abs(pref) <= 1e-3 * tol or p == top:  # the reach makes the last hold
                 err += bound
                 break
         if w == 1:
@@ -653,5 +632,5 @@ def _desing2_tail(s1, s2, n, g1, g2, tol):
         total += term
         err += abs(coeff) * value_err
         rounding += abs(total) + 8 * abs(term)
-    return EvalResult(_nonzero(pref) * total, abs(pref) * (err + rounding * 2.0**-53),
-                      "euler_maclaurin")
+    return (EvalResult(_nonzero(pref) * total, abs(pref) * (err + rounding * 2.0**-53),
+                       "euler_maclaurin"), abs(pref) * bound)

@@ -264,13 +264,14 @@ def test_eval_tolerance_exit(capsys):
 
 
 def test_eval_tolerance_exit_names_the_route(capsys):
-    # near/15/0 of perfbench/references.json: the one sum's estimate is beyond
-    # the circle's reach, so the point is refused with the one sum's route
+    # near/15/0 of perfbench/references.json, 1e-9..1e-6 from s1 + s2 = -8:
+    # the one sum's estimate misses tol at both head lengths it tries, so the
+    # point is refused with that route and the smaller estimate
     code, out, err = run(capsys, "eval", "--s=-8.562091872273625+0.43501478512610176j,"
                          "0.5620921904798539-0.4350149100354832j", "--gamma", "1/2,2",
                          "--tol", "1e-6")
     assert code == 3 and out == ""
-    assert err.startswith("error: tolerance not met (method euler_maclaurin, err_estimate 0.01")
+    assert err.startswith("error: tolerance not met (method euler_maclaurin, err_estimate 0.000254")
     assert err.rstrip().endswith("tol 1e-06)")
 
 

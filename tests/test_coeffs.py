@@ -2,12 +2,12 @@
 
 import json
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from deszeta.coeffs import (
     CoeffTable,
+    ShiftedCombination,
     SPoly,
     combination,
     expand_G,
@@ -131,22 +131,31 @@ def test_terms_at_integer_point():
             assert shifted == tuple(nj + mj for nj, mj in zip(n, m))
 
 
-@pytest.mark.parametrize("r, width", [(1, 30), (2, 30), (3, 6)])
-def test_taylor_table_matches_spoly_expansion(r, width):
-    # the integer coefficients that terms() reads at each integer point n,
-    # and their order, are those of re-expanding each group's SPoly about n
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_quotients_are_the_groups_over_their_linear_factor(r):
+    # each group is its quotient times s_r + m_r - 1, exactly, in Fractions
     comb = combination(r)
     groups = comb.groups()
-    for n in product(range(-width, width + 1), repeat=r):
-        about_n = [SPoly.variable(r, j) + nj for j, nj in enumerate(n)]
-        for (m, coefficients), (m_poly, poly) in zip(comb._about(n), groups.items()):
-            assert m == m_poly
-            want = poly.evaluate(about_n).terms
-            assert list(coefficients.items()) == list(want.items()), (n, m)
+    points = [tuple(Fraction(3 * j - 2 * i, j + 2) for j in range(r)) for i in range(4)]
+    for s in points:
+        got = list(comb.quotients(s))
+        assert [m for _, m in got] == list(groups)
+        for q, m in got:
+            assert q * (s[-1] + m[-1] - 1) == groups[m].evaluate(s)
+    # at r = 2 the quotients are s1 - 1, 1 + s2 - s1 and -s2
+    s1, s2 = Fraction(7, 3), Fraction(-5, 2)
+    assert [q for q, _ in combination(2).quotients((s1, s2))] == [-s2, 1 + s2 - s1, s1 - 1]
+
+
+def test_a_group_with_a_remainder_raises():
+    comb = ShiftedCombination(expand_G(2))
+    comb._groups[(0, 0)] = comb._groups[(0, 0)] + 1
+    with pytest.raises(ArithmeticError, match=r"shift \(0, 0\) leaves a remainder"):
+        list(comb.quotients((1.5, 2.5)))
 
 
 def test_group_monomial_order():
-    # desing2 sums each group's monomials in this order in floating point
+    # the quotients desing2 sums in floating point are divided out in this order
     groups = combination(2).groups()
     assert list(groups) == [(-2, 2), (-1, 1), (0, 0)]
     assert list(groups[(-2, 2)].terms.items()) == [((0, 2), -1), ((0, 1), -1)]

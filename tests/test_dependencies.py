@@ -50,15 +50,15 @@ def test_import_loads_no_dataclasses():
 def test_import_builds_no_tables():
     # the digit-group texts of the coefficient JSON, the twisted Bernoulli
     # rows, the weight rows, the Euler-Maclaurin constants per order, the
-    # Hurwitz values and the combination's coefficients per centre are built
-    # on first use, not at import, so the start-up of every command stays
-    # free of them
+    # Hurwitz values and the combinations with their quotients are built on
+    # first use, not at import, so the start-up of every command stays free
+    # of them
     probe = ("import sys; sys.path.insert(0, %r); import deszeta, deszeta.cli; "
              "from deszeta import coeffs, cyclotomic, numeric, values; "
              "print(coeffs._group_text.cache_info().currsize, len(cyclotomic._TB_CACHE), "
              "values._weight_row.cache_info().currsize, len(numeric._EM_TABLE), "
              "numeric.hurwitz_zeta.cache_info().currsize, "
-             "coeffs.ShiftedCombination._at.cache_info().currsize)" % str(PACKAGE.parent))
+             "coeffs.combination.cache_info().currsize)" % str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.split() == ["0"] * 6

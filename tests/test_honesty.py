@@ -22,15 +22,14 @@ from deszeta.numeric import ToleranceError, desing2
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 TOL = 1e-6
 GRADES = ("honest", "over est", "wrong", "refused")
-# the most "over est" and "wrong" points per kind; lower a bound when a
-# change mends points, and every bound is 0 once each estimate is an
-# upper bound
-BOUNDS = {"regular": (45, 1), "near": (27, 10), "far": (0, 0)}
+# the most "over est" and "wrong" points per kind: every estimate is an
+# upper bound on these points
+BOUNDS = {"regular": (0, 0), "near": (0, 0), "far": (0, 0)}
 # the digest of every output per kind; a change that moves output bits on
 # purpose re-records the kind's digest and says so in CHANGES.md
 DIGESTS = {
-    "regular": "7f6e6861021e6afd8266eadbd577bf255defe65b48e56cbf1ceff5ee06da7fee",
-    "near": "4817c52fe61644dcc88f238399fb4a8c182e5b36a15020a4fad73d05749f0784",
+    "regular": "503c712996e7b58901f4d9554e0fade5d732461c551909fa33e733879c1af1b5",
+    "near": "f896b3f579a7ffc64662dbb68224d8a5fba828f4b6a50de35369b2e4cb6ae458",
     "far": "4a440fd4710119bd9a59fe42c839a745f9febb713bdae5578f3f835576e675ba",
 }
 # the plane of near slot k is PLANES[k % 8], as perfbench/workloads.py deals them
@@ -84,7 +83,7 @@ def test_honesty_ratchet():
 
 # The shoulder band, which no reference samples: 8 points per plane (s2 = 1,
 # s1 + s2 = 2, 1, 0, -2, -4) at 10^U(-6, -3) from it, weights from the
-# workloads' pool, and one point the direct sum got wrong.  Each row is
+# workloads' pool, and one point the former three-term sum got wrong.  Each row is
 # (s1, s2, g1, g2, value); the values are perfbench/reference.py's desing2_mp
 # at extra_digits = int(-log10(distance)) + 3, as references.json records them.
 SHOULDER = [
@@ -190,15 +189,12 @@ SHOULDER = [
      "4/3", "4/3", -0.028975744486978244 + 0.07929340326342789j),
     (-5.393726589708754 + 1.8512594621543281j, 1.3939904690678482 - 1.8511748071609417j,
      "3/4", "4/3", 0.00635953832571084 + 0.0015021489003503481j),
-    # 3.4e-6 from s1 + s2 = 2: the direct sum was off by 9.5e-5 at an estimate of 7.8e-8
+    # 3.4e-6 from s1 + s2 = 2: the three-term sum was off by 9.5e-5 at an estimate of 7.8e-8
     (-2.452782215933038 + 2.073931300875456j, 4.45278700145186 - 2.0739317092845404j,
      "2", "1/2", 0.10176969397148265 + 0.03933730419207961j),
 ]
-# the most "over est", "wrong" and refused points of the band.  The three
-# wrong are circle means (4.8e-6..7.7e-5 from s2 = 1, s1 + s2 = -2 and -4,
-# the one sum's estimate 8.4e-6..4.9e-5): the circle's estimate leaves out
-# its nodes' own errors (ROADMAP item 11 deletes it)
-SHOULDER_BOUNDS = (5, 3, 0)
+# the most "over est", "wrong" and refused points of the band
+SHOULDER_BOUNDS = (0, 0, 0)
 
 
 def test_shoulder_band():

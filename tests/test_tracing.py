@@ -71,11 +71,11 @@ def test_traced_table_reads_phi_once_and_never_inverts():
 
 
 def test_tracer_reaches_calls_under_the_cache():
-    # the three double zetas of desing2(3, 4) share s1 + s2, and
-    # hurwitz_zeta's cache answers their shared calls without a kernel
-    # evaluation; the tracer must count every call, as a counter installed
-    # beneath it does
+    # desing2(3, 4) again asks for the same Hurwitz values, and
+    # hurwitz_zeta's cache answers them without a kernel evaluation; the
+    # tracer must count every call, as a counter installed beneath it does
     proc = _traced(
+        "deszeta.desing2(3, 4)\n"
         "deszeta.desing2(3, 4)\n"
         "calls, _ = tracing.summarize(tracer)\n"
         "print(json.dumps([calls, counted]))\n",
@@ -94,6 +94,6 @@ def test_tracer_reaches_calls_under_the_cache():
     )
     assert proc.returncode == 0, proc.stderr
     calls, counted = json.loads(proc.stdout)
-    assert calls["numeric.desing2"] == 1
+    assert calls["numeric.desing2"] == 2
     assert calls["numeric.hurwitz_zeta"] == counted["hurwitz_zeta"]
     assert counted["hurwitz_zeta"] > counted["_hurwitz_kernel"] > 0
